@@ -66,16 +66,12 @@ def _read_values(path: str) -> list[Fraction]:
     return values
 
 
-def _frac_str(value: Fraction) -> str:
-    return str(value)
-
-
 def _ext_str(value: ExtendedValue) -> str:
     if value.tag == 1:
         return "+inf"
     if value.tag == -1:
         return "-inf"
-    return _frac_str(value.value)
+    return str(value.value)
 
 
 def _emit(doc: dict, path: Optional[str]) -> None:
@@ -118,12 +114,12 @@ def _cmd_fit(args) -> int:
     result = solver.fit(inst, args.extremal)
     cert = solver.certify(result.theta, inst)
     doc = {
-        "theta": [_frac_str(v) for v in result.theta],
-        "objective": _frac_str(result.objective),
+        "theta": [str(v) for v in result.theta],
+        "objective": str(result.objective),
         "extremality": result.extremality,
         "certificate": None
         if cert is None
-        else {"g": [_frac_str(v) for v in cert.g], "z": [_frac_str(v) for v in cert.z]},
+        else {"g": [str(v) for v in cert.g], "z": [str(v) for v in cert.z]},
     }
     _emit(doc, args.output)
     return 0
@@ -154,8 +150,8 @@ def _cmd_certify(args) -> int:
     else:
         doc = {
             "feasible": True,
-            "g": [_frac_str(v) for v in cert.g],
-            "z": [_frac_str(v) for v in cert.z],
+            "g": [str(v) for v in cert.g],
+            "z": [str(v) for v in cert.z],
         }
     _emit(doc, args.output)
     return 0
@@ -176,7 +172,7 @@ def _cmd_audit(args) -> int:
             raise ValidationError("audit noncross needs --tau2")
         tau2 = _parse_rational(args.tau2, "--tau2")
         report = penalties.noncrossing_audit(y, lam, tau1, tau2)
-        doc["noncross"] = {"ok": report.ok, "worst_gap": _frac_str(report.worst_gap)}
+        doc["noncross"] = {"ok": report.ok, "worst_gap": str(report.worst_gap)}
         ok = ok and report.ok
     if "lattice" in checks:
         inst = solver.Instance(tuple(y), tau1, lam)

@@ -14,38 +14,43 @@ with adjusted levels u_{I,J} = tau*|I| - 2*lam*C_{I,J} and
 l_{I,J} = tau*|I| + 2*lam*C_{I,J}, where C_{I,J} is the boundary
 constant of the nested pair (see `qtvd.intervals`).
 
-This module evaluates both formulas by full enumeration, organised so
-the inner max/min is accumulated incrementally: inner intervals are
-grouped by which endpoints they share with the outer interval (the
-boundary constant only depends on that), and running extrema over the
-free endpoint are reused across outer intervals.  No pruning or early
-exit is applied; every nested pair participates in the extremum.
+This module evaluates both formulas by full enumeration; no pruning or
+early exit is applied.  The boundary constant only depends on which
+endpoints I shares with J and on whether J touches 1 or n
+(`qtvd.intervals._c2`), so each side needs five selected-rank tables,
+one per constant, holding for every interval [a:b] the rank of its
+selected order statistic.  They are built once per call.  At location
+i, the outer intervals J form an i x (n-i+1) block; the inner maximum
+over each of the four sharing classes of I is a running maximum over
+that block, and U_i is the minimum of their elementwise maximum.  L_i
+is the same kernel applied to the negated lower-side tables.  Work is
+O(n^2) per location on numpy arrays, O(n^3) for the whole envelope.
 
 Arithmetic is exact end to end.  Values are mapped to ranks in the
-sorted distinct-value list, the enumeration runs on small ints, and
+sorted distinct-value list, the enumeration runs on int64 ranks, and
 ranks map back to exact data values at the end.  Infinities from the
-extended order-statistic convention propagate through min/max via the
-`ExtendedValue` total order (encoded as off-range ranks internally; no
-float sentinels).
+extended order-statistic convention are the off-range ranks -1 and
+len(uniq), so they propagate through min/max without float sentinels.
 
-Per-location computations are independent and share only the
-read-only slice memo, so they are safe to run concurrently.
-
-Computation is O(n^3)-ish with full memoisation; the soft cap keeps
-accidental huge inputs out (the chain solver covers large n).
+Calls share no mutable state.  The soft cap keeps accidental huge
+inputs out (the chain solver covers large n).
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
+from itertools import product
 from typing import Sequence
+
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .intervals import (
     ExtendedValue,
     NEG_INF,
     POS_INF,
     _as_rational,
+    _c2,
     ceil_index,
     floor_index,
 )
@@ -61,6 +66,9 @@ __all__ = [
 
 #: Largest n accepted without `allow_large_n=True`.
 SOFT_CAP = 64
+
+# Identity of max: marks an empty inner class; never wins against the I = J term.
+_EMPTY = np.iinfo(np.int64).min
 
 
 @dataclass(frozen=True)
@@ -79,221 +87,124 @@ class Envelope:
         return len(self.lower)
 
 
-class _EnvelopeComputation:
-    """Shared exact state: rank encoding, sorted rank slices, level tables."""
+class _RankTables:
+    """Exact rank encoding of the data and the per-class selected-rank tables."""
 
-    def __init__(self, y: Sequence, tau, lam):
-        self.y = tuple(_as_rational(v, "data value") for v in y)
+    def __init__(self, y: Sequence, tau, lam, allow_large_n: bool):
+        y = tuple(_as_rational(v, "data value") for v in y)
         self.tau = _as_rational(tau, "tau")
         self.lam = _as_rational(lam, "lam")
         if not 0 <= self.tau <= 1:
             raise ValueError(f"tau must be in [0, 1], got {self.tau}")
         if self.lam < 0:
             raise ValueError(f"lam must be >= 0, got {self.lam}")
-        n = len(self.y)
-        if n == 0:
+        self.n = len(y)
+        if self.n == 0:
             raise ValueError("data vector must be non-empty")
-        self.n = n
-        self.uniq = sorted(set(self.y))
-        self.pos_rank = len(self.uniq)  # rank sentinel for +inf
-        self.neg_rank = -1  # rank sentinel for -inf
+        if self.n > SOFT_CAP and not allow_large_n:
+            raise ValueError(
+                f"n={self.n} exceeds the envelope enumeration cap {SOFT_CAP}; "
+                "pass allow_large_n=True to override"
+            )
+        self.uniq = sorted(set(y))
         rank_of = {v: r for r, v in enumerate(self.uniq)}
-        ranks = [rank_of[v] for v in self.y]
-        # slices[c][d] = sorted ranks of y_c..y_d (1-based endpoints)
-        slices: list[list[tuple[int, ...] | None] | None] = [None] * (n + 1)
-        for c in range(1, n + 1):
-            row: list[tuple[int, ...] | None] = [None] * (n + 1)
-            cur: list[int] = []
-            for d in range(c, n + 1):
-                bisect.insort(cur, ranks[d - 1])
-                row[d] = tuple(cur)
-            slices[c] = row
-        self.slices = slices
-        # Order-statistic index per (twice-the-boundary-constant, |I|):
-        # upper side floor(tau*m - lam*c2) + 1, lower side ceil(tau*m + lam*c2).
-        tau_, lam_ = self.tau, self.lam
-        self.k_upper = [
-            [0] + [floor_index(tau_ * m - lam_ * c2) + 1 for m in range(1, n + 1)]
-            for c2 in (-2, -1, 0, 1, 2)
-        ]
-        self.k_lower = [
-            [0] + [ceil_index(tau_ * m + lam_ * c2) for m in range(1, n + 1)]
-            for c2 in (-2, -1, 0, 1, 2)
-        ]
+        self.ranks = np.array([rank_of[v] for v in y], dtype=np.int64)
 
-    def _rank_value(self, c: int, d: int, ktab: list[int]) -> int:
-        """Rank of the selected order statistic of y_c..y_d, off-range for +-inf."""
-        m = d - c + 1
-        k = ktab[m]
-        if k <= 0:
-            return self.neg_rank
-        if k > m:
-            return self.pos_rank
-        return self.slices[c][d][k - 1]
+    def tables(self, side: str) -> np.ndarray:
+        """tables[c2 + 2][a-1, b-1]: rank of the selected order statistic of y_a..y_b.
 
-    def bounds_at(self, i: int) -> tuple[int, int]:
-        """(lower_rank, upper_rank) at location i, sentinels included."""
-        n = self.n
-        if not 1 <= i <= n:
-            raise ValueError(f"location {i} outside [1:{n}]")
-        ku, kl = self.k_upper, self.k_lower
-        # c2 -> table index is c2 + 2
-        up0, up1, up2 = ku[2], ku[3], ku[4]
-        lo0, lo1, lo2 = kl[2], kl[3], kl[4]
-        val = self._rank_value
-        NEG, POS = self.neg_rank, self.pos_rank
-
-        # Running extrema over inner intervals sharing the left endpoint
-        # (I = [a:d], i <= d <= h) for the two boundary constants that class
-        # can take, and symmetrically for the right-shared class.
-        shl_up0, shl_up1, shl_lo0, shl_lo1 = {}, {}, {}, {}
-        for a in range(1, i + 1):
-            ru0 = ru1 = NEG
-            rl0 = rl1 = POS
-            for d in range(i, n + 1):
-                v = val(a, d, up0)
-                if v > ru0:
-                    ru0 = v
-                v = val(a, d, up1)
-                if v > ru1:
-                    ru1 = v
-                v = val(a, d, lo0)
-                if v < rl0:
-                    rl0 = v
-                v = val(a, d, lo1)
-                if v < rl1:
-                    rl1 = v
-                shl_up0[a, d] = ru0
-                shl_up1[a, d] = ru1
-                shl_lo0[a, d] = rl0
-                shl_lo1[a, d] = rl1
-        shr_up0, shr_up1, shr_lo0, shr_lo1 = {}, {}, {}, {}
-        for b in range(i, n + 1):
-            ru0 = ru1 = NEG
-            rl0 = rl1 = POS
-            for c in range(i, 0, -1):
-                v = val(c, b, up0)
-                if v > ru0:
-                    ru0 = v
-                v = val(c, b, up1)
-                if v > ru1:
-                    ru1 = v
-                v = val(c, b, lo0)
-                if v < rl0:
-                    rl0 = v
-                v = val(c, b, lo1)
-                if v < rl1:
-                    rl1 = v
-                shr_up0[c, b] = ru0
-                shr_up1[c, b] = ru1
-                shr_lo0[c, b] = rl0
-                shr_lo1[c, b] = rl1
-        # Strictly interior inner intervals always carry boundary constant 1.
-        # First a running extremum over the right endpoint per left endpoint,
-        # then accumulate over the left endpoint.
-        int_up, int_lo = {}, {}
-        for c in range(1, i + 1):
-            ru, rl = NEG, POS
-            for d in range(i, n + 1):
-                v = val(c, d, up2)
-                if v > ru:
-                    ru = v
-                v = val(c, d, lo2)
-                if v < rl:
-                    rl = v
-                int_up[c, d] = ru
-                int_lo[c, d] = rl
-        for d in range(i, n + 1):
-            for c in range(i - 1, 0, -1):
-                nxt_u = int_up[c + 1, d]
-                if nxt_u > int_up[c, d]:
-                    int_up[c, d] = nxt_u
-                nxt_l = int_lo[c + 1, d]
-                if nxt_l < int_lo[c, d]:
-                    int_lo[c, d] = nxt_l
-
-        upper_rank = POS
-        lower_rank = NEG
-        for a in range(1, i + 1):
-            a_is_1 = a == 1
-            for b in range(i, n + 1):
-                b_is_n = b == n
-                if a_is_1 and b_is_n:
-                    eq_idx, c_left, c_right = 2, 1, 1
-                elif a_is_1 or b_is_n:
-                    eq_idx, c_left, c_right = 1, int(a_is_1), int(b_is_n)
+        c2 is twice the boundary constant.  The upper side selects index
+        floor(tau*m - lam*c2) + 1 and the lower side ceil(tau*m + lam*c2),
+        m = b - a + 1.  Rank -1 stands for -inf and len(uniq) for +inf.
+        """
+        n, tau, lam = self.n, self.tau, self.lam
+        tables = np.zeros((5, n, n), dtype=np.int64)
+        for m in range(1, n + 1):
+            windows = np.sort(sliding_window_view(self.ranks, m), axis=1)
+            a = np.arange(n - m + 1)
+            for c2 in range(-2, 3):
+                if side == "upper":
+                    k = floor_index(tau * m - lam * c2) + 1
                 else:
-                    eq_idx, c_left, c_right = 0, 0, 0
-                # inner max (upper side) / inner min (lower side) over I <= J
-                mu = val(a, b, ku[eq_idx])
-                ml = val(a, b, kl[eq_idx])
-                if b > i:  # I = [a:d], d < b
-                    v = (shl_up1 if c_left else shl_up0)[a, b - 1]
-                    if v > mu:
-                        mu = v
-                    v = (shl_lo1 if c_left else shl_lo0)[a, b - 1]
-                    if v < ml:
-                        ml = v
-                if a < i:  # I = [c:b], c > a
-                    v = (shr_up1 if c_right else shr_up0)[a + 1, b]
-                    if v > mu:
-                        mu = v
-                    v = (shr_lo1 if c_right else shr_lo0)[a + 1, b]
-                    if v < ml:
-                        ml = v
-                if a < i and b > i:  # strictly interior I
-                    v = int_up[a + 1, b - 1]
-                    if v > mu:
-                        mu = v
-                    v = int_lo[a + 1, b - 1]
-                    if v < ml:
-                        ml = v
-                if mu < upper_rank:
-                    upper_rank = mu
-                if ml > lower_rank:
-                    lower_rank = ml
-        return lower_rank, upper_rank
+                    k = ceil_index(tau * m + lam * c2)
+                if k <= 0:
+                    rank = -1
+                elif k > m:
+                    rank = len(self.uniq)
+                else:
+                    rank = windows[:, k - 1]
+                tables[c2 + 2, a, a + m - 1] = rank
+        return tables
+
+    def check_location(self, i: int) -> None:
+        if not 1 <= i <= self.n:
+            raise ValueError(f"location {i} outside [1:{self.n}]")
 
     def to_extended(self, rank: int) -> ExtendedValue:
-        if rank == self.neg_rank:
+        if rank < 0:
             return NEG_INF
-        if rank == self.pos_rank:
+        if rank == len(self.uniq):
             return POS_INF
         return ExtendedValue(0, self.uniq[rank])
 
 
-def _check_cap(n: int, allow_large_n: bool) -> None:
-    if n > SOFT_CAP and not allow_large_n:
-        raise ValueError(
-            f"n={n} exceeds the envelope enumeration cap {SOFT_CAP}; "
-            "pass allow_large_n=True to override"
-        )
+def _strictly_before(x: np.ndarray, axis: int) -> np.ndarray:
+    """out[.., k, ..] = max of x over indices < k along `axis`; _EMPTY where there are none."""
+    out = np.roll(np.maximum.accumulate(x, axis=axis), 1, axis=axis)
+    out.swapaxes(0, axis)[0] = _EMPTY
+    return out
+
+
+def _min_max(tables: np.ndarray, i: int) -> int:
+    """min over J containing i of max over I <= J containing i of tables[class(I, J)][I].
+
+    The block view puts J = [i-p : i+q] at [:, p, q], so an inner I that
+    does not share J's left (right) endpoint sits strictly before J along
+    axis 1 (2).  Each of the four sharing classes becomes one running-maximum
+    term; the table it reads is chosen per J by `_c2`, and only the last
+    row (J touches 1) and the last column (J touches n) can differ.
+    """
+    n = tables.shape[1]
+    blocks = tables[:, i - 1 :: -1, i - 1 :]
+    inner = np.full(blocks.shape[1:], _EMPTY)
+    for shares_left, shares_right in product((False, True), repeat=2):
+        terms = blocks
+        if not shares_left:
+            terms = _strictly_before(terms, 1)
+        if not shares_right:
+            terms = _strictly_before(terms, 2)
+        for at_first, at_last in product((False, True), repeat=2):
+            rows = slice(i - 1, None) if at_first else slice(0, i - 1)
+            cols = slice(n - i, None) if at_last else slice(0, n - i)
+            term = terms[_c2(shares_left, shares_right, at_first, at_last) + 2, rows, cols]
+            np.maximum(inner[rows, cols], term, out=inner[rows, cols])
+    return int(inner.min())
 
 
 def envelope(y: Sequence, tau, lam, *, allow_large_n: bool = False) -> Envelope:
-    """Both envelope vectors, sharing one order-statistic memo across locations."""
-    comp = _EnvelopeComputation(y, tau, lam)
-    _check_cap(comp.n, allow_large_n)
-    lower, upper = [], []
-    for i in range(1, comp.n + 1):
-        lo, up = comp.bounds_at(i)
-        lower.append(comp.to_extended(lo))
-        upper.append(comp.to_extended(up))
-    return Envelope(lower=tuple(lower), upper=tuple(upper))
+    """Both envelope vectors, sharing one set of rank tables across locations."""
+    ranked = _RankTables(y, tau, lam, allow_large_n)
+    upper_tables = ranked.tables("upper")
+    neg_lower_tables = -ranked.tables("lower")
+    locations = range(1, ranked.n + 1)
+    return Envelope(
+        lower=tuple(ranked.to_extended(-_min_max(neg_lower_tables, i)) for i in locations),
+        upper=tuple(ranked.to_extended(_min_max(upper_tables, i)) for i in locations),
+    )
 
 
 def upper_envelope_at(y: Sequence, tau, lam, i: int, *, allow_large_n: bool = False) -> ExtendedValue:
     """Exact upper envelope value U_i; finite and a data value for tau in (0,1)."""
-    comp = _EnvelopeComputation(y, tau, lam)
-    _check_cap(comp.n, allow_large_n)
-    return comp.to_extended(comp.bounds_at(i)[1])
+    ranked = _RankTables(y, tau, lam, allow_large_n)
+    ranked.check_location(i)
+    return ranked.to_extended(_min_max(ranked.tables("upper"), i))
 
 
 def lower_envelope_at(y: Sequence, tau, lam, i: int, *, allow_large_n: bool = False) -> ExtendedValue:
     """Exact lower envelope value L_i; mirrors `upper_envelope_at`."""
-    comp = _EnvelopeComputation(y, tau, lam)
-    _check_cap(comp.n, allow_large_n)
-    return comp.to_extended(comp.bounds_at(i)[0])
+    ranked = _RankTables(y, tau, lam, allow_large_n)
+    ranked.check_location(i)
+    return ranked.to_extended(-_min_max(-ranked.tables("lower"), i))
 
 
 def reflection_check(y: Sequence, tau, lam, *, allow_large_n: bool = False) -> bool:

@@ -22,9 +22,9 @@ writes keyed by interval).
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
+from functools import total_ordering
 from fractions import Fraction
 from numbers import Rational
 from typing import Sequence, Union
@@ -84,6 +84,7 @@ class DiscreteInterval:
         return f"[{self.a}:{self.b}]"
 
 
+@total_ordering
 class ExtendedValue:
     """A rational extended with -inf / +inf endpoints, totally ordered.
 
@@ -135,17 +136,6 @@ class ExtendedValue:
             return NotImplemented
         return self._key() < other._key()
 
-    def __le__(self, other) -> bool:
-        if not isinstance(other, ExtendedValue):
-            return NotImplemented
-        return self._key() <= other._key()
-
-    def __gt__(self, other) -> bool:
-        return not self.__le__(other)
-
-    def __ge__(self, other) -> bool:
-        return not self.__lt__(other)
-
     def __hash__(self):
         return hash(self._key())
 
@@ -189,9 +179,8 @@ class AdjustedLevel:
 class OrderStatisticCache:
     """Order statistics of a fixed data vector over discrete intervals.
 
-    Sorted slices are memoised per interval; the slice for [a:b] is built
-    by inserting y_b into a copy of the cached slice for [a:b-1], so nested
-    queries reuse parent sorts instead of re-sorting from scratch.
+    Sorted slices are memoised per interval, so repeated queries on the
+    same interval sort it once.
     """
 
     def __init__(self, y: Sequence):
@@ -208,34 +197,14 @@ class OrderStatisticCache:
     def data(self) -> tuple:
         return self._y
 
-    # Below this length a miss also caches all prefixes [a:a], ..., [a:b-1],
-    # which is what envelope enumeration wants; above it, one big sort only.
-    _PREFIX_FILL_LIMIT = 512
-
     def sorted_slice(self, a: int, b: int) -> list:
         """Sorted copy of y[a..b] (1-based, inclusive), memoised. Do not mutate."""
         got = self._slices.get((a, b))
-        if got is not None:
-            return got
-        if not (1 <= a <= b <= self.n):
-            raise ValueError(f"interval [{a}:{b}] outside [1:{self.n}]")
-        if b - a + 1 > self._PREFIX_FILL_LIMIT:
-            cur = sorted(self._y[a - 1 : b])
-            self._slices[(a, b)] = cur
-            return cur
-        # Extend the longest cached prefix [a:hi] instead of re-sorting.
-        hi = b
-        while hi > a and (a, hi) not in self._slices:
-            hi -= 1
-        cached = self._slices.get((a, hi))
-        if cached is None:
-            cur, start = [], a
-        else:
-            cur, start = list(cached), hi + 1
-        for j in range(start, b + 1):
-            bisect.insort(cur, self._y[j - 1])
-            self._slices[(a, j)] = cur if j == b else list(cur)
-        return cur
+        if got is None:
+            if not (1 <= a <= b <= self.n):
+                raise ValueError(f"interval [{a}:{b}] outside [1:{self.n}]")
+            got = self._slices[(a, b)] = sorted(self._y[a - 1 : b])
+        return got
 
     def order_stat(self, interval: DiscreteInterval, k: int) -> ExtendedValue:
         """k-th smallest of y restricted to `interval`, extended convention for k."""
@@ -254,43 +223,17 @@ def order_stat(y: Sequence, interval: DiscreteInterval, k: int) -> ExtendedValue
     return OrderStatisticCache(y).order_stat(interval, k)
 
 
-def _c2(s: int, t: int, j1: int, j2: int, n: int) -> int:
-    """Twice the boundary constant, as an int in {-2,-1,0,1,2}.
+def _c2(shares_left: bool, shares_right: bool, at_first: bool, at_last: bool) -> int:
+    """Twice the boundary constant of I nested in J, as an int in {-2,-1,0,1,2}.
 
-    `I = [s:t]` nested in `J = [j1:j2]` inside the ambient [1:n].  "Strictly
-    interior" means I contains neither endpoint of J.  The value depends on
-    which endpoints I shares with J and on whether J touches the global
-    boundary {1, n}.
+    The inputs say whether I shares J's left / right endpoint and whether J
+    touches the global boundary 1 / n.  Each end of J contributes +1 if I
+    avoids it, -1 if I shares it and it is interior to [1:n], and 0 if I
+    shares it and it is a global boundary point.
     """
-    interior = s > j1 and t < j2
-    if j1 == 1 and j2 == n:
-        if interior:
-            return 2
-        if s == j1 and t == j2:
-            return 0
-        return 1
-    if j1 == 1:  # J touches the left boundary only
-        if interior:
-            return 2
-        if s == j1 and t == j2:
-            return -1
-        if s == 1 and t < j2:
-            return 1
-        return 0  # s > 1 and t == j2
-    if j2 == n:  # J touches the right boundary only
-        if interior:
-            return 2
-        if s == j1 and t == j2:
-            return -1
-        if s > j1 and t == n:
-            return 1
-        return 0  # s == j1 and t < n
-    # interior J
-    if interior:
-        return 2
-    if s == j1 and t == j2:
-        return -2
-    return 0
+    left = (int(at_first) - 1) if shares_left else 1
+    right = (int(at_last) - 1) if shares_right else 1
+    return left + right
 
 
 def boundary_constant(I: DiscreteInterval, J: DiscreteInterval, n: int) -> Fraction:
@@ -299,7 +242,7 @@ def boundary_constant(I: DiscreteInterval, J: DiscreteInterval, n: int) -> Fract
         raise ValueError(f"J={J} outside [1:{n}]")
     if not I.within(J):
         raise ValueError(f"I={I} is not a subinterval of J={J}")
-    return Fraction(_c2(I.a, I.b, J.a, J.b, n), 2)
+    return Fraction(_c2(I.a == J.a, I.b == J.b, J.a == 1, J.b == n), 2)
 
 
 def adjusted_levels(

@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .intervals import _as_rational
-from .solver import Instance, fit
+from .solver import Instance, _check_loss, fit
 
 __all__ = [
     "Absolute",
@@ -202,11 +202,8 @@ def quantile_loss_sum(y: Sequence, theta: Sequence, tau) -> Fraction:
     tau = _as_rational(tau, "tau")
     if len(y) != len(theta):
         raise ValueError("length mismatch")
-    total = Fraction(0)
-    for yi, ti in zip(y, theta):
-        d = _as_rational(yi, "data value") - _as_rational(ti, "theta value")
-        total += tau * d if d >= 0 else (tau - 1) * d
-    return total
+    diffs = (_as_rational(yi, "data value") - _as_rational(ti, "theta value") for yi, ti in zip(y, theta))
+    return sum((_check_loss(d, tau) for d in diffs), Fraction(0))
 
 
 def loss_linearity_check(y: Sequence, theta: Sequence, tau1, tau2) -> bool:

@@ -411,10 +411,6 @@ class PointwiseBounds:
     flagged: tuple  # locations with an empty admissible family
 
 
-def _interior_family(i: int, n: int):
-    return ((j1, j2) for j1 in range(2, i + 1) for j2 in range(i, n))
-
-
 def pointwise_bounds(
     theta_star: Sequence,
     tau: float,

@@ -41,7 +41,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import inf, isfinite, lcm
 from typing import Literal, Optional, Sequence
 
 from .intervals import _as_rational
@@ -314,13 +314,25 @@ def fit(inst: Instance, extremality: Extremality = "any") -> Fit:
     return Fit(theta=theta, objective=objective_value(theta, inst), extremality=extremality)
 
 
-def fit_float(y: Sequence, tau: float, lam: float, extremality: Extremality = "any") -> list:
-    """Floating-point fast path of `fit` for large n; returns theta only."""
+def _finite_floats(values: Sequence, what: str) -> list:
+    """Float copies of `values`; NaN and +-inf are rejected, they would certify garbage."""
+    out = [float(v) for v in values]
+    if not all(map(isfinite, out)):
+        raise ValueError(f"{what} must be finite")
+    return out
+
+
+def _check_float_levels(tau: float, lam: float) -> None:
     if not 0.0 < tau < 1.0:
         raise ValueError(f"tau must be in (0, 1), got {tau}")
-    if lam < 0.0:
-        raise ValueError(f"lam must be >= 0, got {lam}")
-    return _fit_core([float(v) for v in y], float(tau), float(lam), extremality != "lower")
+    if not 0.0 <= lam < inf:
+        raise ValueError(f"lam must be finite and >= 0, got {lam}")
+
+
+def fit_float(y: Sequence, tau: float, lam: float, extremality: Extremality = "any") -> list:
+    """Floating-point fast path of `fit` for large n; returns theta only."""
+    _check_float_levels(tau, lam)
+    return _fit_core(_finite_floats(y, "data"), float(tau), float(lam), extremality != "lower")
 
 
 def _dual_boxes(y: Sequence, theta: Sequence, tau, lam, tol):
@@ -396,8 +408,11 @@ def certify_float(y: Sequence, theta: Sequence, tau: float, lam: float, tol: flo
     """Toleranced feasibility of the dual system; used by the simulation fast path."""
     if len(theta) != len(y):
         raise ValueError("length mismatch")
+    _check_float_levels(tau, lam)
+    if not 0.0 <= tol < inf:
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
     g_boxes, z_boxes = _dual_boxes(
-        [float(v) for v in y], [float(v) for v in theta], float(tau), float(lam), float(tol)
+        _finite_floats(y, "data"), _finite_floats(theta, "theta"), float(tau), float(lam), float(tol)
     )
     return _propagate(g_boxes, z_boxes, 0.0) is not None
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -89,6 +90,16 @@ class TestAgainstNaiveEnumeration:
                 assert list(env.lower) == ref_l
                 assert list(env.upper) == ref_u
 
+    @pytest.mark.parametrize("tau", [F(0), F(1, 2), F(1)])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_matches_literal_formula_at_smallest_sizes(self, n, tau):
+        for y in product((F(-1), F(0), F(1)), repeat=n):
+            for lam in (F(0), F(1, 4), F(1, 2), F(1), F(3)):
+                env = envelope(y, tau, lam)
+                ref_l, ref_u = naive_envelope(y, tau, lam)
+                assert list(env.lower) == ref_l
+                assert list(env.upper) == ref_u
+
 
 class TestStructure:
     def test_sandwich_and_attainment(self):
@@ -102,6 +113,13 @@ class TestStructure:
             assert finite(env.lower) == lo
             assert finite(env.upper) == up
             assert all(a <= b <= c for a, b, c in zip(lo, anyf, up))
+
+    @pytest.mark.parametrize("n", [65, 100])
+    def test_extremal_fits_beyond_soft_cap(self, n):
+        inst = random_instance(random.Random(n), n, n_min=n)
+        env = envelope(inst.y, inst.tau, inst.lam, allow_large_n=True)
+        assert finite(env.lower) == fit(inst, "lower").theta
+        assert finite(env.upper) == fit(inst, "upper").theta
 
     def test_membership_in_data_multiset(self):
         rng = random.Random(8)
@@ -153,6 +171,13 @@ class TestValidation:
             envelope((F(1),), F(1, 2), F(-1))
         with pytest.raises(ValueError):
             envelope((), F(1, 2), F(1))
+
+    def test_rejects_location_outside_data(self):
+        for i in (0, 3):
+            with pytest.raises(ValueError):
+                upper_envelope_at((F(1), F(2)), F(1, 2), F(1), i)
+            with pytest.raises(ValueError):
+                lower_envelope_at((F(1), F(2)), F(1, 2), F(1), i)
 
     def test_rejects_float_data(self):
         with pytest.raises(TypeError):

@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -198,6 +199,17 @@ class TestExtendedValue:
         assert NEG_INF < fin < POS_INF
         assert ExtendedValue.finite(0) < fin
         assert not NEG_INF < NEG_INF
+
+    @pytest.mark.filterwarnings("error")
+    def test_all_four_orderings_and_mixed_types(self):
+        fin = ExtendedValue.finite(1)
+        assert POS_INF > fin > NEG_INF and POS_INF >= fin >= NEG_INF
+        assert fin >= ExtendedValue.finite(1) and not fin > ExtendedValue.finite(1)
+        for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+            with pytest.raises(TypeError):
+                compare(fin, 5)
+            with pytest.raises(TypeError):
+                compare(5, fin)
 
     def test_negation_swaps_infinities(self):
         assert -POS_INF == NEG_INF

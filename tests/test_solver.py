@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -262,6 +263,23 @@ class TestFloatPath:
             fit_float([1.0], 0.0, 1.0)
         with pytest.raises(ValueError):
             fit_float([1.0], 0.5, -1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_input(self, bad):
+        with pytest.raises(ValueError):
+            fit_float([1.0, bad, 2.0], 0.5, 1.0)
+        with pytest.raises(ValueError):
+            certify_float([1.0, bad, 2.0], [2.0, 2.0, 2.0], 0.5, 1.0)
+        with pytest.raises(ValueError):
+            certify_float([1.0, 2.0, 3.0], [2.0, bad, 2.0], 0.5, 1.0)
+        with pytest.raises(ValueError):
+            fit_float([1.0, 2.0], 0.5, bad)
+        with pytest.raises(ValueError):
+            certify_float([1.0, 2.0], [1.5, 1.5], 0.5, bad)
+        with pytest.raises(ValueError):
+            certify_float([1.0, 2.0], [1.5, 1.5], bad, 1.0)
+        with pytest.raises(ValueError):
+            certify_float([1.0, 2.0], [5.0, 5.0], 0.5, 1.0, bad)
 
     def test_certify_float_rejects_suboptimal(self):
         y = [0.0, 10.0]
