@@ -42,6 +42,11 @@ def _parse_rational(text: str, what: str) -> Fraction:
         raise ValidationError(f"{what}: could not parse {text.strip()!r} as a rational") from exc
 
 
+def _sim_lambda(text: str):
+    """--lambda of simulate/rate: "star" (resolved per n by risk.simulate) or a number."""
+    return text if text == "star" else float(_parse_rational(text, "--lambda"))
+
+
 def _read_values(path: str) -> list[Fraction]:
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -225,15 +230,6 @@ def _build_noise(args) -> risk.Noise:
     raise ValidationError(f"unknown noise {args.noise!r}")
 
 
-def _resolve_sim_lambda(args, model: risk.ModelSpec) -> float:
-    if args.lam == "star":
-        return risk.resolve_lambda(model, "star")
-    try:
-        return float(Fraction(args.lam))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValidationError(f"--lambda: bad value {args.lam!r} (number or 'star')") from exc
-
-
 def _write_csv(path: str, reports: Sequence[risk.RiskReport]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
@@ -247,7 +243,7 @@ def _cmd_simulate(args) -> int:
     signal = _build_signal(args)
     noise = _build_noise(args)
     model = risk.ModelSpec(args.n, args.tau, signal, noise, seed=args.seed)
-    lam = _resolve_sim_lambda(args, model)
+    lam = _sim_lambda(args.lam)
     constants = None
     if args.bounds:
         constants = _parse_constants(args.constants, noise, args.tau)
@@ -267,10 +263,10 @@ def _cmd_rate(args) -> int:
         grid = [int(v) for v in args.n_grid.split(",")]
     except ValueError as exc:
         raise ValidationError(f"--n-grid: bad value {args.n_grid!r}") from exc
+    lam = _sim_lambda(args.lam)
     reports = []
     for n in grid:
         model = risk.ModelSpec(n, args.tau, signal, noise, seed=args.seed)
-        lam = _resolve_sim_lambda(args, model)
         reports.append(risk.simulate(model, lam, args.reps, x0=args.x0))
     regression = risk.rate_regress(grid, [r.median_abs_error for r in reports])
     _write_csv(args.output + ".csv", reports)

@@ -292,11 +292,11 @@ class RiskConstants:
 
     c sets the probability level 1 - 4*n^{-(c-1)}; (c1, delta) are the
     noise growth constants; c_tilde scales the SD term; C1 scales the
-    boundary-distance threshold C1 * log n.  The fully conservative C1
-    (see `conservative_boundary_scale`) empties the admissible interval
-    family at desk scale, so the default is 1.0, which keeps the family
-    non-empty from n around 2**8 for moderate lam.  The lam floor
-    C * log n uses C = (c+3)*tau/(8*c1).
+    boundary-distance threshold C1 * log n.  The fully conservative,
+    union-bound-tight C1 = (c+2) / (2 * c1^2 * delta^2) empties the
+    admissible interval family at desk scale, so the default is 1.0, which
+    keeps the family non-empty from n around 2**8 for moderate lam.  The
+    lam floor C * log n uses C = (c+3)*tau/(8*c1).
     """
 
     c1: float
@@ -319,10 +319,6 @@ class RiskConstants:
     def min_interval_length(self, lam: float) -> float:
         """Admissible intervals must be strictly longer than this."""
         return 4.0 * lam / (self.c1 * self.delta)
-
-    def conservative_boundary_scale(self) -> float:
-        """(c+2) / (2 * c1^2 * delta^2): the union-bound-tight C1 value."""
-        return (self.c + 2.0) / (2.0 * self.c1**2 * self.delta**2)
 
     def as_dict(self, tau: float) -> dict:
         return {
@@ -355,21 +351,39 @@ def bias_terms(theta_star: Sequence, i: int, J: DiscreteInterval):
     return max(seg) - ref, min(seg) - ref
 
 
+def _boundary_regime(i: int, n: int, C1: float) -> tuple[float, bool, bool]:
+    """(t, near_left, near_right) with t = C1*log n, near_left = i < t and
+    near_right = i > n - t; a location with neither flag is interior."""
+    t = C1 * math.log(n) if n > 1 else 0.0
+    return t, i < t, i > n - t
+
+
+def _dist(i, j1, j2, near_left: bool, near_right: bool):
+    """Dist(i, dJ) for J = [j1:j2] (see `dist_boundary`); j1 or j2 may be an integer array."""
+    if near_left:
+        return j2 - i + 1
+    if near_right:
+        return i - j1 + 1
+    return np.minimum(i - j1 + 1, j2 - i + 1)
+
+
+def _sd(c_tilde: float, logn: float, dist, length, lam: float, level: float):
+    """C~ * ( sqrt(log n / Dist) + level*log n/lam + lam/|J| ), on floats or arrays."""
+    return c_tilde * (np.sqrt(logn / dist) + level * logn / lam + lam / length)
+
+
 def dist_boundary(i: int, J: DiscreteInterval, n: int, C1: float) -> int:
     """Distance from i to the boundary of J, one-sided near the global boundary.
 
     Interior regime (C1*log n <= i <= n - C1*log n): min of the two
-    one-sided distances; left regime (i < C1*log n): distance to the right
-    boundary point only; right regime: to the left one.
+    one-sided distances; left regime (i < C1*log n, even if i > n - C1*log n
+    too): distance to the right boundary point only; right regime: to the
+    left one.
     """
     if not (J.contains(i) and 1 <= J.a and J.b <= n):
         raise ValueError(f"need i in J within [1:{n}]")
-    t = C1 * math.log(n) if n > 1 else 0.0
-    if t <= i <= n - t:
-        return min(i - J.a + 1, J.b - i + 1)
-    if i < t:
-        return J.b - i + 1
-    return i - J.a + 1
+    _, near_left, near_right = _boundary_regime(i, n, C1)
+    return int(_dist(i, J.a, J.b, near_left, near_right))
 
 
 def sd_bound(i: int, J: DiscreteInterval, lam: float, n: int, tau: float, constants: RiskConstants) -> float:
@@ -377,8 +391,7 @@ def sd_bound(i: int, J: DiscreteInterval, lam: float, n: int, tau: float, consta
     if lam <= 0:
         raise ValueError("lam must be > 0")
     dist = dist_boundary(i, J, n, constants.C1)
-    logn = math.log(n)
-    return constants.c_tilde * (math.sqrt(logn / dist) + tau * logn / lam + lam / J.length)
+    return float(_sd(constants.c_tilde, math.log(n), dist, J.length, lam, tau))
 
 
 def bound_components(
@@ -422,10 +435,16 @@ def pointwise_bounds(
     """Enumerate admissible intervals per location and take the best bound.
 
     Admissible J contain i, satisfy |J| > 4*lam/(c1*delta) and
-    Dist(i, dJ) >= C1*log n, and come from the regime-appropriate family
-    (two-sided interior intervals, or intervals pinned to the nearer global
-    boundary).  The upper bound minimises Bias+ + SD^tau over the family;
-    the lower bound maximises Bias- - SD^{1-tau}.
+    Dist(i, dJ) >= C1*log n, and come from the regime-appropriate family:
+    J = [j1:j2] with 2 <= j1 <= i <= j2 <= n-1 at interior locations,
+    [1:j2] near the left boundary, [j1:n] near the right one.  The upper
+    bound minimises Bias+ + SD^tau over the family; the lower bound
+    maximises Bias- - SD^{1-tau}.
+
+    The family is walked as rows of one fixed end against a numpy array of
+    the other (the shorter side is looped), with Bias from running extrema
+    of theta* outward from i: O(i*(n-i)) numpy work and O(n) memory per
+    location.
     """
     n = len(theta_star)
     if n < 2:
@@ -436,98 +455,55 @@ def pointwise_bounds(
             f"lam={lam:.6g} is below the bound threshold {floor_lam:.6g}; "
             "pass allow_small_lambda=True for exploratory use"
         )
-    if lam <= 0:
+    if not lam > 0:
         raise ValueError("lam must be > 0")
+    theta = np.asarray(theta_star, dtype=float)
+    if not np.isfinite(theta).all():
+        raise ValueError("theta_star must be finite")
     if locations is None:
         locations = range(1, n + 1)
     logn = math.log(n)
-    t = constants.C1 * logn
     min_len = constants.min_interval_length(lam)
     ct = constants.c_tilde
-    c1d = constants.C1
-    theta = [float(v) for v in theta_star]
-
-    def sd_pair(dist: int, length: int) -> tuple[float, float]:
-        root = math.sqrt(logn / dist)
-        return (
-            ct * (root + tau * logn / lam + lam / length),
-            ct * (root + (1.0 - tau) * logn / lam + lam / length),
-        )
 
     lowers, uppers, flagged = [], [], []
     for i in locations:
         if not 1 <= i <= n:
             raise ValueError(f"location {i} outside [1:{n}]")
-        left = i < t
-        right = i > n - t
-        best_u = None
-        best_l = None
-        ref = theta[i - 1]
-        if left and right:
-            pass  # both boundary regimes apply: no bound is claimed here
-        elif not left and not right:
-            for j1 in range(i, 1, -1):
-                seg_max = max(theta[j1 - 1 : i])
-                seg_min = min(theta[j1 - 1 : i])
-                run_max, run_min = seg_max, seg_min
-                for j2 in range(i, n):
-                    v = theta[j2 - 1]
-                    if v > run_max:
-                        run_max = v
-                    if v < run_min:
-                        run_min = v
-                    length = j2 - j1 + 1
-                    if length <= min_len:
-                        continue
-                    dist = min(i - j1 + 1, j2 - i + 1)
-                    if dist < t:
-                        continue
-                    sd_u, sd_l = sd_pair(dist, length)
-                    u = (run_max - ref) + sd_u
-                    l = (run_min - ref) - sd_l
-                    if best_u is None or u < best_u:
-                        best_u = u
-                    if best_l is None or l > best_l:
-                        best_l = l
-        elif left:
-            run_max = max(theta[0:i])
-            run_min = min(theta[0:i])
-            for j2 in range(i, n + 1):
-                v = theta[j2 - 1]
-                if v > run_max:
-                    run_max = v
-                if v < run_min:
-                    run_min = v
-                dist = j2 - i + 1
-                if j2 <= min_len or dist < t:
-                    continue
-                sd_u, sd_l = sd_pair(dist, j2)
-                u = (run_max - ref) + sd_u
-                l = (run_min - ref) - sd_l
-                if best_u is None or u < best_u:
-                    best_u = u
-                if best_l is None or l > best_l:
-                    best_l = l
+        t, near_left, near_right = _boundary_regime(i, n, constants.C1)
+        if near_left and near_right:
+            rows = []  # both boundary regimes apply: no bound is claimed here
+        elif near_left:
+            rows = [(1, np.arange(i, n + 1))]
+        elif near_right:
+            rows = [(np.arange(1, i + 1), n)]
         else:
-            run_max = max(theta[i - 1 : n])
-            run_min = min(theta[i - 1 : n])
-            for j1 in range(i, 0, -1):
-                v = theta[j1 - 1]
-                if v > run_max:
-                    run_max = v
-                if v < run_min:
-                    run_min = v
-                length = n - j1 + 1
-                dist = i - j1 + 1
-                if length <= min_len or dist < t:
-                    continue
-                sd_u, sd_l = sd_pair(dist, length)
-                u = (run_max - ref) + sd_u
-                l = (run_min - ref) - sd_l
-                if best_u is None or u < best_u:
-                    best_u = u
-                if best_l is None or l > best_l:
-                    best_l = l
+            j1s, j2s = np.arange(2, i + 1), np.arange(i, n)
+            if j1s.size <= j2s.size:
+                rows = [(j1, j2s) for j1 in j1s.tolist()]
+            else:
+                rows = [(j1s, j2) for j2 in j2s.tolist()]
+        # max / min of theta[j1-1 : i] at index i - j1, of theta[i-1 : j2] at j2 - i
+        head, tail = theta[i - 1 :: -1], theta[i - 1 :]
+        head_max, head_min = np.maximum.accumulate(head), np.minimum.accumulate(head)
+        tail_max, tail_min = np.maximum.accumulate(tail), np.minimum.accumulate(tail)
+        ref = theta[i - 1]
+        best_u = best_l = None
+        for j1, j2 in rows:  # one end fixed, the other an array
+            length = j2 - j1 + 1
+            dist = _dist(i, j1, j2, near_left, near_right)
+            keep = ~((length <= min_len) | (dist < t))
+            if not keep.any():
+                continue
+            length, dist = length[keep], dist[keep]
+            run_max = np.maximum(head_max[i - j1], tail_max[j2 - i])[keep]
+            run_min = np.minimum(head_min[i - j1], tail_min[j2 - i])[keep]
+            u = float(((run_max - ref) + _sd(ct, logn, dist, length, lam, tau)).min())
+            l = float(((run_min - ref) - _sd(ct, logn, dist, length, lam, 1.0 - tau)).max())
+            if best_u is None or u < best_u:
+                best_u = u
+            if best_l is None or l > best_l:
+                best_l = l
         if best_u is None:
             flagged.append(i)
         lowers.append(best_l)
@@ -645,8 +621,9 @@ def simulate(
 ) -> RiskReport:
     """Draw data from the model, fit with the float fast path, record errors at x0.
 
-    Every fit is accepted only after a dual-feasibility check at
-    `certificate_tol`; failures are counted (and should be zero).  When
+    Every fit is accepted only after a dual-feasibility check at the
+    relative tolerance `certificate_tol` (see `certify_float`); failures
+    are counted (and should be zero).  When
     `compute_bounds` is set, the theoretical error interval at the
     monitored location is evaluated once and the empirical coverage of
     the per-replication errors is reported.

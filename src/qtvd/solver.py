@@ -335,32 +335,33 @@ def fit_float(y: Sequence, tau: float, lam: float, extremality: Extremality = "a
     return _fit_core(_finite_floats(y, "data"), float(tau), float(lam), extremality != "lower")
 
 
-def _dual_boxes(y: Sequence, theta: Sequence, tau, lam, tol):
-    """Constraint intervals for (g_j)_j and (z_k)_k, widened by tol.
+def _dual_boxes(y: Sequence, theta: Sequence, tau, lam, value_tol, dual_tol):
+    """Constraint intervals for (g_j)_j and (z_k)_k.
 
     g_j is the subgradient of rho_tau(y_j - .) at theta_j: {-tau} below the
     data value, [-tau, 1-tau] on it, {1-tau} above.  z_k is free in
     [-lam, lam] on flat steps of theta and pinned to +lam (downward jump) or
-    -lam (upward jump); z_0 = z_n = 0.
+    -lam (upward jump); z_0 = z_n = 0.  Values closer than value_tol count
+    as equal, and every box is widened by dual_tol.
     """
     n = len(theta)
     g_boxes = []
     for j in range(n):
-        if theta[j] < y[j] - tol:
-            g_boxes.append((-tau - tol, -tau + tol))
-        elif theta[j] > y[j] + tol:
-            g_boxes.append((1 - tau - tol, 1 - tau + tol))
+        if theta[j] < y[j] - value_tol:
+            g_boxes.append((-tau - dual_tol, -tau + dual_tol))
+        elif theta[j] > y[j] + value_tol:
+            g_boxes.append((1 - tau - dual_tol, 1 - tau + dual_tol))
         else:
-            g_boxes.append((-tau - tol, 1 - tau + tol))
+            g_boxes.append((-tau - dual_tol, 1 - tau + dual_tol))
     z_boxes = []
     for k in range(n - 1):
-        if theta[k] > theta[k + 1] + tol:
-            z_boxes.append((lam - tol, lam + tol))
-        elif theta[k] < theta[k + 1] - tol:
-            z_boxes.append((-lam - tol, -lam + tol))
+        if theta[k] > theta[k + 1] + value_tol:
+            z_boxes.append((lam - dual_tol, lam + dual_tol))
+        elif theta[k] < theta[k + 1] - value_tol:
+            z_boxes.append((-lam - dual_tol, -lam + dual_tol))
         else:
-            z_boxes.append((-lam - tol, lam + tol))
-    z_boxes.append((-tol, tol))  # z_n = 0
+            z_boxes.append((-lam - dual_tol, lam + dual_tol))
+    z_boxes.append((-dual_tol, dual_tol))  # z_n = 0
     return g_boxes, z_boxes
 
 
@@ -387,7 +388,7 @@ def certify(theta: Sequence, inst: Instance) -> Optional[DualCertificate]:
     if len(theta) != inst.n:
         raise ValueError(f"theta has length {len(theta)}, expected {inst.n}")
     zero = Fraction(0)
-    g_boxes, z_boxes = _dual_boxes(inst.y, theta, inst.tau, inst.lam, zero)
+    g_boxes, z_boxes = _dual_boxes(inst.y, theta, inst.tau, inst.lam, zero, zero)
     reach = _propagate(g_boxes, z_boxes, zero)
     if reach is None:
         return None
@@ -405,15 +406,23 @@ def certify(theta: Sequence, inst: Instance) -> Optional[DualCertificate]:
 
 
 def certify_float(y: Sequence, theta: Sequence, tau: float, lam: float, tol: float = 1e-8) -> bool:
-    """Toleranced feasibility of the dual system; used by the simulation fast path."""
+    """Toleranced feasibility of the dual system; used by the simulation fast path.
+
+    `tol` is relative: values (theta against y, neighbours of theta) count
+    as equal within tol * max(|y|_inf, |theta|_inf), and the dual boxes are
+    widened by tol * max(1, lam).  The objective is 1-homogeneous in
+    (y, theta) and the dual system does not depend on their scale, so
+    scaling both by a power of two leaves the verdict unchanged (short of
+    underflow or overflow).
+    """
     if len(theta) != len(y):
         raise ValueError("length mismatch")
     _check_float_levels(tau, lam)
     if not 0.0 <= tol < inf:
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
-    g_boxes, z_boxes = _dual_boxes(
-        _finite_floats(y, "data"), _finite_floats(theta, "theta"), float(tau), float(lam), float(tol)
-    )
+    y, theta, lam, tol = _finite_floats(y, "data"), _finite_floats(theta, "theta"), float(lam), float(tol)
+    scale = max(map(abs, y + theta), default=0.0)
+    g_boxes, z_boxes = _dual_boxes(y, theta, float(tau), lam, tol * scale, tol * max(1.0, lam))
     return _propagate(g_boxes, z_boxes, 0.0) is not None
 
 

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -66,7 +67,7 @@ class TestFitEnvelopeCertify:
         out = str(tmp_path / "fit.json")
         assert run(["fit", "--input", y_file, "--tau", "1/2", "--lambda", "1/4",
                     "--extremal", "upper", "--output", out]) == 0
-        theta = json.loads(open(out).read())["theta"]
+        theta = json.loads(Path(out).read_text())["theta"]
         theta_file = write(tmp_path / "theta.txt", "\n".join(theta) + "\n")
         assert run(["certify", "--input", y_file, "--theta", theta_file,
                     "--tau", "1/2", "--lambda", "1/4"]) == 0
@@ -167,3 +168,11 @@ class TestSimulateRate:
     def test_star_needs_valid_signal_params(self, tmp_path):
         assert run(["simulate", "--n", "64", "--reps", "2", "--signal", "pwc",
                     "--lambda", "star", "--output", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize("command", ["simulate", "rate"])
+    def test_bad_lambda_text_exits_2(self, command, tmp_path, capsys):
+        size = ["--n", "64"] if command == "simulate" else ["--n-grid", "64,128,256,512"]
+        assert run([command, *size, "--reps", "2", "--signal", "constant",
+                    "--lambda", "abc", "--output", str(tmp_path / "x")]) == 2
+        assert "--lambda" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()

@@ -181,22 +181,56 @@ class TestPointwiseBounds:
 
     def test_agrees_with_independent_enumerator(self):
         n = 192
-        sig = HolderCusp(1.0, 1.0, 0.5).values(n)
         const = RiskConstants(c1=0.3, C1=1.0)
         lam = max(10.0, const.lambda_floor(n, 0.4))
-        for i in (1, 3, 96, 150, n - 2, n):
-            got = pointwise_bounds(sig, 0.4, lam, const, locations=[i], allow_small_lambda=True)
-            ref_l, ref_u = naive_center_bounds(sig, 0.4, lam, const, i)
-            if ref_u is None:
-                assert got.flagged == (i,)
-            else:
-                assert got.upper[0] == pytest.approx(ref_u, rel=1e-12)
-                assert got.lower[0] == pytest.approx(ref_l, rel=1e-12)
+        cases = [(HolderCusp(1.0, 1.0, 0.5).values(n), 0.4, lam, const, [1, 3, 96, 150, n - 2, n])]
+        rng = np.random.default_rng(2026)
+        for _ in range(60):  # every location, all regimes, flagged ones included
+            n = int(rng.integers(2, 97))
+            if rng.random() < 0.5:
+                theta = rng.normal(size=n).cumsum()
+            else:  # tie-heavy: few distinct values
+                theta = rng.integers(-1, 2, size=n).astype(float)
+            const = RiskConstants(
+                c1=float(rng.choice([0.3, 1.0, 4.0])),
+                C1=float(rng.choice([0.0, 0.5, 1.0, 3.0])),
+                c_tilde=float(rng.choice([1.0, 4.0])),
+            )
+            tau, lam = float(rng.choice([0.2, 0.5, 0.85])), float(rng.choice([0.5, 2.0, 7.5]))
+            cases.append((theta, tau, lam, const, list(range(1, n + 1))))
+        # C1*log n == 3 exactly: Dist(i, dJ) = 3 is admissible
+        const = RiskConstants(c1=1.0, C1=3.0 / math.log(20))
+        assert const.C1 * math.log(20) == 3.0
+        cases.append(([0.0] * 9 + [5.0, 0.0, 4.0] + [0.0] * 8, 0.5, 0.1, const, list(range(1, 21))))
+        # C1 = 0 empties the family at i = 1 and i = n
+        cases.append(([0.0, 1.0, 0.0, 1.0, 0.0], 0.5, 0.1, RiskConstants(c1=1.0, C1=0.0), [1, 2, 3, 4, 5]))
+        # C1*log n beyond n/2 puts the middle in both one-sided regimes
+        cases.append(([0.0, 2.0, 1.0] * 3, 0.5, 0.1, RiskConstants(c1=1.0, C1=3.0), list(range(1, 10))))
+        flagged = []
+        for theta, tau, lam, const, locations in cases:
+            got = pointwise_bounds(theta, tau, lam, const, locations=locations, allow_small_lambda=True)
+            refs = [naive_center_bounds(theta, tau, lam, const, i) for i in locations]
+            assert got.flagged == tuple(i for i, (_, ref_u) in zip(locations, refs) if ref_u is None)
+            for (ref_l, ref_u), lo, up in zip(refs, got.lower, got.upper):
+                if ref_u is None:
+                    assert lo is None and up is None
+                else:
+                    assert up == pytest.approx(ref_u, rel=1e-12)
+                    assert lo == pytest.approx(ref_l, rel=1e-12)
+            flagged.append(got.flagged)
+        assert flagged[-2:] == [(1, 5), (3, 4, 5, 6)]
 
     def test_small_lambda_rejected_without_override(self):
         with pytest.raises(ValueError):
             pointwise_bounds([0.0] * 64, 0.5, 1.0, self.const, locations=[32])
         pointwise_bounds([0.0] * 64, 0.5, 1.0, self.const, locations=[32], allow_small_lambda=True)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_input_rejected(self, bad):
+        with pytest.raises(ValueError):
+            pointwise_bounds([0.0] * 63 + [bad], 0.5, 1.0, self.const, allow_small_lambda=True)
+        with pytest.raises(ValueError):
+            pointwise_bounds([0.0] * 64, 0.5, math.nan, self.const, allow_small_lambda=True)
 
     def test_empty_family_is_flagged(self):
         # lam so large that no interval satisfies the length constraint

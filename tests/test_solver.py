@@ -286,3 +286,32 @@ class TestFloatPath:
         theta = fit_float(y, 0.5, 0.25)
         bad = [theta[0] + 5.0, theta[1]]
         assert not certify_float(y, bad, 0.5, 0.25, 1e-9)
+
+    def test_certify_float_tolerance_is_relative_to_data(self):
+        # an absolute 1e-8 would swallow the whole data scale here
+        y = [1e-9, -1e-9, 3e-9, 0.0]
+        lam = 1e-10
+        assert not certify_float(y, [0.0] * 4, 0.5, lam)
+        assert not certify_float(y, [5e-9] * 4, 0.5, lam)
+        assert certify_float(y, fit_float(y, 0.5, lam), 0.5, lam)
+
+    def test_certify_float_verdict_invariant_under_scaling(self):
+        rng = random.Random(21)
+        cases = [([1e-9, -1e-9, 3e-9, 0.0], [0.0] * 4, 1e-10),
+                 ([1e-9, -1e-9, 3e-9, 0.0], [5e-9] * 4, 1e-10)]
+        for _ in range(20):
+            n = rng.randint(1, 30)
+            y = [rng.gauss(0, 1) for _ in range(n)]
+            lam = rng.choice([0.0, 0.1, 0.7, 3.0, 40.0])
+            theta = fit_float(y, 0.3, lam)
+            cases.append((y, theta, lam))
+            j = rng.randrange(n)
+            cases.append((y, theta[:j] + [theta[j] + rng.choice([1e-3, -0.5])] + theta[j + 1:], lam))
+        verdicts = set()
+        for y, theta, lam in cases:
+            base = certify_float(y, theta, 0.3, lam)
+            verdicts.add(base)
+            for k in range(-40, 41):
+                s = 2.0**k
+                assert certify_float([s * v for v in y], [s * v for v in theta], 0.3, lam) == base, (k, lam)
+        assert verdicts == {True, False}
