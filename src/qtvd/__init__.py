@@ -25,7 +25,6 @@ from .solver import (
     Fit,
     GridOracleResult,
     Instance,
-    PwlConvexDerivative,
     certify,
     certify_float,
     fit,
@@ -50,7 +49,6 @@ __all__ = [
     "NEG_INF",
     "OrderStatisticCache",
     "POS_INF",
-    "PwlConvexDerivative",
     "adjusted_levels",
     "boundary_constant",
     "ceil_index",

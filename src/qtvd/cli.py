@@ -44,7 +44,12 @@ def _parse_rational(text: str, what: str) -> Fraction:
 
 def _sim_lambda(text: str):
     """--lambda of simulate/rate: "star" (resolved per n by risk.simulate) or a number."""
-    return text if text == "star" else float(_parse_rational(text, "--lambda"))
+    if text == "star":
+        return text
+    try:
+        return float(_parse_rational(text, "--lambda"))
+    except OverflowError as exc:
+        raise ValidationError(f"--lambda: {text.strip()!r} is outside the float range") from exc
 
 
 def _read_values(path: str) -> list[Fraction]:
@@ -359,10 +364,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ValidationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .intervals import _as_rational
-from .solver import Instance, _check_loss, fit
+from .solver import Instance, _check_loss, fit, lattice_join, lattice_meet
 
 __all__ = [
     "Absolute",
@@ -164,8 +164,7 @@ def submodularity_fuzz(penalty: PairwisePenalty, trials: int, seed: int, n: int 
         scale = Fraction(rng.randint(1, 5), rng.randint(1, 5))
         x = tuple(scale * rng.randint(-3, 3) for _ in range(n))
         y = tuple(scale * rng.randint(-3, 3) for _ in range(n))
-        join = tuple(a if a >= b else b for a, b in zip(x, y))
-        meet = tuple(a if a <= b else b for a, b in zip(x, y))
+        join, meet = lattice_join(x, y), lattice_meet(x, y)
         if penalty.value(x) + penalty.value(y) < penalty.value(join) + penalty.value(meet):
             violations += 1
             if first is None:

@@ -11,16 +11,23 @@ coordinatewise-maximal ("upper") or -minimal ("lower") optimal solution,
 which realise the solution-set envelopes of `qtvd.envelope` exactly.
 
 Method: a forward pass propagates the derivative of the running Bellman
-function.  That derivative is a nondecreasing step function; each
-quantile loss term shifts it by -tau and adds a unit jump at the data
-value, and the coupling to the next position clips it to [-lam, lam]
-(the derivative of the infimal convolution with lam*|.|).  Clipping
-records per-position clamp thresholds [lo_k, hi_k]; the backward pass
-sets theta_n to an extremal minimiser of the final Bellman function and
-theta_k = median(theta_{k+1}, lo_k, hi_k).  Where the derivative sits
-exactly at -lam or +lam over a flat stretch, the minimiser is not
-unique; thresholds are taken at the far or near end of the stretch so
-ties resolve toward the requested extreme.
+function.  That derivative is a nondecreasing step function, kept as its
+value at -inf, positive jumps at breakpoints and minus its value at
++inf, with a lazy heap reaching each end.  Each quantile loss term
+shifts it by -tau and adds a unit jump at the data value, and the
+coupling to the next position clips it to [-lam, lam] (the derivative
+of the infimal convolution with lam*|.|), which only trims the two ends.
+One walk, `_trim`, raises the value seen from one end to a bound: the
+lower clip runs it from the left, the upper clip runs it from the right
+on the mirror image (x -> -x, values negated), and the final argmin
+runs it from the left with bound 0.  The clips record per-position
+clamp thresholds [lo_k, hi_k]; the backward pass sets theta_n to an
+extremal minimiser of the final Bellman function and theta_k =
+median(theta_{k+1}, lo_k, hi_k).  Where the derivative sits exactly at
+a bound over a flat stretch, the minimiser is not unique; thresholds are
+taken at the far or near end of the stretch so ties resolve toward the
+requested extreme.  At lam = 0 the positions decouple and theta = y is
+the unique minimiser.
 
 Optimality is certified independently of the solver: theta minimises F
 iff there are vectors g (quantile-loss subgradients) and z (edge duals
@@ -50,7 +57,6 @@ __all__ = [
     "Instance",
     "Fit",
     "DualCertificate",
-    "PwlConvexDerivative",
     "GridOracleResult",
     "objective_value",
     "fit",
@@ -126,176 +132,81 @@ def objective_value(theta: Sequence, inst: Instance) -> Fraction:
     return total
 
 
-class PwlConvexDerivative:
-    """Derivative of a convex piecewise-linear function, as a step function.
+def _peek(heap: list, negated: bool, jumps: dict):
+    """Live breakpoint at the heap's end (a negated heap holds -x); stale keys are dropped."""
+    while heap:
+        x = -heap[0] if negated else heap[0]
+        if x in jumps:
+            return x
+        heapq.heappop(heap)
+    return None
 
-    Stored as the value at -inf (`base`) plus positive jumps at breakpoints;
-    `top` caches the value at +inf.  Jumps at equal abscissae merge.  Two
-    lazy heaps give cheap access to both ends, which is all clipping needs:
-    each breakpoint is inserted once and consumed at most once from either
-    side.  Convexity is the invariant that all jumps stay positive; after
-    `clip(lam)` every value lies in [-lam, lam].
+
+def _trim(heap: list, negated: bool, jumps: dict, v, bound, far: bool):
+    """Raise the derivative seen from one end to at least `bound`.
+
+    `v` is its value at that end.  Breakpoints are consumed from that end
+    until the value reaches `bound`; a crossing jump keeps its excess.
+    Returns (new end value, clamp), the clamp being the breakpoint where
+    the bound is reached, or None if the end value already exceeds it.
+    Where the value equals `bound` on a flat stretch, `far` takes the
+    stretch's far end instead of its near end (None when the stretch
+    reaches this end).
     """
-
-    __slots__ = ("base", "top", "jumps", "_lo", "_hi")
-
-    def __init__(self, base):
-        self.base = base
-        self.top = base
-        self.jumps: dict = {}
-        self._lo: list = []
-        self._hi: list = []
-
-    def insert(self, x, jump) -> None:
-        if jump <= 0:
-            raise ValueError("jumps must be positive")
-        cur = self.jumps.get(x)
-        if cur is None:
-            self.jumps[x] = jump
-            heapq.heappush(self._lo, x)
-            heapq.heappush(self._hi, -x)
-        else:
-            self.jumps[x] = cur + jump
-        self.top = self.top + jump
-
-    def add_loss(self, value, tau) -> None:
-        """Add the subderivative of rho_tau(value - .): slope -tau plus a unit jump."""
-        self.base = self.base - tau
-        self.top = self.top - tau
-        self.insert(value, 1)
-
-    def _peek_lo(self):
-        lo, jumps = self._lo, self.jumps
-        while lo:
-            x = lo[0]
-            if x in jumps:
-                return x
-            heapq.heappop(lo)
-        return None
-
-    def _peek_hi(self):
-        hi, jumps = self._hi, self.jumps
-        while hi:
-            x = -hi[0]
-            if x in jumps:
-                return x
-            heapq.heappop(hi)
-        return None
-
-    def breakpoints(self) -> list:
-        """Live breakpoints in increasing order (diagnostic view)."""
-        return sorted(self.jumps)
-
-    def slope_levels(self) -> list:
-        """Step values left to right, starting at `base` (diagnostic view)."""
-        levels = [self.base]
-        acc = self.base
-        for x in self.breakpoints():
-            acc = acc + self.jumps[x]
-            levels.append(acc)
-        return levels
-
-    def clip(self, lam, prefer_high: bool):
-        """Clip values to [-lam, lam]; return backward clamp thresholds (lo, hi).
-
-        None means the corresponding side imposes no clamp.  Where the
-        pre-clip derivative equals -lam (or +lam) on a flat stretch, any
-        point of the stretch is an equally good clamp target: thresholds
-        land on the stretch end that favours the requested extreme.
-        """
-        jumps = self.jumps
-        if lam == 0:
-            # No coupling: the minimiser of the running Bellman function is
-            # forced regardless of the neighbour, and the clipped derivative
-            # vanishes.  (Both walks below would otherwise trip over values
-            # the lower clip raised to exactly -lam == +lam == 0.)
-            m_minus, m_plus = self.argmin_pair()
-            jumps.clear()
-            self._lo.clear()
-            self._hi.clear()
-            self.base = self.top = lam  # zero of the matching arithmetic type
-            pin = m_plus if prefer_high else m_minus
-            return pin, pin
-        if self.base > -lam:
-            lo = None
-        elif self.base == -lam:
-            lo = self._peek_lo() if prefer_high else None
-            if prefer_high and lo is None:
-                raise AssertionError("degenerate derivative: no breakpoints")
-        else:
-            while True:
-                x = self._peek_lo()
-                if x is None:
-                    raise AssertionError("derivative exhausted during lower clip")
-                s = self.base + jumps[x]
-                if s <= -lam:
-                    self.base = s
-                    del jumps[x]
-                    heapq.heappop(self._lo)
-                    if s == -lam:
-                        lo = self._peek_lo() if prefer_high else x
-                        break
-                else:
-                    jumps[x] = s + lam  # remaining part of the crossing jump
-                    self.base = -lam
-                    lo = x
-                    break
-        if self.top < lam:
-            hi = None
-        elif self.top == lam:
-            hi = None if prefer_high else self._peek_hi()
-            if not prefer_high and hi is None:
-                raise AssertionError("degenerate derivative: no breakpoints")
-        else:
-            while True:
-                x = self._peek_hi()
-                if x is None:
-                    raise AssertionError("derivative exhausted during upper clip")
-                s = self.top - jumps[x]  # value just left of x
-                if s >= lam:
-                    self.top = s
-                    del jumps[x]
-                    heapq.heappop(self._hi)
-                    if s == lam:
-                        hi = x if prefer_high else self._peek_hi()
-                        break
-                else:
-                    jumps[x] = lam - s
-                    self.top = lam
-                    hi = x
-                    break
-        return lo, hi
-
-    def argmin_pair(self):
-        """(leftmost, rightmost) minimiser of the integral function; consumes self."""
-        v = self.base
-        m_minus = None
-        while True:
-            x = self._peek_lo()
-            if x is None:
-                raise AssertionError("derivative never crosses zero")
-            v = v + self.jumps[x]
-            del self.jumps[x]
-            heapq.heappop(self._lo)
-            if m_minus is None and v >= 0:
-                m_minus = x
-            if v > 0:
-                return m_minus, x
+    if v > bound:
+        return v, None
+    if v == bound:
+        if not far:
+            return v, None
+        x = _peek(heap, negated, jumps)
+        if x is None:
+            raise AssertionError("degenerate derivative: no breakpoints")
+        return v, x
+    while True:
+        x = _peek(heap, negated, jumps)
+        if x is None:
+            raise AssertionError("derivative exhausted during trim")
+        s = v + jumps[x]
+        if s > bound:
+            jumps[x] = s - bound
+            return bound, x
+        del jumps[x]
+        heapq.heappop(heap)
+        if s == bound:
+            return s, (_peek(heap, negated, jumps) if far else x)
+        v = s
 
 
 def _fit_core(y: Sequence, tau, lam, prefer_high: bool) -> list:
-    """Forward/backward pass; arithmetic follows the input types."""
-    n = len(y)
-    deriv = PwlConvexDerivative(-tau)
-    deriv.insert(y[0], 1)
+    """Forward/backward pass; arithmetic follows the input types.
+
+    State: `base` (value at -inf), `neg_top` (minus the value at +inf),
+    `jumps` by breakpoint, `lo_heap` (keys x) and `hi_heap` (keys -x).
+    """
+    if lam == 0:
+        return list(y)
+    neg_lam = -lam
+    jumps = {y[0]: 1}
+    lo_heap, hi_heap = [y[0]], [-y[0]]
+    base, neg_top = -tau, tau - 1
     clamps = []
-    for k in range(1, n):
-        clamps.append(deriv.clip(lam, prefer_high))
-        deriv.add_loss(y[k], tau)
-    m_minus, m_plus = deriv.argmin_pair()
-    theta = [m_plus if prefer_high else m_minus]
+    for k in range(1, len(y)):
+        base, lo = _trim(lo_heap, False, jumps, base, neg_lam, prefer_high)
+        neg_top, hi = _trim(hi_heap, True, jumps, neg_top, neg_lam, not prefer_high)
+        clamps.append((lo, hi))
+        base = base - tau
+        neg_top = neg_top + tau - 1
+        x = y[k]
+        cur = jumps.get(x)
+        if cur is None:
+            jumps[x] = 1
+            heapq.heappush(lo_heap, x)
+            heapq.heappush(hi_heap, -x)
+        else:
+            jumps[x] = cur + 1
+    _, t = _trim(lo_heap, False, jumps, base, 0, prefer_high)
+    theta = [t]
     for lo, hi in reversed(clamps):
-        t = theta[-1]
         if lo is not None and t < lo:
             t = lo
         elif hi is not None and t > hi:

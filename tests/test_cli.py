@@ -172,7 +172,8 @@ class TestSimulateRate:
     @pytest.mark.parametrize("command", ["simulate", "rate"])
     def test_bad_lambda_text_exits_2(self, command, tmp_path, capsys):
         size = ["--n", "64"] if command == "simulate" else ["--n-grid", "64,128,256,512"]
-        assert run([command, *size, "--reps", "2", "--signal", "constant",
-                    "--lambda", "abc", "--output", str(tmp_path / "x")]) == 2
-        assert "--lambda" in capsys.readouterr().err
-        assert not (tmp_path / "x.csv").exists()
+        for text in ("abc", "1e400"):  # unparsable; overflows a float
+            assert run([command, *size, "--reps", "2", "--signal", "constant",
+                        "--lambda", text, "--output", str(tmp_path / "x")]) == 2
+            assert "--lambda" in capsys.readouterr().err
+            assert not (tmp_path / "x.csv").exists()

@@ -1,6 +1,8 @@
+import heapq
 import math
 import random
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
@@ -11,7 +13,6 @@ from qtvd.solver import (
     GRID_ORACLE_CAP,
     DualCertificate,
     Instance,
-    PwlConvexDerivative,
     certify,
     certify_float,
     fit,
@@ -20,6 +21,7 @@ from qtvd.solver import (
     lattice_join,
     lattice_meet,
     objective_value,
+    _trim,
 )
 
 F = Fraction
@@ -226,26 +228,55 @@ class TestGridOracle:
             grid_oracle(Instance(tuple(range(GRID_ORACLE_CAP + 1)), F(1, 2), F(1)))
 
 
-class TestDerivativeRepresentation:
-    def test_slope_levels_nondecreasing_and_clipped(self):
-        rng = random.Random(19)
-        tau, lam = F(1, 3), F(1, 2)
-        deriv = PwlConvexDerivative(-tau)
-        deriv.insert(F(2), 1)
-        for step in range(12):
-            lo, hi = deriv.clip(lam, prefer_high=True)
-            levels = deriv.slope_levels()
-            assert all(a <= b for a, b in zip(levels, levels[1:]))
-            assert all(-lam <= v <= lam for v in levels)
-            if lo is not None and hi is not None:
-                assert lo <= hi
-            deriv.add_loss(F(rng.randint(-4, 4)), tau)
-            assert deriv.breakpoints() == sorted(deriv.jumps)
+def _clamps_from_steps(xs, steps, lam, prefer_high):
+    """Clamp thresholds read off the pre-clip step values (steps[i] lies just left of xs[i]).
 
-    def test_insert_rejects_nonpositive_jump(self):
-        deriv = PwlConvexDerivative(F(0))
-        with pytest.raises(ValueError):
-            deriv.insert(F(1), 0)
+    lo: first breakpoint right of which the value reaches -lam (passes it
+    when ties go high); hi: last breakpoint left of which the value stays
+    at most lam (below it when ties go low).  None where an end already
+    satisfies the bound.
+    """
+    def reaches(v):
+        return v > -lam if prefer_high else v >= -lam
+
+    def stays(v):
+        return v <= lam if prefer_high else v < lam
+
+    lo = None if reaches(steps[0]) else next(x for x, v in zip(xs, steps[1:]) if reaches(v))
+    hi = None if stays(steps[-1]) else next(x for x, v in zip(xs[::-1], steps[-2::-1]) if stays(v))
+    return lo, hi
+
+
+class TestTrim:
+    """`_trim` driven by hand: both clips of each step, as `_fit_core` runs them."""
+
+    def test_steps_nondecreasing_and_clipped(self):
+        rng = random.Random(19)
+        tau = F(1, 3)
+        for lam in (F(1, 3), F(1, 2), F(2)):
+            for prefer_high in (False, True):
+                y0 = F(2)
+                jumps, lo_heap, hi_heap = {y0: 1}, [y0], [-y0]
+                base, neg_top = -tau, tau - 1
+                for _ in range(40):
+                    xs = sorted(jumps)
+                    steps = list(accumulate((jumps[x] for x in xs), initial=base))
+                    expected = _clamps_from_steps(xs, steps, lam, prefer_high)
+                    base, lo = _trim(lo_heap, False, jumps, base, -lam, prefer_high)
+                    neg_top, hi = _trim(hi_heap, True, jumps, neg_top, -lam, not prefer_high)
+                    assert (lo, hi) == expected
+                    steps = list(accumulate((jumps[x] for x in sorted(jumps)), initial=base))
+                    assert all(a <= b for a, b in zip(steps, steps[1:]))
+                    assert all(-lam <= v <= lam for v in steps)
+                    assert steps[-1] == -neg_top
+                    if lo is not None and hi is not None:
+                        assert lo <= hi
+                    x = F(rng.randint(-4, 4))
+                    base, neg_top = base - tau, neg_top + tau - 1
+                    if x not in jumps:
+                        heapq.heappush(lo_heap, x)
+                        heapq.heappush(hi_heap, -x)
+                    jumps[x] = jumps.get(x, 0) + 1
 
 
 class TestFloatPath:
@@ -257,6 +288,18 @@ class TestFloatPath:
             tau, lam = 0.3, 0.7
             theta = fit_float(y, tau, lam)
             assert certify_float(y, theta, tau, lam, 1e-9)
+
+    def test_matches_exact_on_dyadic_data(self):
+        # Integer data with dyadic tau and lam keep every float operation exact.
+        rng = random.Random(23)
+        for _ in range(200):
+            n = rng.randint(1, 40)
+            y = [rng.randint(-6, 6) for _ in range(n)]
+            tau = F(rng.choice((1, 2, 3)), 4)
+            lam = rng.choice((F(0), F(1, 8), F(1, 2), F(rng.randint(1, 32), 8), F(n), F(2 * n)))
+            inst = Instance(tuple(y), tau, lam)
+            for ext in ("lower", "upper", "any"):
+                assert fit_float(y, float(tau), float(lam), ext) == list(fit(inst, ext).theta)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
