@@ -26,9 +26,11 @@ from typing import Optional, Sequence
 
 from . import penalties, risk, solver
 from .envelope import envelope as _envelope
-from .intervals import ExtendedValue
 
 __all__ = ["main", "build_parser"]
+
+#: --noise choices and the family each builds from --scale.
+_NOISES = {"cauchy": risk.Cauchy, "gaussian": risk.Gaussian, "laplace": risk.Laplace}
 
 
 class ValidationError(Exception):
@@ -74,14 +76,6 @@ def _read_values(path: str) -> list[Fraction]:
         except (ValueError, ZeroDivisionError) as exc:
             raise ValidationError(f"{path}:{no}: could not parse {text!r}") from exc
     return values
-
-
-def _ext_str(value: ExtendedValue) -> str:
-    if value.tag == 1:
-        return "+inf"
-    if value.tag == -1:
-        return "-inf"
-    return str(value.value)
 
 
 def _emit(doc: dict, path: Optional[str]) -> None:
@@ -143,7 +137,7 @@ def _cmd_envelope(args) -> int:
         _parse_rational(args.lam, "--lambda"),
         allow_large_n=args.allow_large_n,
     )
-    doc = {"L": [_ext_str(v) for v in env.lower], "U": [_ext_str(v) for v in env.upper]}
+    doc = {"L": [repr(v) for v in env.lower], "U": [repr(v) for v in env.upper]}
     _emit(doc, args.output)
     return 0
 
@@ -216,23 +210,11 @@ def _build_signal(args) -> risk.Signal:
         return risk.ConstantSignal(args.level)
     if args.signal == "cusp":
         return risk.HolderCusp(args.alpha, args.L0, args.x0)
-    if args.signal == "pwc":
-        if not args.breaks or not args.levels:
-            raise ValidationError("signal pwc needs --breaks and --levels")
-        breaks = tuple(float(b) for b in args.breaks.split(","))
-        levels = tuple(float(v) for v in args.levels.split(","))
-        return risk.PiecewiseConstantSignal(breaks, levels)
-    raise ValidationError(f"unknown signal {args.signal!r}")
-
-
-def _build_noise(args) -> risk.Noise:
-    if args.noise == "cauchy":
-        return risk.Cauchy(args.scale)
-    if args.noise == "gaussian":
-        return risk.Gaussian(args.scale)
-    if args.noise == "laplace":
-        return risk.Laplace(args.scale)
-    raise ValidationError(f"unknown noise {args.noise!r}")
+    if not args.breaks or not args.levels:  # "pwc"
+        raise ValidationError("signal pwc needs --breaks and --levels")
+    breaks = tuple(float(b) for b in args.breaks.split(","))
+    levels = tuple(float(v) for v in args.levels.split(","))
+    return risk.PiecewiseConstantSignal(breaks, levels)
 
 
 def _write_csv(path: str, reports: Sequence[risk.RiskReport]) -> None:
@@ -246,7 +228,7 @@ def _write_csv(path: str, reports: Sequence[risk.RiskReport]) -> None:
 
 def _cmd_simulate(args) -> int:
     signal = _build_signal(args)
-    noise = _build_noise(args)
+    noise = _NOISES[args.noise](args.scale)
     model = risk.ModelSpec(args.n, args.tau, signal, noise, seed=args.seed)
     lam = _sim_lambda(args.lam)
     constants = None
@@ -263,7 +245,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_rate(args) -> int:
     signal = _build_signal(args)
-    noise = _build_noise(args)
+    noise = _NOISES[args.noise](args.scale)
     try:
         grid = [int(v) for v in args.n_grid.split(",")]
     except ValueError as exc:
@@ -337,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--L0", type=float, default=1.0, help="local smoothness norm of the cusp signal")
         p.add_argument("--breaks", default=None, help="pwc break points, comma-separated in (0,1)")
         p.add_argument("--levels", default=None, help="pwc levels, one more than breaks")
-        p.add_argument("--noise", default="cauchy", choices=("cauchy", "gaussian", "laplace"))
+        p.add_argument("--noise", default="cauchy", choices=_NOISES)
         p.add_argument("--scale", type=float, default=1.0)
         p.add_argument("--x0", type=float, default=0.5, help="monitored design point")
         p.add_argument("--reps", type=int, default=200)

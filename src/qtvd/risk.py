@@ -85,6 +85,11 @@ CSV_HEADER = ("seed", "n", "tau", "lambda", "location", "error")
 _STD_NORMAL = NormalDist()
 
 
+def _check_scale(value: float, name: str) -> None:
+    if not 0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and >= 0, got {value}")
+
+
 # ---------------------------------------------------------------------------
 # noise families, each shifted so the tau-quantile of the noise is exactly 0
 # ---------------------------------------------------------------------------
@@ -97,8 +102,7 @@ class Cauchy:
     scale: float = 1.0
 
     def __post_init__(self):
-        if self.scale < 0:
-            raise ValueError("scale must be >= 0")
+        _check_scale(self.scale, "scale")
 
     def shift(self, tau: float) -> float:
         return -self.scale * math.tan(math.pi * (tau - 0.5))
@@ -121,8 +125,7 @@ class Gaussian:
     sigma: float = 1.0
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError("sigma must be >= 0")
+        _check_scale(self.sigma, "sigma")
 
     def shift(self, tau: float) -> float:
         return -self.sigma * _STD_NORMAL.inv_cdf(tau)
@@ -144,8 +147,7 @@ class Laplace:
     scale: float = 1.0
 
     def __post_init__(self):
-        if self.scale < 0:
-            raise ValueError("scale must be >= 0")
+        _check_scale(self.scale, "scale")
 
     def shift(self, tau: float) -> float:
         if tau < 0.5:
@@ -179,6 +181,8 @@ def growth_constants(noise: Noise, tau: float, delta: float = 1.0) -> tuple[floa
     """
     if delta <= 0:
         raise ValueError("delta must be > 0")
+    if (noise.sigma if isinstance(noise, Gaussian) else noise.scale) == 0:
+        raise ValueError("degenerate noise: zero scale, growth constant is zero")
     c1 = min(noise.density(-delta, tau), noise.density(delta, tau))
     if not c1 > 0:
         raise ValueError("degenerate noise: growth constant is zero")
@@ -304,6 +308,14 @@ class RiskConstants:
     c: float = 2.0
     c_tilde: float = 4.0
     C1: float = 1.0
+
+    def __post_init__(self):
+        if not all(map(math.isfinite, (self.c1, self.delta, self.c, self.c_tilde, self.C1))):
+            raise ValueError("risk constants must be finite")
+        if not (self.c1 > 0 and self.delta > 0):
+            raise ValueError(f"need c1 > 0 and delta > 0, got c1={self.c1}, delta={self.delta}")
+        if not (self.C1 >= 0 and self.c_tilde >= 0):
+            raise ValueError(f"need C1 >= 0 and c_tilde >= 0, got C1={self.C1}, c_tilde={self.c_tilde}")
 
     @classmethod
     def for_noise(cls, noise: Noise, tau: float, delta: float = 1.0, **kwargs) -> "RiskConstants":
@@ -540,12 +552,9 @@ def smallest_admissible_n(
     while n <= n_max:
         lam = lam_policy(n)
         i = min(max(int(n * x0), 1), n)
-        try:
-            b = pointwise_bounds([0.0] * n, tau, lam, constants, locations=[i], allow_small_lambda=True)
-            if not b.flagged:
-                return n
-        except ValueError:
-            pass
+        b = pointwise_bounds([0.0] * n, tau, lam, constants, locations=[i], allow_small_lambda=True)
+        if not b.flagged:
+            return n
         n += max(1, n // 8)
     return None
 
@@ -617,13 +626,12 @@ def simulate(
     x0: float = 0.5,
     constants: Optional[RiskConstants] = None,
     compute_bounds: bool = False,
-    certificate_tol: float = 1e-8,
 ) -> RiskReport:
     """Draw data from the model, fit with the float fast path, record errors at x0.
 
-    Every fit is accepted only after a dual-feasibility check at the
-    relative tolerance `certificate_tol` (see `certify_float`); failures
-    are counted (and should be zero).  When
+    Every fit is accepted only after a dual-feasibility check by
+    `certify_float` at its default relative tolerance; failures are
+    counted (and should be zero).  When
     `compute_bounds` is set, the theoretical error interval at the
     monitored location is evaluated once and the empirical coverage of
     the per-replication errors is reported.
@@ -643,7 +651,7 @@ def simulate(
         eps = model.noise.sample(rng, n, model.tau)
         y = theta_star + eps
         theta = fit_float(y, model.tau, lam_val, "any")
-        if lam_val > 0 and not certify_float(y, theta, model.tau, lam_val, certificate_tol):
+        if lam_val > 0 and not certify_float(y, theta, model.tau, lam_val):
             cert_failures += 1
         errors.append(float(theta[location - 1] - truth))
     bound_lower = bound_upper = coverage = None

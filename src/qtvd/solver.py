@@ -33,9 +33,13 @@ Optimality is certified independently of the solver: theta minimises F
 iff there are vectors g (quantile-loss subgradients) and z (edge duals
 with z_0 = z_n = 0, |z_k| <= lam, pinned to +-lam at strict jumps of
 theta) satisfying g_j = z_{j-1} - z_j, equivalently the interval
-identity sum_{j=a..b} g_j = z_{a-1} - z_b for every [a:b].  `certify`
-decides feasibility of that system by exact interval propagation and
-returns a witness.
+identity sum_{j=a..b} g_j = z_{a-1} - z_b for every [a:b].  Each g_j
+and z_k lies in a box, so the z_k reachable from z_0 = 0 form an interval
+[lo_k, hi_k] with a closed form in prefix sums and prefix extrema of the
+box ends (`_dual_system`); the system is feasible iff lo <= hi
+everywhere, and a witness takes the smallest admissible z from z_n = 0
+backwards, again a suffix maximum.  `certify` runs that kernel on
+Fractions and returns the witness; `certify_float` runs it on floats.
 
 The reference path is exact rational arithmetic; `fit_float` runs the
 same algorithm in floating point for large simulations.  All functions
@@ -50,6 +54,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import inf, isfinite, lcm
 from typing import Literal, Optional, Sequence
+
+import numpy as np
 
 from .intervals import _as_rational
 
@@ -246,51 +252,38 @@ def fit_float(y: Sequence, tau: float, lam: float, extremality: Extremality = "a
     return _fit_core(_finite_floats(y, "data"), float(tau), float(lam), extremality != "lower")
 
 
-def _dual_boxes(y: Sequence, theta: Sequence, tau, lam, value_tol, dual_tol):
-    """Constraint intervals for (g_j)_j and (z_k)_k.
+def _dual_system(y, theta, tau, lam, value_tol, dual_tol, number):
+    """Boxes and forward reach of the dual system, or None if it is infeasible.
 
-    g_j is the subgradient of rho_tau(y_j - .) at theta_j: {-tau} below the
+    Arithmetic is in `number` (Fraction on object arrays, or float).  g_j
+    is the subgradient of rho_tau(y_j - .) at theta_j: {-tau} below the
     data value, [-tau, 1-tau] on it, {1-tau} above.  z_k is free in
-    [-lam, lam] on flat steps of theta and pinned to +lam (downward jump) or
-    -lam (upward jump); z_0 = z_n = 0.  Values closer than value_tol count
-    as equal, and every box is widened by dual_tol.
+    [-lam, lam] on flat steps of theta and pinned to +lam (downward jump)
+    or -lam (upward jump); z_0 = z_n = 0.  Values closer than value_tol
+    count as equal, and every box is widened by dual_tol.
+
+    With A and B the prefix sums of the upper and lower g bounds (A_0 =
+    B_0 = 0), z_k = -(g_0 + ... + g_{k-1}) ranges over [lo_k, hi_k] as
+    g_0..g_{k-1} and z_1..z_k vary in their boxes, where lo = cummax(0,
+    z_lo + A) - A and hi = cummin(0, z_hi + B) - B; the system is
+    feasible iff lo <= hi everywhere.  Returns (g_hi, lo, hi, B).
     """
-    n = len(theta)
-    g_boxes = []
-    for j in range(n):
-        if theta[j] < y[j] - value_tol:
-            g_boxes.append((-tau - dual_tol, -tau + dual_tol))
-        elif theta[j] > y[j] + value_tol:
-            g_boxes.append((1 - tau - dual_tol, 1 - tau + dual_tol))
-        else:
-            g_boxes.append((-tau - dual_tol, 1 - tau + dual_tol))
-    z_boxes = []
-    for k in range(n - 1):
-        if theta[k] > theta[k + 1] + value_tol:
-            z_boxes.append((lam - dual_tol, lam + dual_tol))
-        elif theta[k] < theta[k + 1] - value_tol:
-            z_boxes.append((-lam - dual_tol, -lam + dual_tol))
-        else:
-            z_boxes.append((-lam - dual_tol, lam + dual_tol))
-    z_boxes.append((-dual_tol, dual_tol))  # z_n = 0
-    return g_boxes, z_boxes
-
-
-def _propagate(g_boxes, z_boxes, zero):
-    """Forward reachable intervals for z_0..z_n; None where infeasible."""
-    reach = [(zero, zero)]
-    for (g_lo, g_hi), (z_lo, z_hi) in zip(g_boxes, z_boxes):
-        r_lo, r_hi = reach[-1]
-        lo = r_lo - g_hi
-        hi = r_hi - g_lo
-        if z_lo > lo:
-            lo = z_lo
-        if z_hi < hi:
-            hi = z_hi
-        if lo > hi:
-            return None
-        reach.append((lo, hi))
-    return reach
+    y = np.asarray(y, dtype=number)
+    theta = np.asarray(theta, dtype=number)
+    zero = np.asarray([number(0)], dtype=number)
+    d = theta - y
+    step = theta[:-1] - theta[1:]
+    g_lo = np.where(d > value_tol, 1 - tau - dual_tol, -tau - dual_tol)
+    g_hi = np.where(d < -value_tol, -tau + dual_tol, 1 - tau + dual_tol)
+    z_lo = np.append(np.where(step > value_tol, lam - dual_tol, -lam - dual_tol), -dual_tol)
+    z_hi = np.append(np.where(step < -value_tol, -lam + dual_tol, lam + dual_tol), dual_tol)
+    a = np.concatenate((zero, np.cumsum(g_hi)))
+    b = np.concatenate((zero, np.cumsum(g_lo)))
+    lo = np.maximum.accumulate(np.concatenate((zero, z_lo + a[1:]))) - a
+    hi = np.minimum.accumulate(np.concatenate((zero, z_hi + b[1:]))) - b
+    if (lo > hi).any():
+        return None
+    return g_hi, lo, hi, b
 
 
 def certify(theta: Sequence, inst: Instance) -> Optional[DualCertificate]:
@@ -298,22 +291,17 @@ def certify(theta: Sequence, inst: Instance) -> Optional[DualCertificate]:
     theta = tuple(_as_rational(v, "theta value") for v in theta)
     if len(theta) != inst.n:
         raise ValueError(f"theta has length {len(theta)}, expected {inst.n}")
-    zero = Fraction(0)
-    g_boxes, z_boxes = _dual_boxes(inst.y, theta, inst.tau, inst.lam, zero, zero)
-    reach = _propagate(g_boxes, z_boxes, zero)
-    if reach is None:
+    system = _dual_system(inst.y, theta, inst.tau, inst.lam, 0, 0, Fraction)
+    if system is None:
         return None
-    # Backward witness selection: z_n = 0, then the smallest admissible z_j.
-    z = [zero] * (inst.n + 1)
-    for j in range(inst.n - 1, -1, -1):
-        g_lo, g_hi = g_boxes[j]
-        lo = max(reach[j][0], z[j + 1] + g_lo)
-        hi = min(reach[j][1], z[j + 1] + g_hi)
-        if lo > hi:
-            raise AssertionError("backward selection left an empty interval")
-        z[j] = lo
-    g = tuple(z[j] - z[j + 1] for j in range(inst.n))
-    return DualCertificate(g=g, z=tuple(z))
+    g_hi, lo, hi, b = system
+    # Smallest admissible z, from z_n = 0 backwards: z_j = max(lo_j, z_{j+1} + g_lo_j),
+    # which unrolls to z_j = max_{m >= j} (lo_m + B_m) - B_j (lo_n = 0 when feasible).
+    z = np.maximum.accumulate((lo + b)[::-1])[::-1] - b
+    g = z[:-1] - z[1:]
+    if (z > hi).any() or (g > g_hi).any():
+        raise AssertionError("backward selection left an empty interval")
+    return DualCertificate(g=tuple(g), z=tuple(z))
 
 
 def certify_float(y: Sequence, theta: Sequence, tau: float, lam: float, tol: float = 1e-8) -> bool:
@@ -324,17 +312,22 @@ def certify_float(y: Sequence, theta: Sequence, tau: float, lam: float, tol: flo
     widened by tol * max(1, lam).  The objective is 1-homogeneous in
     (y, theta) and the dual system does not depend on their scale, so
     scaling both by a power of two leaves the verdict unchanged (short of
-    underflow or overflow).
+    underflow or overflow).  At tol = 0 a tight but feasible system (some
+    lo_k == hi_k in exact arithmetic) is decided by floating-point rounding.
     """
     if len(theta) != len(y):
         raise ValueError("length mismatch")
     _check_float_levels(tau, lam)
     if not 0.0 <= tol < inf:
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
-    y, theta, lam, tol = _finite_floats(y, "data"), _finite_floats(theta, "theta"), float(lam), float(tol)
-    scale = max(map(abs, y + theta), default=0.0)
-    g_boxes, z_boxes = _dual_boxes(y, theta, float(tau), lam, tol * scale, tol * max(1.0, lam))
-    return _propagate(g_boxes, z_boxes, 0.0) is not None
+    y, theta = np.asarray(y, dtype=float), np.asarray(theta, dtype=float)
+    if not np.isfinite(y).all():
+        raise ValueError("data must be finite")
+    if not np.isfinite(theta).all():
+        raise ValueError("theta must be finite")
+    lam, tol = float(lam), float(tol)
+    scale = max(np.abs(y).max(initial=0.0), np.abs(theta).max(initial=0.0))
+    return _dual_system(y, theta, float(tau), lam, tol * scale, tol * max(1.0, lam), float) is not None
 
 
 def lattice_join(theta1: Sequence, theta2: Sequence) -> tuple:

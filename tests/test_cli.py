@@ -177,3 +177,19 @@ class TestSimulateRate:
                         "--lambda", text, "--output", str(tmp_path / "x")]) == 2
             assert "--lambda" in capsys.readouterr().err
             assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("noise", ["cauchy", "gaussian", "laplace"])
+    @pytest.mark.parametrize("scale", ["0", "nan", "inf"])
+    def test_bad_noise_scale_exits_2(self, noise, scale, tmp_path, capsys):
+        assert run(["simulate", "--n", "64", "--reps", "2", "--noise", noise, "--scale", scale,
+                    "--lambda", "8", "--bounds", "--output", str(tmp_path / "x")]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
+
+    @pytest.mark.parametrize("pair", ["c1=0", "c1=nan", "C1=nan", "c=nan", "c_tilde=nan", "delta=0"])
+    def test_degenerate_constants_exit_2(self, pair, tmp_path, capsys):
+        args = ["simulate", "--n", "1024", "--reps", "2", "--lambda", "30", "--bounds"]
+        assert run([*args, "--constants", "c_tilde=4", "--output", str(tmp_path / "ok")]) == 0
+        assert run([*args, "--constants", pair, "--output", str(tmp_path / "x")]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()

@@ -57,8 +57,41 @@ class TestNoise:
             assert abs(noise.cdf(float(t), tau) - tau) >= c1 * abs(t) - 1e-12
 
     def test_degenerate_scale_rejected_for_constants(self):
+        for noise in (Cauchy(0.0), Gaussian(0.0), Laplace(0.0)):
+            with pytest.raises(ValueError):
+                growth_constants(noise, 0.5)
+
+    @pytest.mark.parametrize("family", [Cauchy, Gaussian, Laplace])
+    @pytest.mark.parametrize("scale", [math.nan, math.inf, -1.0])
+    def test_non_finite_or_negative_scale_rejected(self, family, scale):
         with pytest.raises(ValueError):
-            growth_constants(Cauchy(0.0), 0.5)
+            family(scale)
+
+
+class TestRiskConstants:
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"c1": 0.0},
+            {"c1": -0.1},
+            {"c1": math.nan},
+            {"c1": math.inf},
+            {"c1": 0.2, "delta": 0.0},
+            {"c1": 0.2, "delta": math.nan},
+            {"c1": 0.2, "c": math.nan},
+            {"c1": 0.2, "c_tilde": math.nan},
+            {"c1": 0.2, "c_tilde": -1.0},
+            {"c1": 0.2, "C1": math.nan},
+            {"c1": 0.2, "C1": -1.0},
+        ],
+    )
+    def test_degenerate_constants_rejected(self, fields):
+        with pytest.raises(ValueError):
+            RiskConstants(**fields)
+
+    def test_boundary_values_accepted(self):
+        const = RiskConstants(c1=0.2, C1=0.0, c_tilde=0.0)
+        assert const.C1 == 0.0 and const.c_tilde == 0.0
 
 
 class TestSignals:
@@ -250,6 +283,12 @@ class TestPointwiseBounds:
         n0 = smallest_admissible_n(self.const, 0.5, lambda n: lambda_star(n, 2.0, r0=0.125))
         assert n0 is not None
         assert 256 < n0 <= 1024  # Cauchy constants push past 2**8
+
+    @pytest.mark.parametrize("bad", [math.nan, -1.0, 0.0])
+    def test_smallest_admissible_n_rejects_bad_policy(self, bad):
+        # a policy error is not "no admissible n"
+        with pytest.raises(ValueError):
+            smallest_admissible_n(self.const, 0.5, lambda n: bad)
 
 
 class TestLambdaStar:

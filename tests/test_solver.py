@@ -301,6 +301,39 @@ class TestFloatPath:
             for ext in ("lower", "upper", "any"):
                 assert fit_float(y, float(tau), float(lam), ext) == list(fit(inst, ext).theta)
 
+    def test_certificate_matches_exact_on_dyadic_data(self):
+        # Same dyadic setting: at tol = 0 the float verdict is the exact one.
+        rng = random.Random(29)
+        verdicts = set()
+        for _ in range(150):
+            n = rng.randint(1, 40)
+            y = [rng.randint(-6, 6) for _ in range(n)]
+            tau = F(rng.choice((1, 2, 3)), 4)
+            lam = rng.choice((F(0), F(1, 8), F(1, 2), F(rng.randint(1, 32), 8), F(n), F(2 * n)))
+            inst = Instance(tuple(y), tau, lam)
+            candidates = [fit(inst, "lower").theta, fit(inst, "upper").theta]
+            for theta in list(candidates):
+                j = rng.randrange(n)
+                bump = F(rng.choice((1, -1, 3)), rng.choice((1, 2, 4, 8)))
+                candidates.append(theta[:j] + (theta[j] + bump,) + theta[j + 1:])
+            candidates.append(tuple(rng.randint(-6, 6) for _ in range(n)))
+            for theta in candidates:
+                exact = certify(theta, inst) is not None
+                verdicts.add(exact)
+                assert certify_float(y, [float(v) for v in theta], float(tau), float(lam), 0.0) == exact
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("lam", [0.05, 0.5])
+    def test_certificate_at_large_n(self, lam):
+        # prefix sums grow with n; a small bump must still be told apart
+        rng = random.Random(31)
+        n = 65536
+        y = [rng.gauss(0, 1) for _ in range(n)]
+        theta = fit_float(y, 0.5, lam)
+        assert certify_float(y, theta, 0.5, lam)
+        j = n // 2 + 17
+        assert not certify_float(y, theta[:j] + [theta[j] + 1e-3] + theta[j + 1:], 0.5, lam)
+
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             fit_float([1.0], 0.0, 1.0)
