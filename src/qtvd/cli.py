@@ -54,6 +54,12 @@ def _sim_lambda(text: str):
         raise ValidationError(f"--lambda: {text.strip()!r} is outside the float range") from exc
 
 
+def _check_x0(x0: float) -> None:
+    """--x0 of simulate/rate, checked before the cusp signal is built from it."""
+    if not 0.0 <= x0 <= 1.0:
+        raise ValidationError(f"--x0 must be a finite design point in [0, 1], got {x0}")
+
+
 def _read_values(path: str) -> list[Fraction]:
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -227,6 +233,7 @@ def _write_csv(path: str, reports: Sequence[risk.RiskReport]) -> None:
 
 
 def _cmd_simulate(args) -> int:
+    _check_x0(args.x0)
     signal = _build_signal(args)
     noise = _NOISES[args.noise](args.scale)
     model = risk.ModelSpec(args.n, args.tau, signal, noise, seed=args.seed)
@@ -244,6 +251,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_rate(args) -> int:
+    _check_x0(args.x0)
     signal = _build_signal(args)
     noise = _NOISES[args.noise](args.scale)
     try:

@@ -49,6 +49,8 @@ __all__ = [
 
 def _as_rational(x, what: str) -> Fraction:
     """Coerce to Fraction, rejecting floats (binary floats are not exact inputs)."""
+    if type(x) is Fraction:
+        return x
     if isinstance(x, float):
         raise TypeError(f"{what} must be an exact rational (int, Fraction or str), got float")
     return Fraction(x)

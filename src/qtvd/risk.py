@@ -638,6 +638,8 @@ def simulate(
     """
     if replications < 1:
         raise ValueError("replications must be >= 1")
+    if not 0.0 <= x0 <= 1.0:
+        raise ValueError(f"x0 must be a finite design point in [0, 1], got {x0}")
     lam_val = resolve_lambda(model, lam)
     n = model.n
     theta_star = model.signal.values(n)

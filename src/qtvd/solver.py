@@ -29,6 +29,16 @@ taken at the far or near end of the stretch so ties resolve toward the
 requested extreme.  At lam = 0 the positions decouple and theta = y is
 the unique minimiser.
 
+The pass only compares data values with each other and only returns
+breakpoints, so it is invariant under any increasing relabelling of y;
+and every derivative value is a sum of -tau, +-lam and unit jumps, so it
+lies on the lattice (1/D)Z with D = lcm(den tau, den lam).  The exact
+`fit` therefore runs the same `_fit_core` on the ranks of y among its
+distinct values, with tau*D, lam*D and the unit jump D as integers, and
+maps the returned ranks back to data values; `fit_float` runs it on
+floats with unit jump 1.  Ranks come from y scaled by the lcm of its
+denominators, so no Fraction is hashed or compared.
+
 Optimality is certified independently of the solver: theta minimises F
 iff there are vectors g (quantile-loss subgradients) and z (edge duals
 with z_0 = z_n = 0, |z_k| <= lam, pinned to +-lam at strict jumps of
@@ -38,13 +48,20 @@ and z_k lies in a box, so the z_k reachable from z_0 = 0 form an interval
 [lo_k, hi_k] with a closed form in prefix sums and prefix extrema of the
 box ends (`_dual_system`); the system is feasible iff lo <= hi
 everywhere, and a witness takes the smallest admissible z from z_n = 0
-backwards, again a suffix maximum.  `certify` runs that kernel on
-Fractions and returns the witness; `certify_float` runs it on floats.
+backwards, again a suffix maximum.  The boxes depend on theta and y only
+through the signs of theta - y and of theta's steps, so `certify` runs
+the kernel on the joint ranks of y and theta, with box ends -tau*D,
+D - tau*D and +-lam*D, on int64.  Every stored quantity is bounded by
+2*n*D + lam*D in absolute value; when that bound does not fit in int64,
+the same kernel runs on object arrays of Python ints.  The witness
+becomes Fractions z/D only at the end.  `certify_float` runs the kernel
+on float64 with unit 1 and tolerances; the two differ in nothing else.
+`objective_value` sums the loss and the total variation as Python ints,
+y and theta scaled by the lcm of their denominators, and builds one
+Fraction.
 
-The reference path is exact rational arithmetic; `fit_float` runs the
-same algorithm in floating point for large simulations.  All functions
-are pure and instances immutable, so batch fits over independent
-instances can run concurrently.
+All functions are pure and instances immutable, so batch fits over
+independent instances can run concurrently.
 """
 
 from __future__ import annotations
@@ -127,15 +144,39 @@ def _check_loss(x, tau):
     return tau * x if x >= 0 else (tau - 1) * x
 
 
+def _lattice(tau: Fraction, lam: Fraction) -> tuple:
+    """(D, tau*D, lam*D) with D = lcm(den tau, den lam): the exact levels as integers."""
+    unit = lcm(tau.denominator, lam.denominator)
+    return unit, tau.numerator * (unit // tau.denominator), lam.numerator * (unit // lam.denominator)
+
+
+def _scaled(*vectors) -> tuple:
+    """(s, each vector times s as ints), s the lcm of all denominators.
+
+    Exact values then compare, hash and add as ints, never as Fractions.
+    """
+    scale = lcm(*(v.denominator for vec in vectors for v in vec))
+    return scale, [[v.numerator * (scale // v.denominator) for v in vec] for vec in vectors]
+
+
+def _ranks(values: Sequence, uniq: list) -> list:
+    """Index of each value in the sorted list `uniq` of distinct values."""
+    rank = {v: r for r, v in enumerate(uniq)}
+    return [rank[v] for v in values]
+
+
 def objective_value(theta: Sequence, inst: Instance) -> Fraction:
     """Exact objective at theta for the given instance."""
     theta = tuple(_as_rational(v, "theta value") for v in theta)
     if len(theta) != inst.n:
         raise ValueError(f"theta has length {len(theta)}, expected {inst.n}")
-    tau, lam = inst.tau, inst.lam
-    total = sum(_check_loss(yi - ti, tau) for yi, ti in zip(inst.y, theta))
-    total += lam * sum(abs(theta[k + 1] - theta[k]) for k in range(inst.n - 1))
-    return total
+    scale, (ys, ts) = _scaled(inst.y, theta)
+    diffs = [a - b for a, b in zip(ys, ts)]
+    above = sum(d for d in diffs if d > 0)
+    below = -sum(d for d in diffs if d < 0)
+    tv = sum(abs(b - a) for a, b in zip(ts, ts[1:]))
+    unit, tau, lam = _lattice(inst.tau, inst.lam)
+    return Fraction(tau * above + (unit - tau) * below + lam * tv, unit * scale)
 
 
 def _peek(heap: list, negated: bool, jumps: dict):
@@ -183,33 +224,34 @@ def _trim(heap: list, negated: bool, jumps: dict, v, bound, far: bool):
         v = s
 
 
-def _fit_core(y: Sequence, tau, lam, prefer_high: bool) -> list:
+def _fit_core(y: Sequence, tau, lam, prefer_high: bool, unit=1) -> list:
     """Forward/backward pass; arithmetic follows the input types.
 
+    Derivative values are in units where one data point's jump is `unit`.
     State: `base` (value at -inf), `neg_top` (minus the value at +inf),
     `jumps` by breakpoint, `lo_heap` (keys x) and `hi_heap` (keys -x).
     """
     if lam == 0:
         return list(y)
     neg_lam = -lam
-    jumps = {y[0]: 1}
+    jumps = {y[0]: unit}
     lo_heap, hi_heap = [y[0]], [-y[0]]
-    base, neg_top = -tau, tau - 1
+    base, neg_top = -tau, tau - unit
     clamps = []
     for k in range(1, len(y)):
         base, lo = _trim(lo_heap, False, jumps, base, neg_lam, prefer_high)
         neg_top, hi = _trim(hi_heap, True, jumps, neg_top, neg_lam, not prefer_high)
         clamps.append((lo, hi))
         base = base - tau
-        neg_top = neg_top + tau - 1
+        neg_top = neg_top + tau - unit
         x = y[k]
         cur = jumps.get(x)
         if cur is None:
-            jumps[x] = 1
+            jumps[x] = unit
             heapq.heappush(lo_heap, x)
             heapq.heappush(hi_heap, -x)
         else:
-            jumps[x] = cur + 1
+            jumps[x] = cur + unit
     _, t = _trim(lo_heap, False, jumps, base, 0, prefer_high)
     theta = [t]
     for lo, hi in reversed(clamps):
@@ -226,8 +268,12 @@ def fit(inst: Instance, extremality: Extremality = "any") -> Fit:
     """Exact global minimiser; "upper"/"lower" return the extremal solutions."""
     if extremality not in ("lower", "upper", "any"):
         raise ValueError(f"unknown extremality {extremality!r}")
-    theta = _fit_core(inst.y, inst.tau, inst.lam, prefer_high=extremality != "lower")
-    theta = tuple(theta)
+    _, (ys,) = _scaled(inst.y)
+    value = dict(zip(ys, inst.y))
+    uniq = sorted(value)
+    unit, tau, lam = _lattice(inst.tau, inst.lam)
+    ranks = _fit_core(_ranks(ys, uniq), tau, lam, extremality != "lower", unit)
+    theta = tuple(value[uniq[r]] for r in ranks)
     return Fit(theta=theta, objective=objective_value(theta, inst), extremality=extremality)
 
 
@@ -237,6 +283,11 @@ def _finite_floats(values: Sequence, what: str) -> list:
     if not all(map(isfinite, out)):
         raise ValueError(f"{what} must be finite")
     return out
+
+
+def _check_nonempty(y: Sequence) -> None:
+    if len(y) == 0:
+        raise ValueError("data vector must be non-empty")
 
 
 def _check_float_levels(tau: float, lam: float) -> None:
@@ -249,15 +300,22 @@ def _check_float_levels(tau: float, lam: float) -> None:
 def fit_float(y: Sequence, tau: float, lam: float, extremality: Extremality = "any") -> list:
     """Floating-point fast path of `fit` for large n; returns theta only."""
     _check_float_levels(tau, lam)
+    _check_nonempty(y)
     return _fit_core(_finite_floats(y, "data"), float(tau), float(lam), extremality != "lower")
 
 
-def _dual_system(y, theta, tau, lam, value_tol, dual_tol, number):
+def _pick(cond, a, b, dtype):
+    """np.where between two scalars, kept in `dtype` (Python ints beyond int64 stay exact)."""
+    return np.where(cond, np.asarray(a, dtype=dtype), np.asarray(b, dtype=dtype))
+
+
+def _dual_system(y, theta, tau, lam, one, value_tol, dual_tol, dtype):
     """Boxes and forward reach of the dual system, or None if it is infeasible.
 
-    Arithmetic is in `number` (Fraction on object arrays, or float).  g_j
-    is the subgradient of rho_tau(y_j - .) at theta_j: {-tau} below the
-    data value, [-tau, 1-tau] on it, {1-tau} above.  z_k is free in
+    Arithmetic is in `dtype` (float64, int64, or object arrays of Python
+    ints), with `one` the length of a data point's g box.  g_j is the
+    subgradient of rho_tau(y_j - .) at theta_j: {-tau} below the data
+    value, [-tau, one-tau] on it, {one-tau} above.  z_k is free in
     [-lam, lam] on flat steps of theta and pinned to +lam (downward jump)
     or -lam (upward jump); z_0 = z_n = 0.  Values closer than value_tol
     count as equal, and every box is widened by dual_tol.
@@ -268,15 +326,15 @@ def _dual_system(y, theta, tau, lam, value_tol, dual_tol, number):
     z_lo + A) - A and hi = cummin(0, z_hi + B) - B; the system is
     feasible iff lo <= hi everywhere.  Returns (g_hi, lo, hi, B).
     """
-    y = np.asarray(y, dtype=number)
-    theta = np.asarray(theta, dtype=number)
-    zero = np.asarray([number(0)], dtype=number)
+    y = np.asarray(y, dtype=dtype)
+    theta = np.asarray(theta, dtype=dtype)
+    zero = np.zeros(1, dtype=dtype)
     d = theta - y
     step = theta[:-1] - theta[1:]
-    g_lo = np.where(d > value_tol, 1 - tau - dual_tol, -tau - dual_tol)
-    g_hi = np.where(d < -value_tol, -tau + dual_tol, 1 - tau + dual_tol)
-    z_lo = np.append(np.where(step > value_tol, lam - dual_tol, -lam - dual_tol), -dual_tol)
-    z_hi = np.append(np.where(step < -value_tol, -lam + dual_tol, lam + dual_tol), dual_tol)
+    g_lo = _pick(d > value_tol, one - tau - dual_tol, -tau - dual_tol, dtype)
+    g_hi = _pick(d < -value_tol, -tau + dual_tol, one - tau + dual_tol, dtype)
+    z_lo = np.append(_pick(step > value_tol, lam - dual_tol, -lam - dual_tol, dtype), -dual_tol)
+    z_hi = np.append(_pick(step < -value_tol, -lam + dual_tol, lam + dual_tol, dtype), dual_tol)
     a = np.concatenate((zero, np.cumsum(g_hi)))
     b = np.concatenate((zero, np.cumsum(g_lo)))
     lo = np.maximum.accumulate(np.concatenate((zero, z_lo + a[1:]))) - a
@@ -291,7 +349,12 @@ def certify(theta: Sequence, inst: Instance) -> Optional[DualCertificate]:
     theta = tuple(_as_rational(v, "theta value") for v in theta)
     if len(theta) != inst.n:
         raise ValueError(f"theta has length {len(theta)}, expected {inst.n}")
-    system = _dual_system(inst.y, theta, inst.tau, inst.lam, 0, 0, Fraction)
+    _, (ys, ts) = _scaled(inst.y, theta)
+    uniq = sorted(set(ys).union(ts))
+    one, tau, lam = _lattice(inst.tau, inst.lam)
+    # |lo|, |hi|, |lo + B| <= 2*n*one + lam; a feasible z and g stay within lam and one.
+    dtype = np.int64 if 2 * inst.n * one + lam <= np.iinfo(np.int64).max else object
+    system = _dual_system(_ranks(ys, uniq), _ranks(ts, uniq), tau, lam, one, 0, 0, dtype)
     if system is None:
         return None
     g_hi, lo, hi, b = system
@@ -301,7 +364,10 @@ def certify(theta: Sequence, inst: Instance) -> Optional[DualCertificate]:
     g = z[:-1] - z[1:]
     if (z > hi).any() or (g > g_hi).any():
         raise AssertionError("backward selection left an empty interval")
-    return DualCertificate(g=tuple(g), z=tuple(z))
+    return DualCertificate(
+        g=tuple(Fraction(v, one) for v in g.tolist()),
+        z=tuple(Fraction(v, one) for v in z.tolist()),
+    )
 
 
 def certify_float(y: Sequence, theta: Sequence, tau: float, lam: float, tol: float = 1e-8) -> bool:
@@ -317,6 +383,7 @@ def certify_float(y: Sequence, theta: Sequence, tau: float, lam: float, tol: flo
     """
     if len(theta) != len(y):
         raise ValueError("length mismatch")
+    _check_nonempty(y)
     _check_float_levels(tau, lam)
     if not 0.0 <= tol < inf:
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
@@ -327,7 +394,7 @@ def certify_float(y: Sequence, theta: Sequence, tau: float, lam: float, tol: flo
         raise ValueError("theta must be finite")
     lam, tol = float(lam), float(tol)
     scale = max(np.abs(y).max(initial=0.0), np.abs(theta).max(initial=0.0))
-    return _dual_system(y, theta, float(tau), lam, tol * scale, tol * max(1.0, lam), float) is not None
+    return _dual_system(y, theta, float(tau), lam, 1.0, tol * scale, tol * max(1.0, lam), float) is not None
 
 
 def lattice_join(theta1: Sequence, theta2: Sequence) -> tuple:

@@ -43,6 +43,17 @@ def small_integer_instance(rng: random.Random, n_max: int = 7, taus=None, lams=N
     return Instance(tuple(y), tau, lam)
 
 
+def naive_objective(y, theta, tau, lam):
+    """F(theta) as a plain Fraction sum of rho_tau(y_i - theta_i) and lam * |theta_{i+1} - theta_i|."""
+    total = Fraction(0)
+    for yi, ti in zip(y, theta):
+        r = Fraction(yi) - Fraction(ti)
+        total += tau * r if r >= 0 else (tau - 1) * r
+    for a, b in zip(theta, theta[1:]):
+        total += lam * abs(Fraction(b) - Fraction(a))
+    return total
+
+
 def naive_envelope(y, tau, lam):
     """Literal min-max / max-min enumeration over all nested interval pairs.
 

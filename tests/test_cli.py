@@ -178,6 +178,17 @@ class TestSimulateRate:
             assert "--lambda" in capsys.readouterr().err
             assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "rate"])
+    @pytest.mark.parametrize("x0", ["5", "nan"])
+    def test_bad_x0_exits_2(self, command, x0, tmp_path, capsys):
+        size = ["--n", "64"] if command == "simulate" else ["--n-grid", "64,128,256,512"]
+        args = [command, *size, "--reps", "2", "--lambda", "8"]
+        assert run([*args, "--x0", "0.25", "--output", str(tmp_path / "ok")]) == 0
+        capsys.readouterr()
+        assert run([*args, "--x0", x0, "--output", str(tmp_path / "x")]) == 2
+        assert "--x0" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
+
     @pytest.mark.parametrize("noise", ["cauchy", "gaussian", "laplace"])
     @pytest.mark.parametrize("scale", ["0", "nan", "inf"])
     def test_bad_noise_scale_exits_2(self, noise, scale, tmp_path, capsys):

@@ -335,6 +335,14 @@ class TestSimulate:
         rep = simulate(model, 5.0, 2, x0=0.333)
         assert rep.location == 33
 
+    @pytest.mark.parametrize("x0", [-0.1, 1.5, 5.0, math.nan, math.inf])
+    def test_design_point_outside_unit_interval_rejected(self, x0):
+        model = ModelSpec(64, 0.5, ConstantSignal(0.0), Gaussian(1.0), seed=2)
+        with pytest.raises(ValueError, match="x0"):
+            simulate(model, 5.0, 2, x0=x0)
+        assert simulate(model, 5.0, 2, x0=1.0).location == 64
+        assert simulate(model, 5.0, 2, x0=0.0).location == 1
+
     def test_certificates_checked(self):
         model = ModelSpec(256, 0.5, ConstantSignal(0.0), Cauchy(1.0), seed=4)
         rep = simulate(model, 20.0, 25)

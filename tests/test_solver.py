@@ -5,8 +5,10 @@ from fractions import Fraction
 from itertools import accumulate
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import random_instance, small_integer_instance
+from helpers import naive_objective, random_instance, small_integer_instance
 
 from qtvd.envelope import envelope
 from qtvd.solver import (
@@ -44,6 +46,25 @@ class TestObjective:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             objective_value((1, 2), Instance((1, 2, 3), F(1, 2), F(1)))
+
+    def test_matches_naive_sum(self):
+        # theta's denominators are unrelated to y's: mixed, coprime, and far apart
+        rng = random.Random(24)
+        taus = [F(1, 2), F(1, 3), F(99, 100), F(1, 2**64 + 1), F(2**61 - 2, 2**61 - 1)]
+        lams = [F(0), F(1, 7), F(5, 3), F(10**30), F(10**25, 3)]
+        dens = (1, 2, 3, 5, 7, 11, 13, 2**31 - 1, 10**9 + 7)
+        for _ in range(300):
+            n = rng.randint(1, 30)
+            y = tuple(F(rng.randint(-50, 50), rng.choice((1, 2, 4, 6))) for _ in range(n))
+            inst = Instance(y, rng.choice(taus), rng.choice(lams))
+            for theta in (
+                tuple(F(rng.randint(-10**6, 10**6), rng.choice(dens)) for _ in range(n)),
+                tuple(rng.choice(y) for _ in range(n)),
+                fit(inst, rng.choice(("lower", "upper"))).theta,
+            ):
+                value = objective_value(theta, inst)
+                assert type(value) is F
+                assert value == naive_objective(y, theta, inst.tau, inst.lam)
 
 
 class TestInstance:
@@ -138,31 +159,31 @@ class TestCertify:
         for _ in range(40):
             inst = random_instance(rng, 12)
             theta = fit(inst, rng.choice(("lower", "upper", "any"))).theta
-            cert = certify(theta, inst)
-            n, tau, lam = inst.n, inst.tau, inst.lam
-            assert cert.z[0] == 0 and cert.z[n] == 0
-            for k in range(1, n):
-                zk = cert.z[k]
-                assert abs(zk) <= lam
-                if theta[k - 1] > theta[k]:
-                    assert zk == lam
-                elif theta[k - 1] < theta[k]:
-                    assert zk == -lam
-            for j in range(n):
-                gj = cert.g[j]
-                assert gj == cert.z[j] - cert.z[j + 1]
-                if theta[j] < inst.y[j]:
-                    assert gj == -tau
-                elif theta[j] > inst.y[j]:
-                    assert gj == 1 - tau
-                else:
-                    assert -tau <= gj <= 1 - tau
-            # interval identity on every [a:b]
-            for a in range(1, n + 1):
-                acc = F(0)
-                for b in range(a, n + 1):
-                    acc += cert.g[b - 1]
-                    assert acc == cert.z[a - 1] - cert.z[b]
+            _assert_witness(certify(theta, inst), theta, inst)
+
+    def test_witness_past_int64_range(self):
+        # 2*n*D + lam*D exceeds int64 (D = lcm of the denominators of tau and lam),
+        # so the kernel runs on Python ints; the witness must still be exact.
+        rng = random.Random(22)
+        # The box ends of the 2**61 - 1 levels fit in int64 but their prefix sums do not.
+        levels = [(F(1, 2), F(10**30)), (F(1, 2**64 + 1), F(1, 2)), (F(2**70 - 1, 2**70), F(1, 3)),
+                  (F(1, 2**61 - 1), F(3)), (F(2**61 - 2, 2**61 - 1), F(1, 2)), (F(1, 3), F(10**25, 7))]
+        for tau, lam in levels:
+            unit = math.lcm(tau.denominator, lam.denominator)
+            for _ in range(30):
+                inst = random_instance(rng, 12, n_min=2, value_span=2, taus=[tau], lams=[lam])
+                assert 2 * inst.n * unit + lam * unit > 2**63 - 1
+                best = fit(inst).objective
+                lower, upper = fit(inst, "lower").theta, fit(inst, "upper").theta
+                free = tuple(F(rng.randint(-2, 2)) for _ in range(inst.n))
+                for theta in (lower, upper, free):
+                    cert = certify(theta, inst)
+                    assert (cert is not None) == (objective_value(theta, inst) == best)
+                    if cert is not None:
+                        _assert_witness(cert, theta, inst)
+                j = rng.randrange(inst.n)
+                bumped = upper[:j] + (upper[j] + F(1, 3),) + upper[j + 1:]
+                assert certify(bumped, inst) is None  # above the maximal solution
 
     def test_perturbation_outside_envelope_is_infeasible(self):
         rng = random.Random(16)
@@ -185,6 +206,35 @@ class TestCertify:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             certify((1,), Instance((1, 2), F(1, 2), F(1)))
+
+
+def _assert_witness(cert, theta, inst):
+    """Every box, pin and interval identity of the dual system, in exact arithmetic."""
+    n, tau, lam = inst.n, inst.tau, inst.lam
+    assert all(type(v) is F for v in cert.g + cert.z)
+    assert cert.z[0] == 0 and cert.z[n] == 0
+    for k in range(1, n):
+        zk = cert.z[k]
+        assert abs(zk) <= lam
+        if theta[k - 1] > theta[k]:
+            assert zk == lam
+        elif theta[k - 1] < theta[k]:
+            assert zk == -lam
+    for j in range(n):
+        gj = cert.g[j]
+        assert gj == cert.z[j] - cert.z[j + 1]
+        if theta[j] < inst.y[j]:
+            assert gj == -tau
+        elif theta[j] > inst.y[j]:
+            assert gj == 1 - tau
+        else:
+            assert -tau <= gj <= 1 - tau
+    # interval identity on every [a:b]
+    for a in range(1, n + 1):
+        acc = F(0)
+        for b in range(a, n + 1):
+            acc += cert.g[b - 1]
+            assert acc == cert.z[a - 1] - cert.z[b]
 
 
 class TestLattice:
@@ -334,6 +384,14 @@ class TestFloatPath:
         j = n // 2 + 17
         assert not certify_float(y, theta[:j] + [theta[j] + 1e-3] + theta[j + 1:], 0.5, lam)
 
+    def test_rejects_empty_data(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            fit_float([], 0.5, 1.0)
+        with pytest.raises(ValueError, match="non-empty"):
+            fit_float([], 0.5, 0.0)
+        with pytest.raises(ValueError, match="non-empty"):
+            certify_float([], [], 0.5, 1.0)
+
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             fit_float([1.0], 0.0, 1.0)
@@ -391,3 +449,37 @@ class TestFloatPath:
                 s = 2.0**k
                 assert certify_float([s * v for v in y], [s * v for v in theta], 0.3, lam) == base, (k, lam)
         assert verdicts == {True, False}
+
+
+@st.composite
+def _dyadic_case(draw):
+    """Small instance on quarter-integer data with dyadic tau and lam, plus a candidate theta."""
+    n = draw(st.integers(1, 10))
+    quarters = st.integers(-24, 24)
+    y = [F(k, 4) for k in draw(st.lists(quarters, min_size=n, max_size=n))]
+    tau = F(draw(st.sampled_from((1, 2, 3))), 4)
+    lam = F(draw(st.integers(0, 16 * n)), 8)
+    extremality = draw(st.sampled_from(("lower", "upper", "any")))
+    kind = draw(st.sampled_from(("fit", "bump", "free")))
+    free = [F(k, 4) for k in draw(st.lists(quarters, min_size=n, max_size=n))]
+    bump = (draw(st.integers(0, n - 1)), F(draw(st.sampled_from((-4, -1, 1, 2, 8))), 8))
+    return y, tau, lam, extremality, kind, free, bump
+
+
+class TestFloatExactProperty:
+    # Quarter-integer data with dyadic tau and lam keep every float operation exact,
+    # so the float paths must agree with the exact ones bit for bit.
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(_dyadic_case())
+    def test_float_paths_equal_exact(self, case):
+        y, tau, lam, extremality, kind, free, (j, step) = case
+        inst = Instance(tuple(y), tau, lam)
+        yf = [float(v) for v in y]
+        theta = fit(inst, extremality).theta
+        assert fit_float(yf, float(tau), float(lam), extremality) == [float(v) for v in theta]
+        if kind == "bump":
+            theta = theta[:j] + (theta[j] + step,) + theta[j + 1:]
+        elif kind == "free":
+            theta = tuple(free)
+        exact = certify(theta, inst) is not None
+        assert certify_float(yf, [float(v) for v in theta], float(tau), float(lam), 0.0) == exact
