@@ -1,4 +1,4 @@
-"""Discrete intervals, extended order statistics, and adjusted quantile levels.
+"""Discrete intervals, extended values, and the boundary constant.
 
 Building blocks for the exact solution-set formulas of quantile total
 variation denoising.  Everything here is exact: data values, quantile
@@ -7,17 +7,18 @@ on rationals, never on floats.  The integer-boundary case (an adjusted
 level landing exactly on an integer) changes which order statistic the
 formulas select, so silent float rounding would corrupt results.
 
-Order statistics follow the extended convention
+The formulas select extended order statistics
 
     y_{I,(k)} = k-th smallest of y restricted to I   if 1 <= k <= |I|,
                 +inf                                 if k >= |I| + 1,
                 -inf                                 if k <= 0,
 
-which makes every order-statistic query total over the integers.
-
-All functions are pure; `OrderStatisticCache` memoises sorted slices and
-is safe for concurrent reads under CPython (inserts are GIL-atomic dict
-writes keyed by interval).
+at the adjusted levels u = tau*|I| - 2*lam*C_{I,J} and
+l = tau*|I| + 2*lam*C_{I,J} of a nested pair I <= J.  Both are
+evaluated in one place, the rank tables of `qtvd.envelope`; this module
+supplies their pieces: `ExtendedValue` for the +-inf results, the
+boundary constant C_{I,J}, and exact floor/ceil.  All functions are
+pure and all values immutable.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from functools import total_ordering
 from fractions import Fraction
 from numbers import Rational
-from typing import Sequence, Union
+from typing import Union
 
 RationalLike = Union[int, Fraction]
 
@@ -36,14 +37,9 @@ __all__ = [
     "ExtendedValue",
     "NEG_INF",
     "POS_INF",
-    "AdjustedLevel",
-    "OrderStatisticCache",
-    "order_stat",
     "boundary_constant",
-    "adjusted_levels",
     "floor_index",
     "ceil_index",
-    "BOUNDARY_CONSTANT_VALUES",
 ]
 
 
@@ -78,9 +74,6 @@ class DiscreteInterval:
 
     def within(self, other: "DiscreteInterval") -> bool:
         return other.a <= self.a and self.b <= other.b
-
-    def indices(self) -> range:
-        return range(self.a, self.b + 1)
 
     def __repr__(self) -> str:
         return f"[{self.a}:{self.b}]"
@@ -157,73 +150,6 @@ class ExtendedValue:
 NEG_INF = ExtendedValue(-1)
 POS_INF = ExtendedValue(1)
 
-#: The only values the boundary constant can take.
-BOUNDARY_CONSTANT_VALUES = (
-    Fraction(-1),
-    Fraction(-1, 2),
-    Fraction(0),
-    Fraction(1, 2),
-    Fraction(1),
-)
-
-
-@dataclass(frozen=True)
-class AdjustedLevel:
-    """Adjusted local quantile levels u = tau*|I| - 2*lam*C, l = tau*|I| + 2*lam*C.
-
-    Invariant: u + l == 2*tau*|I| exactly.
-    """
-
-    u: Fraction
-    l: Fraction
-
-
-class OrderStatisticCache:
-    """Order statistics of a fixed data vector over discrete intervals.
-
-    Sorted slices are memoised per interval, so repeated queries on the
-    same interval sort it once.
-    """
-
-    def __init__(self, y: Sequence):
-        self._y = tuple(_as_rational(v, "data value") for v in y)
-        if not self._y:
-            raise ValueError("data vector must be non-empty")
-        self._slices: dict[tuple[int, int], list] = {}
-
-    @property
-    def n(self) -> int:
-        return len(self._y)
-
-    @property
-    def data(self) -> tuple:
-        return self._y
-
-    def sorted_slice(self, a: int, b: int) -> list:
-        """Sorted copy of y[a..b] (1-based, inclusive), memoised. Do not mutate."""
-        got = self._slices.get((a, b))
-        if got is None:
-            if not (1 <= a <= b <= self.n):
-                raise ValueError(f"interval [{a}:{b}] outside [1:{self.n}]")
-            got = self._slices[(a, b)] = sorted(self._y[a - 1 : b])
-        return got
-
-    def order_stat(self, interval: DiscreteInterval, k: int) -> ExtendedValue:
-        """k-th smallest of y restricted to `interval`, extended convention for k."""
-        if not (1 <= interval.a and interval.b <= self.n):
-            raise ValueError(f"{interval} outside [1:{self.n}]")
-        m = interval.length
-        if k <= 0:
-            return NEG_INF
-        if k >= m + 1:
-            return POS_INF
-        return ExtendedValue(0, self.sorted_slice(interval.a, interval.b)[k - 1])
-
-
-def order_stat(y: Sequence, interval: DiscreteInterval, k: int) -> ExtendedValue:
-    """One-shot extended order statistic; use OrderStatisticCache for repeated queries."""
-    return OrderStatisticCache(y).order_stat(interval, k)
-
 
 def _c2(shares_left: bool, shares_right: bool, at_first: bool, at_last: bool) -> int:
     """Twice the boundary constant of I nested in J, as an int in {-2,-1,0,1,2}.
@@ -245,25 +171,6 @@ def boundary_constant(I: DiscreteInterval, J: DiscreteInterval, n: int) -> Fract
     if not I.within(J):
         raise ValueError(f"I={I} is not a subinterval of J={J}")
     return Fraction(_c2(I.a == J.a, I.b == J.b, J.a == 1, J.b == n), 2)
-
-
-def adjusted_levels(
-    I: DiscreteInterval,
-    J: DiscreteInterval,
-    tau: RationalLike,
-    lam: RationalLike,
-    n: int,
-) -> AdjustedLevel:
-    """Exact adjusted levels (u, l) for the nested pair I <= J at level tau, penalty lam."""
-    tau = _as_rational(tau, "tau")
-    lam = _as_rational(lam, "lam")
-    if not 0 <= tau <= 1:
-        raise ValueError(f"tau must be in [0, 1], got {tau}")
-    if lam < 0:
-        raise ValueError(f"lam must be >= 0, got {lam}")
-    c = boundary_constant(I, J, n)
-    base = tau * I.length
-    return AdjustedLevel(u=base - 2 * lam * c, l=base + 2 * lam * c)
 
 
 def floor_index(x: RationalLike) -> int:

@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .intervals import _as_rational
-from .solver import Instance, _check_loss, fit, lattice_join, lattice_meet
+from .solver import Instance, fit, lattice_join, lattice_meet
 
 __all__ = [
     "Absolute",
@@ -194,6 +194,11 @@ def noncrossing_audit(y: Sequence, lam, tau1, tau2) -> NonCrossingReport:
     lower2 = fit(Instance(tuple(y), tau2, lam), "lower").theta
     worst = min(b - a for a, b in zip(upper1, lower2))
     return NonCrossingReport(ok=worst >= 0, worst_gap=worst)
+
+
+def _check_loss(x, tau):
+    """rho_tau(x) = max(tau*x, (tau-1)*x)."""
+    return tau * x if x >= 0 else (tau - 1) * x
 
 
 def quantile_loss_sum(y: Sequence, theta: Sequence, tau) -> Fraction:

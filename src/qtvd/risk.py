@@ -21,7 +21,10 @@ at interior locations is bounded by
 over intervals J with |J| > 4*lam/(c1*delta) and Dist(i,dJ) >= C1*log n,
 with probability >= 1 - 4*n^{-(c-1)}; near the global boundary the same
 holds over one-sided interval families.  Locations with an empty
-admissible family are flagged rather than bounded.
+admissible family are flagged rather than bounded.  `pointwise_bounds`
+is the one evaluation of this minimum: Bias comes from running extrema
+of theta* outward from i, Dist and SD from `_dist` and `_sd`, whose
+scalar forms are `dist_boundary` and `sd_bound`.
 
 Balancing bias against the stochastic term gives the optimal penalty:
 for alpha-smooth signals (alpha <= 1, local Hoelder norm L0)
@@ -30,9 +33,10 @@ for alpha-smooth signals (alpha <= 1, local Hoelder norm L0)
     B_n  = floor( L0^(-2/(2a+1)) * n^(2a/(2a+1)) * (log n)^(1/(2a+1)) ),
 
 yielding local error of order n^(-a/(2a+1)) up to log factors; for
-locally constant signals (radius r0), lam* = sqrt(n * r0 * log n) and
-order sqrt(log n / n).  The Monte-Carlo harness regresses the log median
-absolute error on log n to check those exponents empirically.
+signals constant within radius r0 of the monitored point x0,
+lam* = sqrt(n * r0 * log n) and order sqrt(log n / n).  The
+Monte-Carlo harness regresses the log median absolute error on log n to
+check those exponents empirically.
 
 Replications derive independent generator streams from (master seed,
 replication index) and are aggregated in index order, so reports are
@@ -64,15 +68,11 @@ __all__ = [
     "PointwiseBounds",
     "RiskReport",
     "RateRegression",
-    "BoundComponents",
-    "bias_terms",
-    "bound_components",
     "dist_boundary",
     "sd_bound",
     "growth_constants",
     "pointwise_bounds",
     "lambda_star",
-    "smallest_admissible_n",
     "simulate",
     "rate_regress",
     "CSV_HEADER",
@@ -88,6 +88,11 @@ _STD_NORMAL = NormalDist()
 def _check_scale(value: float, name: str) -> None:
     if not 0 <= value < math.inf:
         raise ValueError(f"{name} must be finite and >= 0, got {value}")
+
+
+def _check_finite(name: str, *values: float) -> None:
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"{name} must be finite, got {', '.join(map(str, values))}")
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +203,9 @@ def growth_constants(noise: Noise, tau: float, delta: float = 1.0) -> tuple[floa
 class ConstantSignal:
     level: float = 0.0
 
+    def __post_init__(self):
+        _check_finite("level", self.level)
+
     def values(self, n: int) -> np.ndarray:
         return np.full(n, float(self.level))
 
@@ -223,6 +231,8 @@ class HolderCusp:
             raise ValueError("alpha must be in (0, 1]")
         if self.profile not in ("cusp", "ramp"):
             raise ValueError(f"unknown profile {self.profile!r}")
+        _check_finite("norm", self.norm)
+        _check_finite("x0", self.x0)
 
     def values(self, n: int) -> np.ndarray:
         x = np.arange(1, n + 1) / n
@@ -251,6 +261,7 @@ class PiecewiseConstantSignal:
             raise ValueError("need exactly one more level than breaks")
         if any(not 0 < b < 1 for b in self.breaks) or list(self.breaks) != sorted(set(self.breaks)):
             raise ValueError("breaks must be strictly increasing inside (0, 1)")
+        _check_finite("levels", *self.levels)
 
     def values(self, n: int) -> np.ndarray:
         x = np.arange(1, n + 1) / n
@@ -286,7 +297,7 @@ class ModelSpec:
 
 
 # ---------------------------------------------------------------------------
-# bound components
+# pointwise bounds
 # ---------------------------------------------------------------------------
 
 
@@ -332,36 +343,6 @@ class RiskConstants:
         """Admissible intervals must be strictly longer than this."""
         return 4.0 * lam / (self.c1 * self.delta)
 
-    def as_dict(self, tau: float) -> dict:
-        return {
-            "c": self.c,
-            "c1": self.c1,
-            "delta": self.delta,
-            "C": self.lambda_coefficient(tau),
-            "C1": self.C1,
-            "C_tilde": self.c_tilde,
-        }
-
-
-@dataclass(frozen=True)
-class BoundComponents:
-    """Bias/SD pieces of one (location, interval) pair, with the constants used."""
-
-    bias_plus: float
-    bias_minus: float
-    sd: float
-    dist: int
-    constants: dict
-
-
-def bias_terms(theta_star: Sequence, i: int, J: DiscreteInterval):
-    """(max, min) of theta*_k - theta*_i over k in J; exact for exact inputs."""
-    if not J.contains(i):
-        raise ValueError(f"location {i} not in {J}")
-    ref = theta_star[i - 1]
-    seg = [theta_star[k - 1] for k in J.indices()]
-    return max(seg) - ref, min(seg) - ref
-
 
 def _boundary_regime(i: int, n: int, C1: float) -> tuple[float, bool, bool]:
     """(t, near_left, near_right) with t = C1*log n, near_left = i < t and
@@ -404,26 +385,6 @@ def sd_bound(i: int, J: DiscreteInterval, lam: float, n: int, tau: float, consta
         raise ValueError("lam must be > 0")
     dist = dist_boundary(i, J, n, constants.C1)
     return float(_sd(constants.c_tilde, math.log(n), dist, J.length, lam, tau))
-
-
-def bound_components(
-    theta_star: Sequence,
-    i: int,
-    J: DiscreteInterval,
-    lam: float,
-    n: int,
-    tau: float,
-    constants: RiskConstants,
-) -> BoundComponents:
-    """All pieces of the (i, J) bound in one record."""
-    bias_plus, bias_minus = bias_terms(theta_star, i, J)
-    return BoundComponents(
-        bias_plus=bias_plus,
-        bias_minus=bias_minus,
-        sd=sd_bound(i, J, lam, n, tau, constants),
-        dist=dist_boundary(i, J, n, constants.C1),
-        constants=constants.as_dict(tau),
-    )
 
 
 @dataclass(frozen=True)
@@ -472,8 +433,7 @@ def pointwise_bounds(
     theta = np.asarray(theta_star, dtype=float)
     if not np.isfinite(theta).all():
         raise ValueError("theta_star must be finite")
-    if locations is None:
-        locations = range(1, n + 1)
+    locations = tuple(range(1, n + 1) if locations is None else locations)
     logn = math.log(n)
     min_len = constants.min_interval_length(lam)
     ct = constants.c_tilde
@@ -521,7 +481,7 @@ def pointwise_bounds(
         lowers.append(best_l)
         uppers.append(best_u)
     return PointwiseBounds(
-        locations=tuple(locations), lower=tuple(lowers), upper=tuple(uppers), flagged=tuple(flagged)
+        locations=locations, lower=tuple(lowers), upper=tuple(uppers), flagged=tuple(flagged)
     )
 
 
@@ -531,32 +491,14 @@ def lambda_star(n: int, alpha: float, holder_norm: float = 1.0, r0: float = 0.5)
         raise ValueError("n must be >= 2")
     if alpha <= 0:
         raise ValueError("alpha must be > 0")
+    if not 0 < r0 < math.inf:
+        raise ValueError(f"r0 must be finite and > 0, got {r0}")
     logn = math.log(n)
     if alpha <= 1:
         expo = 2.0 * alpha + 1.0
         b_n = math.floor(holder_norm ** (-2.0 / expo) * n ** (2.0 * alpha / expo) * logn ** (1.0 / expo))
         return math.sqrt(logn * b_n)
     return math.sqrt(n * r0 * logn)
-
-
-def smallest_admissible_n(
-    constants: RiskConstants, tau: float, lam_policy, x0: float = 0.5, n_max: int = 1 << 16
-) -> Optional[int]:
-    """Smallest n whose admissible interval family at location floor(n*x0) is
-    non-empty under `lam_policy(n) -> lam`; None if none up to n_max.
-
-    The constants chain leaves "large enough n" open; this reports it for
-    concrete defaults instead of asserting it.
-    """
-    n = 4
-    while n <= n_max:
-        lam = lam_policy(n)
-        i = min(max(int(n * x0), 1), n)
-        b = pointwise_bounds([0.0] * n, tau, lam, constants, locations=[i], allow_small_lambda=True)
-        if not b.flagged:
-            return n
-        n += max(1, n // 8)
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -609,13 +551,13 @@ class RiskReport:
         return out
 
 
-def resolve_lambda(model: ModelSpec, lam) -> float:
-    """A number passes through; "star" derives the rate-optimal value from the signal."""
+def resolve_lambda(model: ModelSpec, lam, x0: float) -> float:
+    """A number passes through; "star" derives the rate-optimal value from the signal at x0."""
     if lam == "star":
         alpha, norm = model.signal.holder()
         if alpha <= 1:
             return lambda_star(model.n, alpha, holder_norm=norm)
-        return lambda_star(model.n, 2.0, r0=model.signal.local_radius(0.5))
+        return lambda_star(model.n, 2.0, r0=model.signal.local_radius(x0))
     return float(lam)
 
 
@@ -640,7 +582,7 @@ def simulate(
         raise ValueError("replications must be >= 1")
     if not 0.0 <= x0 <= 1.0:
         raise ValueError(f"x0 must be a finite design point in [0, 1], got {x0}")
-    lam_val = resolve_lambda(model, lam)
+    lam_val = resolve_lambda(model, lam, x0)
     n = model.n
     theta_star = model.signal.values(n)
     location = min(max(int(math.floor(n * x0)), 1), n)

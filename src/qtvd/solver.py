@@ -61,7 +61,9 @@ y and theta scaled by the lcm of their denominators, and builds one
 Fraction.
 
 All functions are pure and instances immutable, so batch fits over
-independent instances can run concurrently.
+independent instances can run concurrently.  The exhaustive grid
+search that the tests compare `fit` and `envelope` against lives in
+`tests/helpers.py`, outside the package.
 """
 
 from __future__ import annotations
@@ -80,7 +82,6 @@ __all__ = [
     "Instance",
     "Fit",
     "DualCertificate",
-    "GridOracleResult",
     "objective_value",
     "fit",
     "fit_float",
@@ -88,14 +89,9 @@ __all__ = [
     "certify_float",
     "lattice_join",
     "lattice_meet",
-    "grid_oracle",
-    "GRID_ORACLE_CAP",
 ]
 
 Extremality = Literal["lower", "upper", "any"]
-
-#: Hard cap for the exhaustive oracle; cost is |{y_j}|**n.
-GRID_ORACLE_CAP = 8
 
 
 @dataclass(frozen=True)
@@ -137,11 +133,6 @@ class DualCertificate:
 
     g: tuple
     z: tuple
-
-
-def _check_loss(x, tau):
-    """rho_tau(x) = max(tau*x, (tau-1)*x); works for exact and float inputs."""
-    return tau * x if x >= 0 else (tau - 1) * x
 
 
 def _lattice(tau: Fraction, lam: Fraction) -> tuple:
@@ -409,73 +400,3 @@ def lattice_meet(theta1: Sequence, theta2: Sequence) -> tuple:
     if len(theta1) != len(theta2):
         raise ValueError("length mismatch")
     return tuple(a if a <= b else b for a, b in zip(theta1, theta2))
-
-
-@dataclass(frozen=True)
-class GridOracleResult:
-    """Exhaustive-search reference: optimum plus coordinatewise extremes of minimisers."""
-
-    objective: Fraction
-    lower: tuple
-    upper: tuple
-
-
-def grid_oracle(inst: Instance, cap: int = GRID_ORACLE_CAP) -> GridOracleResult:
-    """Exhaustively minimise over the data grid {y_1,...,y_n}^n.
-
-    Every coordinate of an extremal optimal solution coincides with a data
-    value (the envelope formulas select order statistics of y), so the data
-    grid contains minimisers attaining the global optimum and both
-    envelopes; the coordinatewise min/max over grid minimisers therefore
-    equal the exact envelope vectors.  Cost is |{y_j}|**n objective
-    evaluations: every grid point is visited, no pruning.
-    """
-    n = inst.n
-    if n > cap:
-        raise ValueError(f"grid oracle capped at n <= {cap}, got {n}")
-    values = sorted(set(inst.y))
-    m = len(values)
-    # Integer-scaled tables keep the exhaustive loop in fast exact arithmetic.
-    loss_frac = [[_check_loss(yi - v, inst.tau) for v in values] for yi in inst.y]
-    tv_frac = [[inst.lam * abs(u - v) for v in values] for u in values]
-    denoms = [f.denominator for row in loss_frac for f in row]
-    denoms += [f.denominator for row in tv_frac for f in row]
-    scale = lcm(*denoms) if denoms else 1
-    loss = [[int(f * scale) for f in row] for row in loss_frac]
-    tv = [[int(f * scale) for f in row] for row in tv_frac]
-
-    best = None
-    lo_idx = [0] * n
-    hi_idx = [0] * n
-    combo = [0] * n
-
-    def visit(pos: int, prev: int, acc: int) -> None:
-        nonlocal best
-        if pos == n:
-            if best is None or acc < best:
-                best = acc
-                lo_idx[:] = combo
-                hi_idx[:] = combo
-            elif acc == best:
-                for t in range(n):
-                    ct = combo[t]
-                    if ct < lo_idx[t]:
-                        lo_idx[t] = ct
-                    elif ct > hi_idx[t]:
-                        hi_idx[t] = ct
-            return
-        loss_row = loss[pos]
-        tv_row = tv[prev] if pos else None
-        for v in range(m):
-            combo[pos] = v
-            step = acc + loss_row[v]
-            if tv_row is not None:
-                step += tv_row[v]
-            visit(pos + 1, v, step)
-
-    visit(0, 0, 0)
-    return GridOracleResult(
-        objective=Fraction(best, scale),
-        lower=tuple(values[r] for r in lo_idx),
-        upper=tuple(values[r] for r in hi_idx),
-    )

@@ -1,20 +1,15 @@
-"""Shared test utilities: instance generators and independent reference
-implementations that deliberately avoid the library's optimised paths."""
+"""Shared test utilities: instance generators and reference implementations.
+
+The references are written from the paper's definitions and import
+nothing from `qtvd` but `Instance`, so a fault in a library kernel cannot
+reach the oracle that checks it.
+"""
 
 import math
 import random
 from fractions import Fraction
 
-from qtvd.intervals import (
-    DiscreteInterval,
-    OrderStatisticCache,
-    adjusted_levels,
-    ceil_index,
-    floor_index,
-)
 from qtvd.solver import Instance
-
-TAU_GRID = [Fraction(k, 10) for k in range(1, 10)]
 
 
 def random_instance(rng: random.Random, n_max: int, *, n_min: int = 1,
@@ -54,37 +49,104 @@ def naive_objective(y, theta, tau, lam):
     return total
 
 
+#: Largest n the exhaustive grid oracle accepts; its cost is |{y_j}|**n.
+GRID_ORACLE_CAP = 8
+
+
+def grid_oracle(inst: Instance, cap: int = GRID_ORACLE_CAP):
+    """(objective, lower, upper) by visiting every point of the data grid {y_1,...,y_n}^n.
+
+    Extremal minimisers take data values, so the coordinatewise min/max over
+    grid minimisers are the exact envelopes.  Loss and penalty are scaled to ints.
+    """
+    n, tau = inst.n, inst.tau
+    if n > cap:
+        raise ValueError(f"grid oracle capped at n <= {cap}, got {n}")
+    values = sorted(set(inst.y))
+    m = len(values)
+    loss = [[tau * (yi - v) if yi >= v else (tau - 1) * (yi - v) for v in values] for yi in inst.y]
+    tv = [[inst.lam * abs(u - v) for v in values] for u in values]
+    scale = math.lcm(*(f.denominator for table in (loss, tv) for row in table for f in row))
+    loss = [[int(f * scale) for f in row] for row in loss]
+    tv = [[int(f * scale) for f in row] for row in tv]
+    best = None
+    lo_idx, hi_idx, combo = [0] * n, [0] * n, [0] * n
+
+    def visit(pos, prev, acc):
+        nonlocal best
+        if pos == n:
+            if best is None or acc < best:
+                best = acc
+                lo_idx[:] = hi_idx[:] = combo
+            elif acc == best:
+                for t, ct in enumerate(combo):
+                    if ct < lo_idx[t]:
+                        lo_idx[t] = ct
+                    elif ct > hi_idx[t]:
+                        hi_idx[t] = ct
+            return
+        loss_row, tv_row = loss[pos], tv[prev]
+        for v in range(m):
+            combo[pos] = v
+            visit(pos + 1, v, acc + loss_row[v] + (tv_row[v] if pos else 0))
+
+    visit(0, 0, 0)
+    return Fraction(best, scale), tuple(values[r] for r in lo_idx), tuple(values[r] for r in hi_idx)
+
+
+def order_stat(y, a, b, k):
+    """Extended order statistic y_{[a:b],(k)}: -inf for k <= 0, +inf for k > b - a + 1."""
+    if not 1 <= a <= b <= len(y):
+        raise ValueError(f"[{a}:{b}] outside [1:{len(y)}]")
+    if k <= 0:
+        return -math.inf
+    if k > b - a + 1:
+        return math.inf
+    return sorted(y[a - 1 : b])[k - 1]
+
+
+#: C_{I,J} case by case.  Outer key: does J touch 1, does J touch n (J interior,
+#: touching 1, touching n, all of [1:n]); inner key: does I share J's left, right end.
+BOUNDARY_CASES = {
+    (False, False): {(False, False): 1, (True, False): 0, (False, True): 0, (True, True): -1},
+    (True, False): {(False, False): 1, (True, False): Fraction(1, 2), (False, True): 0, (True, True): Fraction(-1, 2)},
+    (False, True): {(False, False): 1, (True, False): 0, (False, True): Fraction(1, 2), (True, True): Fraction(-1, 2)},
+    (True, True): {(False, False): 1, (True, False): Fraction(1, 2), (False, True): Fraction(1, 2), (True, True): 0},
+}
+
+
+def adjusted_levels(I, J, tau, lam, n):
+    """(u, l) = (tau*|I| - 2*lam*C_{I,J}, tau*|I| + 2*lam*C_{I,J}) for I = (c, d) <= J = (a, b)."""
+    (c, d), (a, b) = I, J
+    if not (0 <= tau <= 1 and lam >= 0):
+        raise ValueError(f"need tau in [0, 1] and lam >= 0, got tau={tau}, lam={lam}")
+    C = BOUNDARY_CASES[a == 1, b == n][c == a, d == b]
+    return tau * (d - c + 1) - 2 * lam * C, tau * (d - c + 1) + 2 * lam * C
+
+
 def naive_envelope(y, tau, lam):
     """Literal min-max / max-min enumeration over all nested interval pairs.
 
-    Uses only the public order-statistic and adjusted-level operations; no
-    sharing, no reorganised extrema.  Returns (L, U) as ExtendedValue lists.
+    U_i = min_J max_I y_{I,(floor(u)+1)} and L_i = max_J min_I y_{I,(ceil(l))}
+    over J containing i and I <= J containing i; no sharing, no reorganised
+    extrema.  Returns (L, U) as lists of Fractions and +-math.inf.
     """
     n = len(y)
-    cache = OrderStatisticCache(y)
     lower, upper = [], []
     for i in range(1, n + 1):
-        best_u = None
-        best_l = None
+        best_u = math.inf
+        best_l = -math.inf
         for a in range(1, i + 1):
             for b in range(i, n + 1):
-                J = DiscreteInterval(a, b)
-                inner_max = None
-                inner_min = None
+                inner_max = -math.inf
+                inner_min = math.inf
                 for c in range(a, i + 1):
                     for d in range(i, b + 1):
-                        I = DiscreteInterval(c, d)
-                        lev = adjusted_levels(I, J, tau, lam, n)
-                        v_up = cache.order_stat(I, floor_index(lev.u) + 1)
-                        v_lo = cache.order_stat(I, ceil_index(lev.l))
-                        if inner_max is None or v_up > inner_max:
-                            inner_max = v_up
-                        if inner_min is None or v_lo < inner_min:
-                            inner_min = v_lo
-                if best_u is None or inner_max < best_u:
-                    best_u = inner_max
-                if best_l is None or inner_min > best_l:
-                    best_l = inner_min
+                        u, l = adjusted_levels((c, d), (a, b), tau, lam, n)
+                        inner_max = max(inner_max, order_stat(y, c, d, math.floor(u) + 1))
+                        inner_min = min(inner_min, order_stat(y, c, d, math.ceil(l)))
+                best_u = min(best_u, inner_max)
+                best_l = max(best_l, inner_min)
         lower.append(best_l)
         upper.append(best_u)
     return lower, upper

@@ -4,9 +4,11 @@ from pathlib import Path
 
 import pytest
 
+from helpers import grid_oracle
+
 from qtvd import cli
 from qtvd.penalties import NonCrossingReport
-from qtvd.solver import Instance, grid_oracle
+from qtvd.solver import Instance
 
 F = Fraction
 
@@ -52,9 +54,9 @@ class TestFitEnvelopeCertify:
     def test_envelope_matches_oracle(self, y_file, capsys):
         assert run(["envelope", "--input", y_file, "--tau", "1/2", "--lambda", "1/4"]) == 0
         doc = json.loads(capsys.readouterr().out)
-        orc = grid_oracle(Instance((1, 3, 2), F(1, 2), F(1, 4)))
-        assert [F(v) for v in doc["L"]] == list(orc.lower)
-        assert [F(v) for v in doc["U"]] == list(orc.upper)
+        _, lower, upper = grid_oracle(Instance((1, 3, 2), F(1, 2), F(1, 4)))
+        assert tuple(F(v) for v in doc["L"]) == lower
+        assert tuple(F(v) for v in doc["U"]) == upper
 
     def test_fit_lambda_zero_echoes_input(self, y_file, capsys):
         assert run(["fit", "--input", y_file, "--tau", "0.31", "--lambda", "0"]) == 0
@@ -187,6 +189,14 @@ class TestSimulateRate:
         capsys.readouterr()
         assert run([*args, "--x0", x0, "--output", str(tmp_path / "x")]) == 2
         assert "--x0" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
+
+    @pytest.mark.parametrize("signal, name", [(["--level", "nan"], "level"), (["--signal", "cusp", "--L0", "inf"], "norm"),
+                                              (["--signal", "pwc", "--breaks", "0.5", "--levels", "0,nan"], "levels")])
+    def test_non_finite_signal_parameter_exits_2(self, signal, name, tmp_path, capsys):
+        assert run(["simulate", "--n", "64", "--reps", "2", "--lambda", "8", *signal,
+                    "--output", str(tmp_path / "x")]) == 2
+        assert f"error: {name} must be finite" in capsys.readouterr().err
         assert not (tmp_path / "x.json").exists()
 
     @pytest.mark.parametrize("noise", ["cauchy", "gaussian", "laplace"])

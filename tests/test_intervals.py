@@ -1,52 +1,50 @@
+import math
 import operator
 import random
 from fractions import Fraction
 
 import pytest
 
+from helpers import BOUNDARY_CASES, adjusted_levels, order_stat
+
+from qtvd.envelope import _RankTables
 from qtvd.intervals import (
-    BOUNDARY_CONSTANT_VALUES,
     DiscreteInterval,
     ExtendedValue,
     NEG_INF,
     POS_INF,
-    OrderStatisticCache,
-    adjusted_levels,
     boundary_constant,
     ceil_index,
     floor_index,
-    order_stat,
 )
 
 F = Fraction
 I = DiscreteInterval
 
 
-class TestOrderStat:
+class TestOrderStat:  # the reference oracle's convention, and the envelope's rank tables against it
     def test_middle_of_three(self):
-        assert order_stat((3, 1, 2), I(1, 3), 2) == ExtendedValue.finite(2)
+        assert order_stat((3, 1, 2), 1, 3, 2) == 2
 
     def test_index_past_length_is_pos_inf(self):
-        assert order_stat((3, 1, 2), I(1, 3), 4) == POS_INF
+        assert order_stat((3, 1, 2), 1, 3, 4) == math.inf
 
     def test_index_zero_is_neg_inf(self):
-        assert order_stat((3, 1, 2), I(2, 3), 0) == NEG_INF
+        assert order_stat((3, 1, 2), 2, 3, 0) == -math.inf
 
     def test_total_over_all_integers(self):
         for k in range(-3, 8):
-            v = order_stat((5, 5, 1), I(1, 3), k)
+            v = order_stat((5, 5, 1), 1, 3, k)
             if k <= 0:
-                assert v == NEG_INF
+                assert v == -math.inf
             elif k >= 4:
-                assert v == POS_INF
+                assert v == math.inf
             else:
-                assert v.is_finite
+                assert math.isfinite(v)
 
     def test_ties_counted_with_multiplicity(self):
         y = (2, 2, 1)
-        assert order_stat(y, I(1, 3), 1) == ExtendedValue.finite(1)
-        assert order_stat(y, I(1, 3), 2) == ExtendedValue.finite(2)
-        assert order_stat(y, I(1, 3), 3) == ExtendedValue.finite(2)
+        assert [order_stat(y, 1, 3, k) for k in (1, 2, 3)] == [1, 2, 2]
 
     def test_monotone_in_k(self):
         rng = random.Random(0)
@@ -55,8 +53,7 @@ class TestOrderStat:
             y = [F(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(n)]
             a = rng.randint(1, n)
             b = rng.randint(a, n)
-            cache = OrderStatisticCache(y)
-            vals = [cache.order_stat(I(a, b), k) for k in range(-1, b - a + 4)]
+            vals = [order_stat(y, a, b, k) for k in range(-1, b - a + 4)]
             assert all(u <= v for u, v in zip(vals, vals[1:]))
 
     def test_reflection_identity(self):
@@ -69,19 +66,26 @@ class TestOrderStat:
             b = rng.randint(a, n)
             m = b - a + 1
             k = rng.randint(-2, m + 3)
-            assert order_stat(neg, I(a, b), m - k + 1) == -order_stat(y, I(a, b), k)
+            assert order_stat(neg, a, b, m - k + 1) == -order_stat(y, a, b, k)
 
     def test_interval_outside_data_rejected(self):
         with pytest.raises(ValueError):
-            order_stat((1, 2), I(1, 3), 1)
+            order_stat((1, 2), 1, 3, 1)
 
     def test_cache_matches_plain_sort(self):
+        # the envelope's selected-rank tables, the one order-statistic cache in the package
         rng = random.Random(2)
-        y = [F(rng.randint(-5, 5)) for _ in range(12)]
-        cache = OrderStatisticCache(y)
-        for a in range(1, 13):
-            for b in range(a, 13):
-                assert cache.sorted_slice(a, b) == sorted(y[a - 1 : b])
+        y = [F(rng.randint(-5, 5), rng.choice((1, 3))) for _ in range(12)]
+        tau, lam = F(2, 5), F(3, 4)
+        ranked = _RankTables(y, tau, lam, allow_large_n=False)
+        ext = {-1: -math.inf, len(ranked.uniq): math.inf, **dict(enumerate(ranked.uniq))}
+        upper, lower = ranked.tables("upper"), ranked.tables("lower")
+        for c2 in range(-2, 3):
+            for a in range(1, 13):
+                for b in range(a, 13):
+                    u, l = tau * (b - a + 1) - lam * c2, tau * (b - a + 1) + lam * c2
+                    assert ext[upper[c2 + 2, a - 1, b - 1]] == order_stat(y, a, b, math.floor(u) + 1)
+                    assert ext[lower[c2 + 2, a - 1, b - 1]] == order_stat(y, a, b, math.ceil(l))
 
 
 class TestBoundaryConstant:
@@ -131,23 +135,23 @@ class TestBoundaryConstant:
             j2 = rng.randint(j1, n)
             s = rng.randint(j1, j2)
             t = rng.randint(s, j2)
-            assert boundary_constant(I(s, t), I(j1, j2), n) in BOUNDARY_CONSTANT_VALUES
+            expected = BOUNDARY_CASES[j1 == 1, j2 == n][s == j1, t == j2]
+            assert boundary_constant(I(s, t), I(j1, j2), n) == expected
+            assert expected in {-1, F(-1, 2), 0, F(1, 2), 1}
 
 
-class TestAdjustedLevels:
+class TestAdjustedLevels:  # the reference oracle's levels, from its case table of C_{I,J}
     def test_direct_arithmetic(self):
         # |I| = 4, C = 1 inside an interior J
-        lev = adjusted_levels(I(3, 6), I(2, 9), F(1, 2), F(1), 10)
-        assert (lev.u, lev.l) == (0, 4)
+        assert adjusted_levels((3, 6), (2, 9), F(1, 2), F(1), 10) == (0, 4)
 
     def test_lambda_zero_kills_adjustment(self):
-        lev = adjusted_levels(I(2, 4), I(1, 5), F(3, 10), F(0), 10)
-        assert lev.u == lev.l == F(3, 10) * 3
+        u, l = adjusted_levels((2, 4), (1, 5), F(3, 10), F(0), 10)
+        assert u == l == F(3, 10) * 3
 
     def test_equal_intervals_interior(self):
         # |I| = 2, C = -1
-        lev = adjusted_levels(I(2, 3), I(2, 3), F(3, 4), F(1, 2), 10)
-        assert (lev.u, lev.l) == (F(5, 2), F(1, 2))
+        assert adjusted_levels((2, 3), (2, 3), F(3, 4), F(1, 2), 10) == (F(5, 2), F(1, 2))
 
     def test_sum_identity_fuzz(self):
         rng = random.Random(4)
@@ -159,14 +163,15 @@ class TestAdjustedLevels:
             t = rng.randint(s, j2)
             tau = F(rng.randint(0, 12), 12)
             lam = F(rng.randint(0, 9), rng.choice((1, 2, 3)))
-            lev = adjusted_levels(I(s, t), I(j1, j2), tau, lam, n)
-            assert lev.u + lev.l == 2 * tau * (t - s + 1)
+            u, l = adjusted_levels((s, t), (j1, j2), tau, lam, n)
+            assert u + l == 2 * tau * (t - s + 1)
+            assert l - u == 4 * lam * boundary_constant(I(s, t), I(j1, j2), n)
 
     def test_rejects_bad_tau_and_lam(self):
         with pytest.raises(ValueError):
-            adjusted_levels(I(1, 2), I(1, 3), F(3, 2), F(1), 5)
+            adjusted_levels((1, 2), (1, 3), F(3, 2), F(1), 5)
         with pytest.raises(ValueError):
-            adjusted_levels(I(1, 2), I(1, 3), F(1, 2), F(-1), 5)
+            adjusted_levels((1, 2), (1, 3), F(1, 2), F(-1), 5)
 
 
 class TestFloorCeil:

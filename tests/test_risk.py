@@ -15,8 +15,6 @@ from qtvd.risk import (
     ModelSpec,
     PiecewiseConstantSignal,
     RiskConstants,
-    bias_terms,
-    bound_components,
     dist_boundary,
     growth_constants,
     lambda_star,
@@ -24,10 +22,22 @@ from qtvd.risk import (
     rate_regress,
     sd_bound,
     simulate,
-    smallest_admissible_n,
 )
 
 DI = DiscreteInterval
+
+
+def smallest_admissible_n(constants, tau, lam_policy, x0=0.5, n_max=1 << 16):
+    """Smallest n (None if none up to n_max) whose admissible family at floor(n*x0) is
+    non-empty under `lam_policy(n) -> lam`: the "large enough n" of the constants chain."""
+    n = 4
+    while n <= n_max:
+        i = min(max(int(n * x0), 1), n)
+        b = pointwise_bounds([0.0] * n, tau, lam_policy(n), constants, locations=[i], allow_small_lambda=True)
+        if not b.flagged:
+            return n
+        n += max(1, n // 8)
+    return None
 
 
 class TestNoise:
@@ -117,6 +127,20 @@ class TestSignals:
         with pytest.raises(ValueError):
             PiecewiseConstantSignal((0.0,), (1.0, 2.0))
 
+    @pytest.mark.parametrize(
+        "make, name",
+        [
+            (lambda v: ConstantSignal(v), "level"),
+            (lambda v: HolderCusp(1.0, norm=v), "norm"),
+            (lambda v: HolderCusp(1.0, x0=v), "x0"),
+            (lambda v: PiecewiseConstantSignal((0.5,), (0.0, v)), "levels"),
+        ],
+    )
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameters_rejected(self, make, name, bad):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            make(bad)
+
     def test_ramp_profile(self):
         sig = HolderCusp(1.0, norm=1.0, profile="ramp")
         vals = sig.values(10)
@@ -125,21 +149,31 @@ class TestSignals:
 
 
 class TestBoundPieces:
+    # Bias is evaluated only inside pointwise_bounds; these pin it through the bounds.
     def test_bias_constant_signal(self):
-        assert bias_terms([2.0] * 5, 3, DI(1, 5)) == (0.0, 0.0)
+        const = RiskConstants(c1=0.3)
+        flat, zero = (pointwise_bounds(v, 0.5, 4.0, const, allow_small_lambda=True) for v in ([2.0] * 64, [0.0] * 64))
+        assert flat == zero
 
     def test_bias_ramp(self):
-        assert bias_terms([0, 1, 2], 1, DI(1, 3)) == (2, 0)
+        # at the left end J = [1:j2], so Bias- = 0 on an increasing signal and Bias+ > 0
+        const = RiskConstants(c1=0.3)
+        ramp, zero = (pointwise_bounds(v, 0.5, 4.0, const, locations=[1], allow_small_lambda=True)
+                      for v in (list(range(64)), [0.0] * 64))
+        assert ramp.lower == zero.lower and ramp.upper[0] > zero.upper[0]
 
     def test_bias_lipschitz_window(self):
-        n = 100
+        n, i = 100, 50
+        const = RiskConstants(c1=0.3)
         theta = [k / n for k in range(1, n + 1)]
-        plus, minus = bias_terms(theta, 50, DI(40, 60))
-        assert plus <= 10 / n + 1e-12 and minus >= -10 / n - 1e-12
+        b, zero = (pointwise_bounds(v, 0.5, 4.0, const, locations=[i], allow_small_lambda=True)
+                   for v in (theta, [0.0] * n))
+        assert 0 <= b.upper[0] - zero.upper[0] <= (n - 1 - i) / n + 1e-12
+        assert 0 <= zero.lower[0] - b.lower[0] <= (i - 2) / n + 1e-12
 
     def test_bias_requires_membership(self):
-        with pytest.raises(ValueError):
-            bias_terms([1, 2, 3], 1, DI(2, 3))
+        with pytest.raises(ValueError, match="location"):
+            pointwise_bounds([1.0, 2.0, 3.0], 0.5, 1.0, RiskConstants(c1=0.2), locations=[4], allow_small_lambda=True)
 
     def test_dist_interior(self):
         assert dist_boundary(50, DI(40, 70), 100, 0.5) == 11
@@ -181,12 +215,12 @@ class TestBoundPieces:
             sd_bound(2, DI(1, 3), 0.0, 10, 0.5, RiskConstants(c1=0.2))
 
     def test_bound_components_record(self):
-        const = RiskConstants(c1=0.25)
-        comp = bound_components([0, 1, 2, 1], 2, DI(1, 4), 3.0, 4, 0.5, const)
-        assert comp.bias_plus == 1 and comp.bias_minus == -1
-        assert comp.bias_plus >= 0 >= comp.bias_minus
-        assert comp.dist == dist_boundary(2, DI(1, 4), 4, const.C1)
-        assert comp.constants["C"] == pytest.approx(const.lambda_coefficient(0.5))
+        # one admissible interval, J = [2:3]: the bound is exactly Bias +- SD of that J
+        const, lam, J = RiskConstants(c1=0.25, C1=0.5), 0.1, DI(2, 3)
+        b = pointwise_bounds([0, 1, 2, 1], 0.5, lam, const, locations=[2], allow_small_lambda=True)
+        sd = sd_bound(2, J, lam, 4, 0.5, const)
+        assert dist_boundary(2, J, 4, const.C1) == 1
+        assert b.upper == (1 + sd,) and b.lower == (0 - sd,)
 
 
 class TestPointwiseBounds:
@@ -272,6 +306,11 @@ class TestPointwiseBounds:
         )
         assert b.flagged == (32,) and b.upper[0] is None and b.lower[0] is None
 
+    def test_locations_may_be_an_iterator(self):
+        const = RiskConstants(c1=0.3)
+        b = pointwise_bounds([0.0] * 64, 0.5, 4.0, const, locations=(i for i in [30, 31]), allow_small_lambda=True)
+        assert b.locations == (30, 31) and len(b.upper) == len(b.lower) == 2
+
     def test_overlapping_boundary_regimes_are_flagged(self):
         # C1*log n spans more than half the grid: both one-sided regimes
         # would apply, so no bound is claimed
@@ -309,6 +348,17 @@ class TestLambdaStar:
             lambda_star(1, 1.0)
         with pytest.raises(ValueError):
             lambda_star(16, 0.0)
+        for r0 in (0.0, -0.1, math.nan, math.inf):
+            with pytest.raises(ValueError, match="r0"):
+                lambda_star(16, 2.0, r0=r0)
+
+    def test_star_uses_radius_at_monitored_point(self):
+        model = ModelSpec(4096, 0.5, PiecewiseConstantSignal((0.2, 0.8), (1.0, 0.0, 1.0)), Cauchy(0.1))
+        # radius 0.05 at x0 = 0.25 (lam ~ 41.3), not the 0.3 at the centre (lam ~ 101.1)
+        assert simulate(model, "star", 1, x0=0.25).lam == pytest.approx(lambda_star(4096, 2.0, r0=0.05), rel=1e-12)
+        assert simulate(model, "star", 1, x0=0.5).lam == pytest.approx(lambda_star(4096, 2.0, r0=0.3), rel=1e-12)
+        with pytest.raises(ValueError, match="r0"):
+            simulate(ModelSpec(64, 0.5, ConstantSignal(), Cauchy()), "star", 1, x0=1.0)
 
 
 class TestSimulate:

@@ -8,18 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import naive_objective, random_instance, small_integer_instance
+from helpers import GRID_ORACLE_CAP, grid_oracle, naive_objective, random_instance, small_integer_instance
 
 from qtvd.envelope import envelope
 from qtvd.solver import (
-    GRID_ORACLE_CAP,
     DualCertificate,
     Instance,
     certify,
     certify_float,
     fit,
     fit_float,
-    grid_oracle,
     lattice_join,
     lattice_meet,
     objective_value,
@@ -102,11 +100,11 @@ class TestFit:
 
     def test_reference_instance_matches_oracle_and_envelope(self):
         inst = Instance((1, 3, 2), F(1, 2), F(1, 4))
-        orc = grid_oracle(inst)
+        objective, _, upper = grid_oracle(inst)
         env = envelope(inst.y, inst.tau, inst.lam)
         up = fit(inst, "upper")
-        assert up.theta == orc.upper == tuple(v.finite_value() for v in env.upper)
-        assert up.objective == orc.objective
+        assert up.theta == upper == tuple(v.finite_value() for v in env.upper)
+        assert up.objective == objective
 
     def test_unknown_extremality(self):
         with pytest.raises(ValueError):
@@ -116,10 +114,10 @@ class TestFit:
         rng = random.Random(11)
         for _ in range(60):
             inst = small_integer_instance(rng)
-            orc = grid_oracle(inst)
-            assert fit(inst, "any").objective == orc.objective
-            assert fit(inst, "lower").theta == orc.lower
-            assert fit(inst, "upper").theta == orc.upper
+            objective, lower, upper = grid_oracle(inst)
+            assert fit(inst, "any").objective == objective
+            assert fit(inst, "lower").theta == lower
+            assert fit(inst, "upper").theta == upper
 
     def test_envelope_agreement_moderate_n(self):
         rng = random.Random(12)
@@ -138,8 +136,7 @@ class TestFit:
             lo = fit(inst, "lower")
             up = fit(inst, "upper")
             assert len(set(lo.theta)) == 1 and len(set(up.theta)) == 1
-            orc = grid_oracle(inst)
-            assert lo.theta == orc.lower and up.theta == orc.upper
+            assert grid_oracle(inst)[1:] == (lo.theta, up.theta)
 
 
 class TestCertify:
@@ -265,13 +262,11 @@ class TestLattice:
 
 class TestGridOracle:
     def test_single_point(self):
-        orc = grid_oracle(Instance((F(3, 2),), F(1, 2), F(1)))
-        assert orc.objective == 0 and orc.lower == orc.upper == (F(3, 2),)
+        assert grid_oracle(Instance((F(3, 2),), F(1, 2), F(1))) == (0, (F(3, 2),), (F(3, 2),))
 
     def test_lambda_zero(self):
         inst = Instance((1, 3, 2), F(1, 4), F(0))
-        orc = grid_oracle(inst)
-        assert orc.objective == 0 and orc.lower == orc.upper == inst.y
+        assert grid_oracle(inst) == (0, inst.y, inst.y)
 
     def test_cap(self):
         with pytest.raises(ValueError):
