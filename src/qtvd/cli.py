@@ -33,31 +33,11 @@ __all__ = ["main", "build_parser"]
 _NOISES = {"cauchy": risk.Cauchy, "gaussian": risk.Gaussian, "laplace": risk.Laplace}
 
 
-class ValidationError(Exception):
-    """Bad input file or option combination; maps to exit status 2."""
-
-
 def _parse_rational(text: str, what: str) -> Fraction:
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValidationError(f"{what}: could not parse {text.strip()!r} as a rational") from exc
-
-
-def _sim_lambda(text: str):
-    """--lambda of simulate/rate: "star" (resolved per n by risk.simulate) or a number."""
-    if text == "star":
-        return text
-    try:
-        return float(_parse_rational(text, "--lambda"))
-    except OverflowError as exc:
-        raise ValidationError(f"--lambda: {text.strip()!r} is outside the float range") from exc
-
-
-def _check_x0(x0: float) -> None:
-    """--x0 of simulate/rate, checked before the cusp signal is built from it."""
-    if not 0.0 <= x0 <= 1.0:
-        raise ValidationError(f"--x0 must be a finite design point in [0, 1], got {x0}")
+        raise ValueError(f"{what}: could not parse {text.strip()!r} as a rational") from exc
 
 
 def _read_values(path: str) -> list[Fraction]:
@@ -65,22 +45,22 @@ def _read_values(path: str) -> list[Fraction]:
         with open(path, "r", encoding="utf-8") as handle:
             lines = handle.read().splitlines()
     except OSError as exc:
-        raise ValidationError(f"cannot read {path}: {exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc}") from exc
     rows = [(idx + 1, line.strip()) for idx, line in enumerate(lines)]
     rows = [(no, text) for no, text in rows if text]
     if not rows:
-        raise ValidationError(f"{path}: no data values found")
+        raise ValueError(f"{path}: no data values found")
     if rows[0][1].lower() == "y":  # single-column CSV header
         rows = rows[1:]
         if not rows:
-            raise ValidationError(f"{path}: header only, no data values")
+            raise ValueError(f"{path}: header only, no data values")
     values = []
     for no, text in rows:
         text = text.rstrip(",")
         try:
             values.append(Fraction(text))
         except (ValueError, ZeroDivisionError) as exc:
-            raise ValidationError(f"{path}:{no}: could not parse {text!r}") from exc
+            raise ValueError(f"{path}:{no}: could not parse {text!r}") from exc
     return values
 
 
@@ -98,15 +78,15 @@ def _parse_constants(pairs: Optional[Sequence[str]], noise, tau: float) -> risk.
     known = {"c", "c1", "delta", "c_tilde", "C1"}
     for pair in pairs or ():
         if "=" not in pair:
-            raise ValidationError(f"--constants expects k=v, got {pair!r}")
+            raise ValueError(f"--constants expects k=v, got {pair!r}")
         key, _, raw = pair.partition("=")
         key = key.strip()
         if key not in known:
-            raise ValidationError(f"unknown constant {key!r} (known: {sorted(known)})")
+            raise ValueError(f"unknown constant {key!r} (known: {sorted(known)})")
         try:
             overrides[key] = float(raw)
         except ValueError as exc:
-            raise ValidationError(f"--constants {key}: bad float {raw!r}") from exc
+            raise ValueError(f"--constants {key}: bad float {raw!r}") from exc
     if "c1" in overrides:
         base = {"delta": 1.0, **overrides}
         return risk.RiskConstants(**base)
@@ -118,68 +98,58 @@ def _parse_constants(pairs: Optional[Sequence[str]], noise, tau: float) -> risk.
 # ---------------------------------------------------------------------------
 
 
-def _cmd_fit(args) -> int:
+def _exact_inputs(args) -> tuple[list[Fraction], Fraction, Fraction]:
+    """--input, --tau and --lambda of fit/envelope/certify/audit, parsed exactly."""
     y = _read_values(args.input)
-    inst = solver.Instance(tuple(y), _parse_rational(args.tau, "--tau"), _parse_rational(args.lam, "--lambda"))
+    return y, _parse_rational(args.tau, "--tau"), _parse_rational(args.lam, "--lambda")
+
+
+def _certificate_doc(cert) -> Optional[dict]:
+    return None if cert is None else {"g": [str(v) for v in cert.g], "z": [str(v) for v in cert.z]}
+
+
+def _cmd_fit(args) -> int:
+    y, tau, lam = _exact_inputs(args)
+    inst = solver.Instance(tuple(y), tau, lam)
     result = solver.fit(inst, args.extremal)
-    cert = solver.certify(result.theta, inst)
     doc = {
         "theta": [str(v) for v in result.theta],
         "objective": str(result.objective),
         "extremality": result.extremality,
-        "certificate": None
-        if cert is None
-        else {"g": [str(v) for v in cert.g], "z": [str(v) for v in cert.z]},
+        "certificate": _certificate_doc(solver.certify(result.theta, inst)),
     }
     _emit(doc, args.output)
     return 0
 
 
 def _cmd_envelope(args) -> int:
-    y = _read_values(args.input)
-    env = _envelope(
-        y,
-        _parse_rational(args.tau, "--tau"),
-        _parse_rational(args.lam, "--lambda"),
-        allow_large_n=args.allow_large_n,
-    )
+    env = _envelope(*_exact_inputs(args), allow_large_n=args.allow_large_n)
     doc = {"L": [repr(v) for v in env.lower], "U": [repr(v) for v in env.upper]}
     _emit(doc, args.output)
     return 0
 
 
 def _cmd_certify(args) -> int:
-    y = _read_values(args.input)
+    y, tau, lam = _exact_inputs(args)
     theta = _read_values(args.theta)
     if len(theta) != len(y):
-        raise ValidationError(f"theta has {len(theta)} values but y has {len(y)}")
-    inst = solver.Instance(tuple(y), _parse_rational(args.tau, "--tau"), _parse_rational(args.lam, "--lambda"))
-    cert = solver.certify(theta, inst)
-    if cert is None:
-        doc = {"feasible": False}
-    else:
-        doc = {
-            "feasible": True,
-            "g": [str(v) for v in cert.g],
-            "z": [str(v) for v in cert.z],
-        }
-    _emit(doc, args.output)
+        raise ValueError(f"theta has {len(theta)} values but y has {len(y)}")
+    cert = _certificate_doc(solver.certify(theta, solver.Instance(tuple(y), tau, lam)))
+    _emit({"feasible": False} if cert is None else {"feasible": True, **cert}, args.output)
     return 0
 
 
 def _cmd_audit(args) -> int:
-    y = _read_values(args.input)
-    lam = _parse_rational(args.lam, "--lambda")
-    tau1 = _parse_rational(args.tau, "--tau")
+    y, tau1, lam = _exact_inputs(args)
     checks = [c.strip() for c in args.checks.split(",") if c.strip()]
     unknown = set(checks) - {"noncross", "lattice", "submodular"}
     if unknown:
-        raise ValidationError(f"unknown audit checks: {sorted(unknown)}")
+        raise ValueError(f"unknown audit checks: {sorted(unknown)}")
     doc: dict = {}
     ok = True
     if "noncross" in checks:
         if args.tau2 is None:
-            raise ValidationError("audit noncross needs --tau2")
+            raise ValueError("audit noncross needs --tau2")
         tau2 = _parse_rational(args.tau2, "--tau2")
         report = penalties.noncrossing_audit(y, lam, tau1, tau2)
         doc["noncross"] = {"ok": report.ok, "worst_gap": str(report.worst_gap)}
@@ -217,10 +187,23 @@ def _build_signal(args) -> risk.Signal:
     if args.signal == "cusp":
         return risk.HolderCusp(args.alpha, args.L0, args.x0)
     if not args.breaks or not args.levels:  # "pwc"
-        raise ValidationError("signal pwc needs --breaks and --levels")
+        raise ValueError("signal pwc needs --breaks and --levels")
     breaks = tuple(float(b) for b in args.breaks.split(","))
     levels = tuple(float(v) for v in args.levels.split(","))
     return risk.PiecewiseConstantSignal(breaks, levels)
+
+
+def _model_inputs(args) -> tuple[risk.Signal, risk.Noise, float | str]:
+    """Signal, noise and --lambda of simulate/rate; "star" is resolved per n by risk.simulate."""
+    if not 0.0 <= args.x0 <= 1.0:  # checked before the cusp signal is built from it
+        raise ValueError(f"--x0 must be a finite design point in [0, 1], got {args.x0}")
+    signal, noise = _build_signal(args), _NOISES[args.noise](args.scale)
+    if args.lam == "star":
+        return signal, noise, args.lam
+    try:
+        return signal, noise, float(_parse_rational(args.lam, "--lambda"))
+    except OverflowError as exc:
+        raise ValueError(f"--lambda: {args.lam.strip()!r} is outside the float range") from exc
 
 
 def _write_csv(path: str, reports: Sequence[risk.RiskReport]) -> None:
@@ -233,11 +216,8 @@ def _write_csv(path: str, reports: Sequence[risk.RiskReport]) -> None:
 
 
 def _cmd_simulate(args) -> int:
-    _check_x0(args.x0)
-    signal = _build_signal(args)
-    noise = _NOISES[args.noise](args.scale)
+    signal, noise, lam = _model_inputs(args)
     model = risk.ModelSpec(args.n, args.tau, signal, noise, seed=args.seed)
-    lam = _sim_lambda(args.lam)
     constants = None
     if args.bounds:
         constants = _parse_constants(args.constants, noise, args.tau)
@@ -251,14 +231,11 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_rate(args) -> int:
-    _check_x0(args.x0)
-    signal = _build_signal(args)
-    noise = _NOISES[args.noise](args.scale)
+    signal, noise, lam = _model_inputs(args)
     try:
         grid = [int(v) for v in args.n_grid.split(",")]
     except ValueError as exc:
-        raise ValidationError(f"--n-grid: bad value {args.n_grid!r}") from exc
-    lam = _sim_lambda(args.lam)
+        raise ValueError(f"--n-grid: bad value {args.n_grid!r}") from exc
     reports = []
     for n in grid:
         model = risk.ModelSpec(n, args.tau, signal, noise, seed=args.seed)
@@ -354,7 +331,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ValidationError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import total_ordering
 from fractions import Fraction
 from numbers import Rational
 from typing import Union
@@ -79,30 +78,26 @@ class DiscreteInterval:
         return f"[{self.a}:{self.b}]"
 
 
-@total_ordering
+@dataclass(frozen=True, order=True, slots=True)
 class ExtendedValue:
     """A rational extended with -inf / +inf endpoints, totally ordered.
 
-    NegInf < every finite value < PosInf; finite values compare numerically.
-    Negation swaps the infinities.  No float sentinels are involved.
+    NegInf < every finite value < PosInf; finite values compare numerically,
+    since the order is that of the tuple (tag, value).  Negation swaps the
+    infinities.  No float sentinels are involved.
     """
 
-    __slots__ = ("tag", "value")
+    tag: int  # -1 -> NegInf, 0 -> finite, +1 -> PosInf
+    value: Fraction | None = None
 
-    # tag: -1 -> NegInf, 0 -> finite, +1 -> PosInf
-    def __init__(self, tag: int, value: Fraction | None = None):
-        if tag == 0:
-            if value is None:
+    def __post_init__(self) -> None:
+        if self.tag == 0:
+            if self.value is None:
                 raise ValueError("finite ExtendedValue needs a value")
-            object.__setattr__(self, "value", value)
-        else:
-            if tag not in (-1, 1):
-                raise ValueError("tag must be -1, 0 or +1")
+        elif self.tag in (-1, 1):
             object.__setattr__(self, "value", None)
-        object.__setattr__(self, "tag", tag)
-
-    def __setattr__(self, *_):  # immutability
-        raise AttributeError("ExtendedValue is immutable")
+        else:
+            raise ValueError("tag must be -1, 0 or +1")
 
     @classmethod
     def finite(cls, value) -> "ExtendedValue":
@@ -116,23 +111,6 @@ class ExtendedValue:
         if self.tag != 0:
             raise ValueError(f"{self} is not finite")
         return self.value
-
-    def _key(self):
-        # Lexicographic (tag, value) realises the total order.
-        return (self.tag, self.value if self.tag == 0 else 0)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ExtendedValue):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __lt__(self, other) -> bool:
-        if not isinstance(other, ExtendedValue):
-            return NotImplemented
-        return self._key() < other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
     def __neg__(self) -> "ExtendedValue":
         if self.tag == 0:

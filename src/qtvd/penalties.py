@@ -41,7 +41,6 @@ __all__ = [
     "PairwisePenalty",
     "FuzzReport",
     "NonCrossingReport",
-    "penalty_value",
     "submodularity_fuzz",
     "noncrossing_audit",
     "loss_linearity_check",
@@ -131,11 +130,6 @@ class PairwisePenalty:
         return total
 
 
-def penalty_value(penalty: PairwisePenalty, theta: Sequence):
-    """Exact P(theta); Absolute and Square are exact, Huber exact for rational delta."""
-    return penalty.value(tuple(_as_rational(v, "theta value") for v in theta))
-
-
 @dataclass(frozen=True)
 class FuzzReport:
     trials: int
@@ -143,20 +137,19 @@ class FuzzReport:
     first_violation: tuple | None  # (x, y) witnessing the first failure, if any
 
 
-def submodularity_fuzz(penalty: PairwisePenalty, trials: int, seed: int, n: int | None = None) -> FuzzReport:
+def submodularity_fuzz(penalty: PairwisePenalty, trials: int, seed: int) -> FuzzReport:
     """Sample pairs (x, y) and count failures of P(x)+P(y) >= P(x v y)+P(x ^ y).
 
     Coordinates are drawn from {-3,...,3} scaled by a random rational
     factor, so every evaluation and comparison is exact.  Expected zero
     violations for nonnegative-weight convex-kernel penalties.  The
-    sampling dimension defaults to the largest index the penalty touches.
+    sampling dimension is the largest index the penalty touches.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if n is None:
-        if not penalty.edges:
-            raise ValueError("penalty has no edges; pass n explicitly")
-        n = max(max(e.i, e.j) for e in penalty.edges)
+    if not penalty.edges:
+        raise ValueError("penalty has no edges")
+    n = max(max(e.i, e.j) for e in penalty.edges)
     rng = random.Random(seed)
     violations = 0
     first = None

@@ -218,30 +218,22 @@ class ConstantSignal:
 
 @dataclass(frozen=True)
 class HolderCusp:
-    """f(x) = norm * |x - x0|**alpha ("cusp"), the worst case at the monitored
-    point, or norm * x**alpha ("ramp"); both are alpha-smooth with norm `norm`."""
+    """f(x) = norm * |x - x0|**alpha, the worst alpha-smooth signal with norm
+    `norm` at the monitored point."""
 
     alpha: float
     norm: float = 1.0
     x0: float = 0.5
-    profile: str = "cusp"
 
     def __post_init__(self):
         if not 0 < self.alpha <= 1:
             raise ValueError("alpha must be in (0, 1]")
-        if self.profile not in ("cusp", "ramp"):
-            raise ValueError(f"unknown profile {self.profile!r}")
         _check_finite("norm", self.norm)
         _check_finite("x0", self.x0)
 
     def values(self, n: int) -> np.ndarray:
         x = np.arange(1, n + 1) / n
-        if self.profile == "cusp":
-            return self.norm * np.abs(x - self.x0) ** self.alpha
-        return self.norm * x**self.alpha
-
-    def local_radius(self, x0: float) -> float:
-        return min(x0, 1.0 - x0)
+        return self.norm * np.abs(x - self.x0) ** self.alpha
 
     def holder(self) -> tuple[float, float]:
         return self.alpha, self.norm
@@ -491,6 +483,8 @@ def lambda_star(n: int, alpha: float, holder_norm: float = 1.0, r0: float = 0.5)
         raise ValueError("n must be >= 2")
     if alpha <= 0:
         raise ValueError("alpha must be > 0")
+    if not 0 < holder_norm < math.inf:
+        raise ValueError(f"holder_norm must be finite and > 0, got {holder_norm}")
     if not 0 < r0 < math.inf:
         raise ValueError(f"r0 must be finite and > 0, got {r0}")
     logn = math.log(n)
@@ -530,8 +524,8 @@ class RiskReport:
         for err in self.errors:
             yield (self.seed, self.n, self.tau, self.lam, self.location, err)
 
-    def summary(self, include_runtime: bool = False) -> dict:
-        out = {
+    def summary(self) -> dict:
+        return {
             "schema": SCHEMA_VERSION,
             "n": self.n,
             "tau": self.tau,
@@ -546,9 +540,6 @@ class RiskReport:
             "coverage": self.coverage,
             "certificate_failures": self.certificate_failures,
         }
-        if include_runtime:
-            out["runtime_seconds"] = self.runtime_seconds
-        return out
 
 
 def resolve_lambda(model: ModelSpec, lam, x0: float) -> float:

@@ -49,6 +49,16 @@ class TestInput:
     def test_bad_tau_exits_2(self, y_file):
         assert run(["fit", "--input", y_file, "--tau", "3/2", "--lambda", "1"]) == 2
 
+    @pytest.mark.parametrize("command", ["fit", "envelope", "certify", "audit"])
+    @pytest.mark.parametrize("option", ["--tau", "--lambda"])
+    def test_unparsable_level_or_penalty_exits_2(self, command, option, y_file, capsys):
+        args = [command, "--input", y_file, "--tau", "1/2", "--lambda", "1"]
+        args[args.index(option) + 1] = "abc"
+        if command == "certify":
+            args += ["--theta", y_file]
+        assert run(args) == 2
+        assert f"error: {option}: could not parse 'abc'" in capsys.readouterr().err
+
 
 class TestFitEnvelopeCertify:
     def test_envelope_matches_oracle(self, y_file, capsys):
@@ -170,6 +180,13 @@ class TestSimulateRate:
     def test_star_needs_valid_signal_params(self, tmp_path):
         assert run(["simulate", "--n", "64", "--reps", "2", "--signal", "pwc",
                     "--lambda", "star", "--output", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize("norm", ["0", "-1"])
+    def test_star_needs_positive_cusp_norm(self, norm, tmp_path, capsys):
+        assert run(["simulate", "--n", "64", "--reps", "2", "--signal", "cusp", "--L0", norm,
+                    "--lambda", "star", "--output", str(tmp_path / "x")]) == 2
+        assert "error: holder_norm must be finite and > 0" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
 
     @pytest.mark.parametrize("command", ["simulate", "rate"])
     def test_bad_lambda_text_exits_2(self, command, tmp_path, capsys):

@@ -11,7 +11,6 @@ from qtvd.penalties import (
     Square,
     loss_linearity_check,
     noncrossing_audit,
-    penalty_value,
     quantile_loss_sum,
     submodularity_fuzz,
 )
@@ -25,17 +24,17 @@ class TestPenaltyValue:
         theta = (F(1), F(4), F(2), F(2))
         pen = PairwisePenalty.chain(4)
         tv = sum(abs(theta[k + 1] - theta[k]) for k in range(3))
-        assert penalty_value(pen, theta) == tv
+        assert pen.value(theta) == tv
 
     def test_constant_vector_costs_nothing(self):
         theta = (F(3, 2),) * 5
         for kernel in (Absolute(), Square(), Huber(F(1))):
             pen = PairwisePenalty.chain(5, weight=F(2), kernel=kernel)
-            assert penalty_value(pen, theta) == 0
+            assert pen.value(theta) == 0
 
     def test_single_square_edge(self):
         pen = PairwisePenalty((Edge(1, 3, F(2), Square()),))
-        assert penalty_value(pen, (F(1), F(0), F(4))) == 18
+        assert pen.value((F(1), F(0), F(4))) == 18
 
     def test_huber_matches_piecewise_formula(self):
         hub = Huber(F(2))
@@ -46,7 +45,7 @@ class TestPenaltyValue:
     def test_index_out_of_range(self):
         pen = PairwisePenalty((Edge(1, 4, F(1), Absolute()),))
         with pytest.raises(IndexError):
-            penalty_value(pen, (F(0), F(0)))
+            pen.value((F(0), F(0)))
 
     def test_negative_weight_needs_unchecked(self):
         with pytest.raises(ValueError):
@@ -74,7 +73,7 @@ class TestSubmodularityFuzz:
         rng = random.Random(1)
         for _ in range(100):
             x = tuple(F(rng.randint(-3, 3)) for _ in range(3))
-            assert pen.value(x) + pen.value(x) >= pen.value(x) + pen.value(x)
+            assert pen.value(lattice_join(x, x)) + pen.value(lattice_meet(x, x)) == 2 * pen.value(x)
 
     def test_planted_negative_weight_is_caught(self):
         bad = PairwisePenalty((Edge(1, 2, F(-1), Absolute()),), unchecked=True)
@@ -88,6 +87,8 @@ class TestSubmodularityFuzz:
     def test_trials_validated(self):
         with pytest.raises(ValueError):
             submodularity_fuzz(PairwisePenalty.chain(2), trials=0, seed=0)
+        with pytest.raises(ValueError, match="no edges"):
+            submodularity_fuzz(PairwisePenalty(()), trials=1, seed=0)
 
 
 class TestNonCrossingAudit:
