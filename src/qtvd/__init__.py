@@ -13,8 +13,6 @@ from .intervals import (
     NEG_INF,
     POS_INF,
     boundary_constant,
-    ceil_index,
-    floor_index,
 )
 from .solver import (
     DualCertificate,
@@ -41,13 +39,11 @@ __all__ = [
     "NEG_INF",
     "POS_INF",
     "boundary_constant",
-    "ceil_index",
     "certify",
     "certify_float",
     "envelope",
     "fit",
     "fit_float",
-    "floor_index",
     "lattice_join",
     "lattice_meet",
     "lower_envelope_at",

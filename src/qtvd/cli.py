@@ -141,6 +141,7 @@ def _cmd_certify(args) -> int:
 
 def _cmd_audit(args) -> int:
     y, tau1, lam = _exact_inputs(args)
+    inst = solver.Instance(tuple(y), tau1, lam)  # every check runs on a valid instance
     checks = [c.strip() for c in args.checks.split(",") if c.strip()]
     unknown = set(checks) - {"noncross", "lattice", "submodular"}
     if unknown:
@@ -155,7 +156,6 @@ def _cmd_audit(args) -> int:
         doc["noncross"] = {"ok": report.ok, "worst_gap": str(report.worst_gap)}
         ok = ok and report.ok
     if "lattice" in checks:
-        inst = solver.Instance(tuple(y), tau1, lam)
         lower = solver.fit(inst, "lower").theta
         upper = solver.fit(inst, "upper").theta
         join_ok = solver.certify(solver.lattice_join(lower, upper), inst) is not None

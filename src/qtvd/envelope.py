@@ -19,12 +19,18 @@ early exit is applied.  The boundary constant only depends on which
 endpoints I shares with J and on whether J touches 1 or n
 (`qtvd.intervals._c2`), so each side needs five selected-rank tables,
 one per constant, holding for every interval [a:b] the rank of its
-selected order statistic.  They are built once per call.  At location
-i, the outer intervals J form an i x (n-i+1) block; the inner maximum
-over each of the four sharing classes of I is a running maximum over
-that block, and U_i is the minimum of their elementwise maximum.  L_i
-is the same kernel applied to the negated lower-side tables.  Work is
-O(n^2) per location on numpy arrays, O(n^3) for the whole envelope.
+selected order statistic.  They are built once per call, sorting the
+windows of each length once for both sides; the selection indices are
+floor/ceil of the adjusted levels taken on the integer lattice
+`solver._lattice`, so no Fraction is floored.  Each of the four sharing
+classes of I then reads one table: that of an interior J, with the row
+of J touching 1 and the column of J touching n patched in from the
+tables `_c2` names there.  At location i, the outer intervals J form an
+i x (n-i+1) block of each class table; the inner maximum over a class
+is a running maximum along the ends I does not share (2, 1, 1 and 0
+passes), and U_i is the minimum of the four terms' elementwise maximum.
+L_i is the same kernel applied to the negated lower-side tables.  Work
+is O(n^2) per location on numpy arrays, O(n^3) for the whole envelope.
 
 Arithmetic is exact end to end.  Values are mapped to ranks in the
 sorted distinct-value list, the enumeration runs on int64 ranks, and
@@ -39,21 +45,15 @@ inputs out (the chain solver covers large n).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .intervals import (
-    ExtendedValue,
-    NEG_INF,
-    POS_INF,
-    _as_rational,
-    _c2,
-    ceil_index,
-    floor_index,
-)
+from .intervals import ExtendedValue, NEG_INF, POS_INF, _as_rational, _c2
+from .solver import _lattice
 
 __all__ = [
     "Envelope",
@@ -110,31 +110,31 @@ class _RankTables:
         rank_of = {v: r for r, v in enumerate(self.uniq)}
         self.ranks = np.array([rank_of[v] for v in y], dtype=np.int64)
 
-    def tables(self, side: str) -> np.ndarray:
-        """tables[c2 + 2][a-1, b-1]: rank of the selected order statistic of y_a..y_b.
+    def tables(self, *sides: str) -> tuple:
+        """Per side, tables[c2 + 2][a-1, b-1]: rank of the selected order statistic of y_a..y_b.
 
         c2 is twice the boundary constant.  The upper side selects index
         floor(tau*m - lam*c2) + 1 and the lower side ceil(tau*m + lam*c2),
-        m = b - a + 1.  Rank -1 stands for -inf and len(uniq) for +inf.
+        m = b - a + 1, both clipped to [0, m+1], where each sorted window
+        is padded with rank -1 (-inf) and len(uniq) (+inf).  The sides
+        share one sort per window length.
         """
-        n, tau, lam = self.n, self.tau, self.lam
-        tables = np.zeros((5, n, n), dtype=np.int64)
+        n = self.n
+        unit, tau, lam = _lattice(self.tau, self.lam)
+        out = tuple(np.zeros((5, n * n), dtype=np.int64) for _ in sides)
         for m in range(1, n + 1):
-            windows = np.sort(sliding_window_view(self.ranks, m), axis=1)
-            a = np.arange(n - m + 1)
-            for c2 in range(-2, 3):
-                if side == "upper":
-                    k = floor_index(tau * m - lam * c2) + 1
-                else:
-                    k = ceil_index(tau * m + lam * c2)
-                if k <= 0:
-                    rank = -1
-                elif k > m:
-                    rank = len(self.uniq)
-                else:
-                    rank = windows[:, k - 1]
-                tables[c2 + 2, a, a + m - 1] = rank
-        return tables
+            windows = np.empty((n - m + 1, m + 2), dtype=np.int64)
+            windows[:, 0], windows[:, -1] = -1, len(self.uniq)
+            windows[:, 1:-1] = np.sort(sliding_window_view(self.ranks, m), axis=1)
+            for side, tables in zip(sides, out):
+                for c2 in range(-2, 3):
+                    if side == "upper":
+                        k = (tau * m - lam * c2) // unit + 1
+                    else:
+                        k = -((-tau * m - lam * c2) // unit)
+                    # [a-1, a+m-2] for a = 1..n-m+1 is every (n+1)-th flat entry from m-1
+                    tables[c2 + 2, m - 1 :: n + 1][: n - m + 1] = windows[:, min(max(k, 0), m + 1)]
+        return tuple(tables.reshape(5, n, n) for tables in out)
 
     def check_location(self, i: int) -> None:
         if not 1 <= i <= self.n:
@@ -150,46 +150,60 @@ class _RankTables:
 
 def _strictly_before(x: np.ndarray, axis: int) -> np.ndarray:
     """out[.., k, ..] = max of x over indices < k along `axis`; _EMPTY where there are none."""
-    out = np.roll(np.maximum.accumulate(x, axis=axis), 1, axis=axis)
-    out.swapaxes(0, axis)[0] = _EMPTY
+    out = np.empty_like(x)
+    head, body = out.swapaxes(0, axis), x.swapaxes(0, axis)
+    head[0] = _EMPTY
+    np.maximum.accumulate(body[:-1], axis=0, out=head[1:])
     return out
 
 
-def _min_max(tables: np.ndarray, i: int) -> int:
-    """min over J containing i of max over I <= J containing i of tables[class(I, J)][I].
+def _class_tables(tables: np.ndarray) -> list:
+    """(shares_left, shares_right, table) per sharing class of I in J = [a:b].
 
-    The block view puts J = [i-p : i+q] at [:, p, q], so an inner I that
-    does not share J's left (right) endpoint sits strictly before J along
-    axis 1 (2).  Each of the four sharing classes becomes one running-maximum
-    term; the table it reads is chosen per J by `_c2`, and only the last
-    row (J touches 1) and the last column (J touches n) can differ.
+    table[a-1, b-1] is tables[c2 + 2][a-1, b-1] with c2 from `_c2` for J
+    touching 1 (row 0) or n (last column).  A class that avoids J's left
+    (right) end ignores that flag, and a class that shares it inherits it
+    from J, so the table is exact for every I of the class inside any J.
     """
-    n = tables.shape[1]
-    blocks = tables[:, i - 1 :: -1, i - 1 :]
-    inner = np.full(blocks.shape[1:], _EMPTY)
+    classes = []
     for shares_left, shares_right in product((False, True), repeat=2):
-        terms = blocks
+        c2 = partial(_c2, shares_left, shares_right)  # (at_first, at_last) -> c2
+        table = tables[c2(False, False) + 2].copy()
+        table[0] = tables[c2(True, False) + 2, 0]
+        table[:, -1] = tables[c2(False, True) + 2, :, -1]
+        table[0, -1] = tables[c2(True, True) + 2, 0, -1]
+        classes.append((shares_left, shares_right, table))
+    return classes
+
+
+def _min_max(classes: list, i: int) -> int:
+    """min over J containing i of max over I <= J containing i of the class table at I.
+
+    The block view puts J = [i-p : i+q] at [p, q], so an inner I that does
+    not share J's left (right) endpoint sits strictly before J along axis 0
+    (1): a running maximum per unshared end, 2, 1, 1 and 0 passes for the
+    four classes.
+    """
+    inner = None
+    for shares_left, shares_right, table in classes:
+        term = table[i - 1 :: -1, i - 1 :]
         if not shares_left:
-            terms = _strictly_before(terms, 1)
+            term = _strictly_before(term, 0)
         if not shares_right:
-            terms = _strictly_before(terms, 2)
-        for at_first, at_last in product((False, True), repeat=2):
-            rows = slice(i - 1, None) if at_first else slice(0, i - 1)
-            cols = slice(n - i, None) if at_last else slice(0, n - i)
-            term = terms[_c2(shares_left, shares_right, at_first, at_last) + 2, rows, cols]
-            np.maximum(inner[rows, cols], term, out=inner[rows, cols])
+            term = _strictly_before(term, 1)
+        inner = term if inner is None else np.maximum(inner, term)
     return int(inner.min())
 
 
 def envelope(y: Sequence, tau, lam, *, allow_large_n: bool = False) -> Envelope:
     """Both envelope vectors, sharing one set of rank tables across locations."""
     ranked = _RankTables(y, tau, lam, allow_large_n)
-    upper_tables = ranked.tables("upper")
-    neg_lower_tables = -ranked.tables("lower")
+    upper, lower = ranked.tables("upper", "lower")
+    upper, neg_lower = _class_tables(upper), _class_tables(np.negative(lower, out=lower))
     locations = range(1, ranked.n + 1)
     return Envelope(
-        lower=tuple(ranked.to_extended(-_min_max(neg_lower_tables, i)) for i in locations),
-        upper=tuple(ranked.to_extended(_min_max(upper_tables, i)) for i in locations),
+        lower=tuple(ranked.to_extended(-_min_max(neg_lower, i)) for i in locations),
+        upper=tuple(ranked.to_extended(_min_max(upper, i)) for i in locations),
     )
 
 
@@ -197,14 +211,16 @@ def upper_envelope_at(y: Sequence, tau, lam, i: int, *, allow_large_n: bool = Fa
     """Exact upper envelope value U_i; finite and a data value for tau in (0,1)."""
     ranked = _RankTables(y, tau, lam, allow_large_n)
     ranked.check_location(i)
-    return ranked.to_extended(_min_max(ranked.tables("upper"), i))
+    (upper,) = ranked.tables("upper")
+    return ranked.to_extended(_min_max(_class_tables(upper), i))
 
 
 def lower_envelope_at(y: Sequence, tau, lam, i: int, *, allow_large_n: bool = False) -> ExtendedValue:
     """Exact lower envelope value L_i; mirrors `upper_envelope_at`."""
     ranked = _RankTables(y, tau, lam, allow_large_n)
     ranked.check_location(i)
-    return ranked.to_extended(-_min_max(-ranked.tables("lower"), i))
+    (lower,) = ranked.tables("lower")
+    return ranked.to_extended(-_min_max(_class_tables(np.negative(lower, out=lower)), i))
 
 
 def reflection_check(y: Sequence, tau, lam, *, allow_large_n: bool = False) -> bool:

@@ -2,10 +2,10 @@
 
 Building blocks for the exact solution-set formulas of quantile total
 variation denoising.  Everything here is exact: data values, quantile
-levels, and the tuning parameter are rationals, and floor/ceil are taken
-on rationals, never on floats.  The integer-boundary case (an adjusted
-level landing exactly on an integer) changes which order statistic the
-formulas select, so silent float rounding would corrupt results.
+levels, and the tuning parameter are rationals, never floats.  The
+integer-boundary case (an adjusted level landing exactly on an integer)
+changes which order statistic the formulas select, so silent float
+rounding would corrupt results.
 
 The formulas select extended order statistics
 
@@ -15,21 +15,17 @@ The formulas select extended order statistics
 
 at the adjusted levels u = tau*|I| - 2*lam*C_{I,J} and
 l = tau*|I| + 2*lam*C_{I,J} of a nested pair I <= J.  Both are
-evaluated in one place, the rank tables of `qtvd.envelope`; this module
-supplies their pieces: `ExtendedValue` for the +-inf results, the
-boundary constant C_{I,J}, and exact floor/ceil.  All functions are
-pure and all values immutable.
+evaluated in one place, the rank tables of `qtvd.envelope`, which take
+floor and ceil on integers scaled to the lattice of tau and lam; this
+module supplies the other pieces: `ExtendedValue` for the +-inf results
+and the boundary constant C_{I,J}.  All functions are pure and all
+values immutable.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
-from typing import Union
-
-RationalLike = Union[int, Fraction]
 
 __all__ = [
     "DiscreteInterval",
@@ -37,8 +33,6 @@ __all__ = [
     "NEG_INF",
     "POS_INF",
     "boundary_constant",
-    "floor_index",
-    "ceil_index",
 ]
 
 
@@ -150,16 +144,3 @@ def boundary_constant(I: DiscreteInterval, J: DiscreteInterval, n: int) -> Fract
         raise ValueError(f"I={I} is not a subinterval of J={J}")
     return Fraction(_c2(I.a == J.a, I.b == J.b, J.a == 1, J.b == n), 2)
 
-
-def floor_index(x: RationalLike) -> int:
-    """Exact floor of a rational; floats are rejected."""
-    if not isinstance(x, Rational):
-        raise TypeError(f"floor_index needs a rational, got {type(x).__name__}")
-    return math.floor(x)
-
-
-def ceil_index(x: RationalLike) -> int:
-    """Exact ceiling of a rational; floats are rejected."""
-    if not isinstance(x, Rational):
-        raise TypeError(f"ceil_index needs a rational, got {type(x).__name__}")
-    return math.ceil(x)

@@ -135,6 +135,18 @@ class TestAudit:
                     "--lambda", "1/2", "--checks", "noncross"]) == 3
         assert json.loads(capsys.readouterr().out)["ok"] is False
 
+    @pytest.mark.parametrize("check", ["noncross", "lattice", "submodular"])
+    @pytest.mark.parametrize("option, value", [("--tau", "3/2"), ("--lambda", "-1")])
+    def test_invalid_level_or_penalty_exits_2_for_every_check(self, check, option, value, y_file, tmp_path, capsys):
+        out = tmp_path / "audit.json"
+        args = ["audit", "--input", y_file, "--tau", "1/4", "--tau2", "3/4", "--lambda", "1/2",
+                "--checks", check, "--trials", "5", "--output", str(out)]
+        args[args.index(option) + 1] = value
+        assert run(args) == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and captured.out == ""
+        assert not out.exists()
+
     def test_unknown_check_rejected(self, y_file):
         assert run(["audit", "--input", y_file, "--tau", "1/4", "--lambda", "1/2",
                     "--checks", "sorcery"]) == 2

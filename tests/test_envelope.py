@@ -106,6 +106,19 @@ class TestAgainstNaiveEnumeration:
                 assert plain(env.lower) == ref_l
                 assert plain(env.upper) == ref_u
 
+    @pytest.mark.parametrize("tau", [F(1, 2), F(1, 10**20 + 1)])
+    @pytest.mark.parametrize("lam", [F(10**30), F(10**25, 3)])
+    def test_matches_literal_formula_on_a_huge_lattice(self, lam, tau):
+        # tau*D*m and lam*D*c2 are far past int64, so the selection indices must stay Python ints
+        rng = random.Random(125)
+        for n in range(1, 6):
+            for _ in range(3):
+                y = tuple(F(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(n))
+                env = envelope(y, tau, lam)
+                ref_l, ref_u = naive_envelope(y, tau, lam)
+                assert plain(env.lower) == ref_l
+                assert plain(env.upper) == ref_u
+
 
 class TestStructure:
     def test_sandwich_and_attainment(self):
@@ -126,6 +139,15 @@ class TestStructure:
         env = envelope(inst.y, inst.tau, inst.lam, allow_large_n=True)
         assert finite(env.lower) == fit(inst, "lower").theta
         assert finite(env.upper) == fit(inst, "upper").theta
+
+    def test_one_side_queries_match_the_two_side_build(self):
+        rng = random.Random(126)
+        for _ in range(30):
+            inst = random_instance(rng, 20)
+            env = envelope(inst.y, inst.tau, inst.lam)
+            for i in range(1, inst.n + 1):
+                assert upper_envelope_at(inst.y, inst.tau, inst.lam, i) == env.upper[i - 1]
+                assert lower_envelope_at(inst.y, inst.tau, inst.lam, i) == env.lower[i - 1]
 
     def test_membership_in_data_multiset(self):
         rng = random.Random(8)
