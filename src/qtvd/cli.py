@@ -54,13 +54,17 @@ def _read_values(path: str) -> list[Fraction]:
         rows = rows[1:]
         if not rows:
             raise ValueError(f"{path}: header only, no data values")
+    parsed: dict[str, Fraction] = {}  # parse each distinct text once: fitted theta files repeat few levels
     values = []
     for no, text in rows:
         text = text.rstrip(",")
-        try:
-            values.append(Fraction(text))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"{path}:{no}: could not parse {text!r}") from exc
+        value = parsed.get(text)
+        if value is None:
+            try:
+                value = parsed[text] = Fraction(text)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ValueError(f"{path}:{no}: could not parse {text!r}") from exc
+        values.append(value)
     return values
 
 
@@ -143,7 +147,10 @@ def _cmd_audit(args) -> int:
     y, tau1, lam = _exact_inputs(args)
     inst = solver.Instance(tuple(y), tau1, lam)  # every check runs on a valid instance
     checks = [c.strip() for c in args.checks.split(",") if c.strip()]
-    unknown = set(checks) - {"noncross", "lattice", "submodular"}
+    known = ("noncross", "lattice", "submodular")
+    if not checks:  # an audit that runs no check must not report ok
+        raise ValueError(f"--checks names no check (choose from {', '.join(known)})")
+    unknown = set(checks) - set(known)
     if unknown:
         raise ValueError(f"unknown audit checks: {sorted(unknown)}")
     doc: dict = {}

@@ -20,7 +20,8 @@ linear dependence of the quantile loss on its level:
 The audit runs on chain penalties, where the exact solver applies; for
 non-chain graphs only the submodularity test is exposed.  All functions
 are pure; fuzz trials use one seeded generator and are reported
-deterministically.
+deterministically.  The fuzzer draws integers and sums the submodularity
+gap over the edges where x and y cross, with each edge's kernel memoised.
 """
 
 from __future__ import annotations
@@ -28,10 +29,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Sequence
 
 from .intervals import _as_rational
-from .solver import Instance, fit, lattice_join, lattice_meet
+from .solver import Instance, fit
 
 __all__ = [
     "Absolute",
@@ -140,28 +142,43 @@ class FuzzReport:
 def submodularity_fuzz(penalty: PairwisePenalty, trials: int, seed: int) -> FuzzReport:
     """Sample pairs (x, y) and count failures of P(x)+P(y) >= P(x v y)+P(x ^ y).
 
-    Coordinates are drawn from {-3,...,3} scaled by a random rational
-    factor, so every evaluation and comparison is exact.  Expected zero
-    violations for nonnegative-weight convex-kernel penalties.  The
-    sampling dimension is the largest index the penalty touches.
+    Each trial draws p, q in {1,...,5} and integers kx, ky in {-3,...,3}^n,
+    n the largest index the penalty touches, and sets x = kx*p/q, y = ky*p/q,
+    so every evaluation and comparison is exact.  Expected zero violations
+    for nonnegative-weight convex-kernel penalties.  The gap is summed edge
+    by edge: an edge (i, j) with (x_i - y_i) * (x_j - y_j) >= 0 has x v y and
+    x ^ y equal to x and y on its ends and adds 0; any other edge has join
+    and meet differences x_i - y_j and y_i - x_j.  Each difference is m*p/q,
+    so each edge memoises its kernel values by (p*m, q).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if not penalty.edges:
         raise ValueError("penalty has no edges")
     n = max(max(e.i, e.j) for e in penalty.edges)
+    for e in penalty.edges:  # n is the largest index, so only an index below 1 is out of range
+        if min(e.i, e.j) < 1:
+            raise IndexError(f"edge ({e.i},{e.j}) out of range for length {n}")
+    # One memo per edge, keyed by ints: its kernel runs once per distinct num/den and need not hash.
+    terms = [(e.i - 1, e.j - 1, e.weight, cache(lambda num, den, phi=e.kernel: phi(Fraction(num, den))))
+             for e in penalty.edges]
     rng = random.Random(seed)
     violations = 0
     first = None
     for _ in range(trials):
-        scale = Fraction(rng.randint(1, 5), rng.randint(1, 5))
-        x = tuple(scale * rng.randint(-3, 3) for _ in range(n))
-        y = tuple(scale * rng.randint(-3, 3) for _ in range(n))
-        join, meet = lattice_join(x, y), lattice_meet(x, y)
-        if penalty.value(x) + penalty.value(y) < penalty.value(join) + penalty.value(meet):
+        p, q = rng.randint(1, 5), rng.randint(1, 5)
+        kx = [rng.randint(-3, 3) for _ in range(n)]
+        ky = [rng.randint(-3, 3) for _ in range(n)]
+        gap = 0
+        for i, j, weight, phi in terms:
+            a, b, c, d = kx[i], kx[j], ky[i], ky[j]
+            if (a - c) * (b - d) < 0:
+                gap += weight * (phi(p * (a - b), q) + phi(p * (c - d), q) - phi(p * (a - d), q) - phi(p * (c - b), q))
+        if gap < 0:
             violations += 1
             if first is None:
-                first = (x, y)
+                scale = Fraction(p, q)
+                first = (tuple(scale * k for k in kx), tuple(scale * k for k in ky))
     return FuzzReport(trials=trials, violations=violations, first_violation=first)
 
 

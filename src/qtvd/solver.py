@@ -54,8 +54,9 @@ the kernel on the joint ranks of y and theta, with box ends -tau*D,
 D - tau*D and +-lam*D, on int64.  Every stored quantity is bounded by
 2*n*D + lam*D in absolute value; when that bound does not fit in int64,
 the same kernel runs on object arrays of Python ints.  The witness
-becomes Fractions z/D only at the end.  `certify_float` runs the kernel
-on float64 with unit 1 and tolerances; the two differ in nothing else.
+becomes Fractions only at the end, one Fraction v/D per distinct level v
+of g and z.  `certify_float` runs the kernel on float64 with unit 1 and
+tolerances; the two differ in nothing else.
 `objective_value` sums the loss and the total variation as Python ints,
 y and theta scaled by the lcm of their denominators, and builds one
 Fraction.
@@ -355,10 +356,9 @@ def certify(theta: Sequence, inst: Instance) -> Optional[DualCertificate]:
     g = z[:-1] - z[1:]
     if (z > hi).any() or (g > g_hi).any():
         raise AssertionError("backward selection left an empty interval")
-    return DualCertificate(
-        g=tuple(Fraction(v, one) for v in g.tolist()),
-        z=tuple(Fraction(v, one) for v in z.tolist()),
-    )
+    g, z = g.tolist(), z.tolist()
+    level = {v: Fraction(v, one) for v in {*g, *z}}
+    return DualCertificate(g=tuple(level[v] for v in g), z=tuple(level[v] for v in z))
 
 
 def certify_float(y: Sequence, theta: Sequence, tau: float, lam: float, tol: float = 1e-8) -> bool:

@@ -204,3 +204,25 @@ def naive_center_bounds(theta_star, tau, lam, constants, i):
         if best_l is None or l > best_l:
             best_l = l
     return best_l, best_u
+
+
+def naive_submodularity_fuzz(penalty, trials, seed):
+    """(violations, first_violation) of the literal fuzz loop: whole penalties at x, y, x v y and x ^ y.
+
+    Draws the same stream as `qtvd.penalties.submodularity_fuzz` and
+    evaluates each point with `penalty.value`.
+    """
+    n = max(max(e.i, e.j) for e in penalty.edges)
+    rng = random.Random(seed)
+    violations = 0
+    first = None
+    for _ in range(trials):
+        scale = Fraction(rng.randint(1, 5), rng.randint(1, 5))
+        x = tuple(scale * rng.randint(-3, 3) for _ in range(n))
+        y = tuple(scale * rng.randint(-3, 3) for _ in range(n))
+        join, meet = tuple(map(max, x, y)), tuple(map(min, x, y))
+        if penalty.value(x) + penalty.value(y) < penalty.value(join) + penalty.value(meet):
+            violations += 1
+            if first is None:
+                first = (x, y)
+    return violations, first

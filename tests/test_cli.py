@@ -43,6 +43,25 @@ class TestInput:
         assert run(["fit", "--input", bad, "--tau", "1/2", "--lambda", "1"]) == 2
         assert "bad.txt:2" in capsys.readouterr().err
 
+    def test_repeated_texts_parse_like_fresh_ones(self, tmp_path):
+        lines = ["1/2", "2/4", "0.5", "-3", "1/2", "3/4", "-3", "0.5", "2/4", "3/4", "1/2"]
+        values = cli._read_values(write(tmp_path / "rep.txt", "\n".join(lines) + "\n"))
+        expected = [F(t) for t in lines]
+        assert len(values) == len(expected)
+        for got, want in zip(values, expected):
+            assert type(got) is Fraction and got == want
+
+    def test_malformed_line_after_repeats_names_its_line(self, tmp_path, capsys):
+        bad = write(tmp_path / "bad.txt", "1/2\n1/2\n3\n1/2\n3\n1/x\n1/2\n")
+        assert run(["fit", "--input", bad, "--tau", "1/2", "--lambda", "1"]) == 2
+        assert "bad.txt:6: could not parse '1/x'" in capsys.readouterr().err
+
+    def test_repeated_malformed_text_names_its_first_line(self, tmp_path, capsys):
+        bad = write(tmp_path / "bad.txt", "1\n2\noops\n1\noops\noops\n")
+        assert run(["fit", "--input", bad, "--tau", "1/2", "--lambda", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "bad.txt:3: could not parse 'oops'" in err and "bad.txt:5" not in err
+
     def test_missing_file_exits_2(self, tmp_path):
         assert run(["fit", "--input", str(tmp_path / "nope"), "--tau", "1/2", "--lambda", "1"]) == 2
 
@@ -145,6 +164,16 @@ class TestAudit:
         assert run(args) == 2
         captured = capsys.readouterr()
         assert "error:" in captured.err and captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("checks", ["", ",,", " , "])
+    def test_empty_check_list_exits_2(self, checks, y_file, tmp_path, capsys):
+        out = tmp_path / "audit.json"
+        assert run(["audit", "--input", y_file, "--tau", "1/2", "--lambda", "1",
+                    "--checks", checks, "--output", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and captured.out == ""
+        assert all(name in captured.err for name in ("noncross", "lattice", "submodular"))
         assert not out.exists()
 
     def test_unknown_check_rejected(self, y_file):

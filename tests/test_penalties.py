@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import naive_submodularity_fuzz
+
 from qtvd.penalties import (
     Absolute,
     Edge,
@@ -57,15 +59,31 @@ class TestPenaltyValue:
             Edge(2, 2, F(1), Absolute())
 
 
+MIXED_EDGES = (
+    Edge(1, 2, F(1), Absolute()),
+    Edge(2, 3, F(1, 2), Square()),
+    Edge(1, 4, F(2), Huber(F(1))),
+    Edge(3, 4, F(1, 3), Absolute()),
+)
+
+FUZZ_PENALTIES = {
+    "chain-absolute": PairwisePenalty.chain(5),
+    "chain-square": PairwisePenalty.chain(5, kernel=Square()),
+    "chain-huber-1": PairwisePenalty.chain(5, kernel=Huber(F(1))),
+    "chain-huber-half": PairwisePenalty.chain(5, kernel=Huber(F(1, 2))),
+    "mixed": PairwisePenalty(MIXED_EDGES),
+    "reversed-edge": PairwisePenalty((Edge(2, 1, F(3, 2), Huber(F(1, 2))), Edge(3, 2, F(1), Square()))),
+    "planted-negative": PairwisePenalty(
+        (Edge(1, 2, F(-1), Absolute()), Edge(2, 3, F(1, 2), Square()), Edge(3, 1, F(-2, 3), Square())),
+        unchecked=True,
+    ),
+    "non-convex-kernel": PairwisePenalty.chain(4, kernel=lambda x: -abs(x)),
+}
+
+
 class TestSubmodularityFuzz:
     def test_family_has_no_violations(self):
-        edges = (
-            Edge(1, 2, F(1), Absolute()),
-            Edge(2, 3, F(1, 2), Square()),
-            Edge(1, 4, F(2), Huber(F(1))),
-            Edge(3, 4, F(1, 3), Absolute()),
-        )
-        rep = submodularity_fuzz(PairwisePenalty(edges), trials=1500, seed=0)
+        rep = submodularity_fuzz(PairwisePenalty(MIXED_EDGES), trials=1500, seed=0)
         assert rep.violations == 0 and rep.first_violation is None
 
     def test_equal_arguments_never_violate(self):
@@ -83,6 +101,21 @@ class TestSubmodularityFuzz:
         assert bad.value(x) + bad.value(y) < bad.value(
             tuple(map(max, x, y))
         ) + bad.value(tuple(map(min, x, y)))
+
+    @pytest.mark.parametrize("name", FUZZ_PENALTIES)
+    def test_matches_literal_loop(self, name):
+        pen = FUZZ_PENALTIES[name]
+        total = 0
+        for seed in range(20):
+            rep = submodularity_fuzz(pen, trials=50, seed=seed)
+            assert (rep.violations, rep.first_violation) == naive_submodularity_fuzz(pen, 50, seed), seed
+            total += rep.violations
+        if name in ("planted-negative", "non-convex-kernel"):
+            assert total > 0
+
+    def test_edge_index_below_one_raises(self):
+        with pytest.raises(IndexError, match=r"edge \(0,1\) out of range"):
+            submodularity_fuzz(PairwisePenalty((Edge(0, 1, 1, Absolute()),)), trials=1, seed=0)
 
     def test_trials_validated(self):
         with pytest.raises(ValueError):
