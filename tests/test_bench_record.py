@@ -45,3 +45,50 @@ def test_flags_incorrect_or_more_failed_runs():
     old = _record([1.0] * 5, [40.0] * 3)
     assert bench_record.diff(old, _record([1.0] * 5, [40.0] * 3, correct=False), SPEC)[1] == 1
     assert bench_record.diff(old, _record([1.0] * 5, [40.0] * 3, failed_frac=0.01), SPEC)[1] == 1
+
+
+def _run(**values):
+    return {"correct": True, "failed": 0, "metrics": {k: {"value": v, "unit": "s"} for k, v in values.items()}}
+
+
+AB_METRICS = [{"name": "job_s", "unit": "s", "better": "lower", "bound": 0.2},
+              {"name": "hits", "unit": "count", "better": "higher", "bound": 0.2}]
+
+
+def test_pairs_report_ratios_wins_and_gain():
+    base = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]
+    pairs = [(seed, _run(job_s=b, hits=5), _run(job_s=0.8 * b, hits=5)) for seed, b in enumerate(base)]
+    lines, out = bench_record.compare_pairs(pairs, AB_METRICS)
+    job = out["job_s"]
+    assert (job["pairs"], job["wins"], job["gain"]) == (10, 10, True)
+    assert job["median_ratio"] == pytest.approx(0.8)
+    assert job["base"]["median"] == pytest.approx(1.0) and job["change"]["median"] == pytest.approx(0.8)
+    assert (out["hits"]["wins"], out["hits"]["gain"]) == (0, False)  # ties count for neither side
+    assert any(line.startswith("job_s [s]:") and "wins 10/10; GAIN" in line for line in lines)
+    assert any(line.startswith("  pair ratios: s0 0.8, s1 0.8,") for line in lines)
+
+
+@pytest.mark.parametrize("change, wins, gain", [
+    ([0.8] * 8 + [1.2] * 2, 8, False),  # 8/10 wins is short of 9/10
+    ([0.99] * 10, 10, False),  # every pair won, but by less than the base IQR
+    ([0.8] * 9 + [1.2], 9, True),
+])
+def test_gain_needs_nine_tenths_of_pairs_and_more_than_the_base_iqr(change, wins, gain):
+    base = [1.0, 1.1, 0.9, 1.05, 0.95, 1.0, 1.1, 0.9, 1.05, 0.95]
+    pairs = [(s, _run(job_s=b), _run(job_s=c * b)) for s, (b, c) in enumerate(zip(base, change))]
+    out = bench_record.compare_pairs(pairs, AB_METRICS[:1])[1]["job_s"]
+    assert (out["wins"], out["gain"]) == (wins, gain)
+
+
+def test_higher_is_better_and_too_few_pairs_claim_nothing():
+    pairs = [(s, _run(job_s=1.0, hits=10), _run(job_s=0.5, hits=20)) for s in range(3)]
+    out = bench_record.compare_pairs(pairs, AB_METRICS)[1]
+    assert out["hits"]["wins"] == 3 and out["job_s"]["wins"] == 3
+    assert not out["hits"]["gain"] and not out["job_s"]["gain"]  # fewer than MIN_PAIRS pairs
+
+
+def test_metric_that_is_not_always_positive_reports_differences():
+    pairs = [(0, _run(job_s=-2.0), _run(job_s=1.0)), (1, _run(job_s=2.0), _run(job_s=1.0))]
+    lines, out = bench_record.compare_pairs(pairs, AB_METRICS[:1])
+    assert out["job_s"]["median_diff"] == 1.0 and "median_ratio" not in out["job_s"]
+    assert lines[1] == "  pair diffs: s0 3, s1 -1"

@@ -272,3 +272,43 @@ class TestSimulateRate:
         assert run([*args, "--constants", pair, "--output", str(tmp_path / "x")]) == 2
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "x.json").exists()
+
+
+class TestParserReuse:
+    """`main` reuses one parser; no option may leak from one call into the next."""
+
+    @staticmethod
+    def _outputs(tmp_path, commands, order):
+        cli._parser.cache_clear()
+        out = {}
+        for name in order:
+            argv, paths = commands(tmp_path / f"{name}-after-{order[0]}")
+            assert run(argv) in (0, 3)
+            out[name] = [path.read_bytes() for path in paths]
+        return out
+
+    def test_simulate_bounds_does_not_leak(self, tmp_path):
+        def commands(prefix):
+            bounds = ["--bounds"] if prefix.name.startswith("bounds") else []
+            argv = ["simulate", "--n", "1024", "--reps", "2", "--seed", "3", "--lambda", "30",
+                    *bounds, "--output", str(prefix)]
+            return argv, [prefix.with_suffix(".csv"), prefix.with_suffix(".json")]
+
+        first = self._outputs(tmp_path, commands, ["plain", "bounds"])
+        second = self._outputs(tmp_path, commands, ["bounds", "plain"])
+        assert first == second
+        assert json.loads(first["bounds"][1])["bound_upper"] is not None
+        assert json.loads(first["plain"][1])["bound_upper"] is None
+
+    def test_audit_checks_do_not_leak(self, tmp_path, y_file):
+        def commands(prefix):
+            checks = ["--checks", "noncross"] if prefix.name.startswith("noncross") else []
+            argv = ["audit", "--input", y_file, "--tau", "1/4", "--tau2", "3/4", "--lambda", "1/2",
+                    "--trials", "50", *checks, "--output", str(prefix)]
+            return argv, [prefix]
+
+        first = self._outputs(tmp_path, commands, ["default", "noncross"])
+        second = self._outputs(tmp_path, commands, ["noncross", "default"])
+        assert first == second
+        assert set(json.loads(first["noncross"][0])) == {"noncross", "ok"}
+        assert set(json.loads(first["default"][0])) == {"noncross", "lattice", "submodularity", "ok"}

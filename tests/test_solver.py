@@ -4,11 +4,20 @@ import random
 from fractions import Fraction
 from itertools import accumulate
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import GRID_ORACLE_CAP, grid_oracle, naive_objective, random_instance, small_integer_instance
+from helpers import (
+    GRID_ORACLE_CAP,
+    grid_oracle,
+    naive_objective,
+    random_instance,
+    reference_fit_core,
+    small_integer_instance,
+    trim,
+)
 
 from qtvd.envelope import envelope
 from qtvd.solver import (
@@ -21,7 +30,7 @@ from qtvd.solver import (
     lattice_join,
     lattice_meet,
     objective_value,
-    _trim,
+    _fit_core,
 )
 
 F = Fraction
@@ -293,7 +302,7 @@ def _clamps_from_steps(xs, steps, lam, prefer_high):
 
 
 class TestTrim:
-    """`_trim` driven by hand: both clips of each step, as `_fit_core` runs them."""
+    """The helper walk `trim` driven by hand: both clips of each step, as the reference core runs them."""
 
     def test_steps_nondecreasing_and_clipped(self):
         rng = random.Random(19)
@@ -307,8 +316,8 @@ class TestTrim:
                     xs = sorted(jumps)
                     steps = list(accumulate((jumps[x] for x in xs), initial=base))
                     expected = _clamps_from_steps(xs, steps, lam, prefer_high)
-                    base, lo = _trim(lo_heap, False, jumps, base, -lam, prefer_high)
-                    neg_top, hi = _trim(hi_heap, True, jumps, neg_top, -lam, not prefer_high)
+                    base, lo = trim(lo_heap, False, jumps, base, -lam, prefer_high)
+                    neg_top, hi = trim(hi_heap, True, jumps, neg_top, -lam, not prefer_high)
                     assert (lo, hi) == expected
                     steps = list(accumulate((jumps[x] for x in sorted(jumps)), initial=base))
                     assert all(a <= b for a, b in zip(steps, steps[1:]))
@@ -322,6 +331,52 @@ class TestTrim:
                         heapq.heappush(lo_heap, x)
                         heapq.heappush(hi_heap, -x)
                     jumps[x] = jumps.get(x, 0) + 1
+
+
+class TestFitCoreAgainstHelperWalk:
+    """The written-out walks of `_fit_core` against `reference_fit_core`, which calls `trim` per clip."""
+
+    @staticmethod
+    def _lams(n, unit):
+        return (unit // 4 or 1, 3 * unit // 2 + 1, n * unit, 2 * n * unit + 1)
+
+    def test_tie_heavy_integer_ranks_with_lattice_units(self):
+        rng = random.Random(41)
+        for trial in range(400):
+            n = 1 + trial % 40
+            unit = rng.choice((2, 4, 12, 60))
+            y = [rng.randint(0, rng.choice((1, 2, 4))) for _ in range(n)]
+            tau = rng.randrange(1, unit)
+            for lam in self._lams(n, unit):
+                for prefer_high in (False, True):
+                    args = (y, tau, lam, prefer_high, unit)
+                    assert _fit_core(*args) == reference_fit_core(*args), args
+
+    def test_floats_with_repeated_values(self):
+        rng = random.Random(43)
+        for trial in range(300):
+            n = 1 + trial % 60
+            pool = [rng.gauss(0, 1) for _ in range(rng.randint(1, 6))]
+            y = [rng.choice(pool) for _ in range(n)]
+            tau = rng.choice((0.5, 0.25, 0.3, 0.9))
+            for lam in (0.25, rng.uniform(0.5, 3.0), float(n), 2.0 * n):
+                for prefer_high in (False, True):
+                    assert _fit_core(y, tau, lam, prefer_high) == reference_fit_core(y, tau, lam, prefer_high)
+
+    def test_mc_rate_shaped_floats(self):
+        # Large n with lam near its rate-optimal size; dyadic tau makes the walks hit the bound exactly.
+        rng = random.Random(47)
+        for n, lam in ((256, 20.0), (2048, 68.4), (4096, 101.1)):
+            y = [abs(2 * i / n - 1) + 0.1 * math.tan(math.pi * (rng.random() - 0.5)) for i in range(n)]
+            for prefer_high in (False, True):
+                assert _fit_core(y, 0.5, lam, prefer_high) == reference_fit_core(y, 0.5, lam, prefer_high)
+
+    def test_exhausted_derivative_raises(self):
+        # tau above the unit jump makes the value at +inf negative, so a clip walk runs out of breakpoints.
+        for core in (_fit_core, reference_fit_core):
+            for prefer_high in (False, True):
+                with pytest.raises(AssertionError):
+                    core([0, 1, 2], 5, 1, prefer_high)
 
 
 class TestFloatPath:
@@ -395,8 +450,10 @@ class TestFloatPath:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_input(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="data must be finite"):
             fit_float([1.0, bad, 2.0], 0.5, 1.0)
+        with pytest.raises(ValueError, match="data must be finite"):
+            fit_float(np.array([1.0, bad, 2.0]), 0.5, 1.0)
         with pytest.raises(ValueError):
             certify_float([1.0, bad, 2.0], [2.0, 2.0, 2.0], 0.5, 1.0)
         with pytest.raises(ValueError):

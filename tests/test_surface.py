@@ -15,7 +15,7 @@ REMOVED = [
     "OrderStatisticCache", "order_stat", "AdjustedLevel", "adjusted_levels", "BOUNDARY_CONSTANT_VALUES",
     "grid_oracle", "GridOracleResult", "GRID_ORACLE_CAP",
     "BoundComponents", "bound_components", "bias_terms", "smallest_admissible_n",
-    "ValidationError", "penalty_value", "floor_index", "ceil_index",
+    "ValidationError", "penalty_value", "floor_index", "ceil_index", "_trim", "_peek",
 ]
 
 

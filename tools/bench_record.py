@@ -22,6 +22,23 @@ is a case with an incorrect run or a larger failed fraction.  Tier-1 wall
 time has no bound; its move is printed but never flagged.  The exit status
 is 1 when something is flagged or a run failed, else 0.
 
+Paired A/B against an earlier revision:
+
+    python3 tools/bench_record.py --against REV --pairs K [--workload W] [--trace 1]
+
+exports REV with `git archive` to .bench_work/against-<commit>/ and, for
+pair i = 0 .. K-1, runs each tree's own bench/run.py on seed i, REV first
+on even pairs and this checkout first on odd ones.  Per metric it prints
+each pair's ratio (this checkout over REV), each side's median and
+quartiles, the median ratio (the median difference for a metric that is
+not always positive) and how many pairs this checkout wins (ties count
+for neither side).  A metric is marked as a gain when there are at
+least MIN_PAIRS pairs, this checkout wins at least 9/10 of them and its
+median is better than REV's by more than REV's IQR.  --trace 1 compares
+the per-layer metrics of traced runs instead.  The report adds evidence:
+it writes no record and flags nothing.  The exit status is 1 when a run
+failed or was incorrect, else 0.
+
 Standard library only.  The tool reads bench/ and BENCHMARK.json and
 changes neither; bench/run.py writes its scratch files to .bench_work/.
 """
@@ -29,13 +46,16 @@ changes neither; bench/run.py writes its scratch files to .bench_work/.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import platform
 import re
+import shutil
 import statistics
 import subprocess
 import sys
+import tarfile
 import time
 from pathlib import Path
 
@@ -44,6 +64,7 @@ SCHEMA = "qtvd.bench-record/1"
 TIER1 = "tier1"
 SEEDS = 5  # bench seeds per workload
 TIER1_RUNS = 3
+MIN_PAIRS = 10  # fewest pairs on which --against marks a gain
 
 
 def summarise(values: list) -> dict:
@@ -53,12 +74,12 @@ def summarise(values: list) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "iqr": q3 - q1, "values": values}
 
 
-def run_bench(workload: str, seed: int, seconds: float) -> tuple:
-    """(env, result) of one bench/run.py run; result is None when the run printed no result line."""
+def run_bench(workload: str, seed: int, seconds: float, tree: Path = ROOT, trace: int = 0) -> tuple:
+    """(env, result) of one run of `tree`'s bench/run.py; result is None when the run printed no result line."""
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
-        cwd=ROOT, capture_output=True, text=True,
+         "--seconds", str(seconds), "--trace", str(trace)],
+        cwd=tree, capture_output=True, text=True,
     )
     lines = proc.stdout.splitlines()
     env = None
@@ -182,11 +203,92 @@ def diff(old: dict, new: dict, spec: dict) -> tuple:
     return lines, flagged
 
 
+def export(rev: str) -> Path:
+    """A fresh copy of the committed tree of `rev` under .bench_work/."""
+    commit = subprocess.run(["git", "rev-parse", "--verify", f"{rev}^{{commit}}"], cwd=ROOT,
+                            capture_output=True, text=True, check=True).stdout.strip()
+    tree = ROOT / ".bench_work" / f"against-{commit[:12]}"
+    shutil.rmtree(tree, ignore_errors=True)
+    archive = subprocess.run(["git", "archive", "--format=tar", commit], cwd=ROOT, capture_output=True, check=True)
+    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+        tar.extractall(tree, filter="data")
+    return tree
+
+
+def compare_pairs(pairs: list, metrics: list) -> tuple:
+    """(report lines, {metric: summary}) of paired runs.
+
+    `pairs` holds (seed, base result, change result) with results as
+    printed by bench/run.py; `metrics` holds BENCHMARK.json metric entries.
+    A pair's move is the ratio change / base when every value of the
+    metric is positive, else the difference change - base (a metric that
+    reaches zero or below, like trace.overhead_pct, has no meaningful ratio).
+    """
+    lines, out = [], {}
+    for m in metrics:
+        name, lower = m["name"], m["better"] == "lower"
+        rows = [(seed, a["metrics"][name]["value"], b["metrics"][name]["value"]) for seed, a, b in pairs]
+        if not rows:
+            continue
+        wins = sum((b < a) if lower else (b > a) for _, a, b in rows)
+        kind = "ratio" if all(a > 0 and b > 0 for _, a, b in rows) else "diff"
+        moves = [b / a if kind == "ratio" else b - a for _, a, b in rows]
+        base, change = summarise([a for _, a, _ in rows]), summarise([b for _, _, b in rows])
+        better_by = base["median"] - change["median"] if lower else change["median"] - base["median"]
+        gain = len(rows) >= MIN_PAIRS and 10 * wins >= 9 * len(rows) and better_by > base["iqr"]
+        out[name] = {"pairs": len(rows), "wins": wins, f"median_{kind}": statistics.median(moves),
+                     "base": base, "change": change, "gain": gain}
+        lines.append(f"{name} [{m['unit']}]: base {base['median']:.4g} (q1 {base['q1']:.4g}, q3 {base['q3']:.4g}) -> "
+                     f"change {change['median']:.4g} (q1 {change['q1']:.4g}, q3 {change['q3']:.4g}); "
+                     f"median {kind} {statistics.median(moves):.4g}, change wins {wins}/{len(rows)}"
+                     f"{'; GAIN' if gain else ''}")
+        lines.append(f"  pair {kind}s: " + ", ".join(f"s{seed} {v:.4g}" for (seed, _, _), v in zip(rows, moves)))
+    return lines, out
+
+
+def against(rev: str, n_pairs: int, workloads: list, spec: dict, trace: int) -> int:
+    """Run and report paired A/B runs of REV's tree and this checkout; 1 if a run failed or was incorrect."""
+    base_tree = export(rev)
+    metrics = spec["per_layer" if trace else "end_to_end"]
+    bad = 0
+    for workload in workloads:
+        pairs = []
+        for seed in range(n_pairs):
+            sides = [("base", base_tree), ("change", ROOT)]
+            results = {}
+            for label, tree in (sides if seed % 2 == 0 else sides[::-1]):
+                _, results[label] = run_bench(workload, seed, spec["run_seconds"], tree, trace)
+                result = results[label]
+                ok = result is not None and result["correct"] and not result["failed"]
+                bad += not ok
+                status = "no result" if result is None else f"correct={result['correct']} failed={result['failed']}"
+                print(f"# {workload} seed {seed} {label}: {status}", file=sys.stderr)
+            if results["base"] is not None and results["change"] is not None:
+                pairs.append((seed, results["base"], results["change"]))
+        lines, _ = compare_pairs(pairs, metrics)
+        print(f"{workload}: {len(pairs)} pairs, base {rev} vs this checkout, run_seconds {spec['run_seconds']}")
+        print("\n".join(lines))
+    return 1 if bad else 0
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--pr", type=int, required=True, help="trajectory index; writes BENCH_<pr>.json")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--pr", type=int, help="trajectory index; writes BENCH_<pr>.json")
+    mode.add_argument("--against", metavar="REV", help="paired A/B runs against this git revision")
+    p.add_argument("--pairs", type=int, default=10, help="with --against: pairs per workload, on seeds 0 .. K-1")
+    p.add_argument("--workload", default=None, help="with --against: one workload instead of all")
+    p.add_argument("--trace", type=int, choices=(0, 1), default=0,
+                   help="with --against: 1 compares the per-layer metrics of traced runs")
     args = p.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    if args.against is not None:
+        names = [w["name"] for w in spec["workloads"]]
+        if args.workload is not None and args.workload not in names:
+            p.error(f"unknown workload {args.workload!r} (choose from {', '.join(names)})")
+        if args.pairs < 1:
+            p.error("--pairs must be >= 1")
+        return against(args.against, args.pairs, [args.workload] if args.workload else names, spec, args.trace)
     new = record(args.pr, spec)
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(new, indent=1, sort_keys=True) + "\n", encoding="utf-8")
