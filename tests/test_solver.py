@@ -336,10 +336,6 @@ class TestTrim:
 class TestFitCoreAgainstHelperWalk:
     """The written-out walks of `_fit_core` against `reference_fit_core`, which calls `trim` per clip."""
 
-    @staticmethod
-    def _lams(n, unit):
-        return (unit // 4 or 1, 3 * unit // 2 + 1, n * unit, 2 * n * unit + 1)
-
     def test_tie_heavy_integer_ranks_with_lattice_units(self):
         rng = random.Random(41)
         for trial in range(400):
@@ -347,7 +343,7 @@ class TestFitCoreAgainstHelperWalk:
             unit = rng.choice((2, 4, 12, 60))
             y = [rng.randint(0, rng.choice((1, 2, 4))) for _ in range(n)]
             tau = rng.randrange(1, unit)
-            for lam in self._lams(n, unit):
+            for lam in (unit // 4 or 1, 3 * unit // 2 + 1, n * unit, 2 * n * unit + 1):  # 1/4, moderate, >= n
                 for prefer_high in (False, True):
                     args = (y, tau, lam, prefer_high, unit)
                     assert _fit_core(*args) == reference_fit_core(*args), args
