@@ -562,9 +562,8 @@ def simulate(
 ) -> RiskReport:
     """Draw data from the model, fit with the float fast path, record errors at x0.
 
-    Every fit is accepted only after a dual-feasibility check by
-    `certify_float` at its default relative tolerance; failures are
-    counted (and should be zero).  When
+    Every fit is checked by `certify_float`, which decides optimality
+    exactly; failures are counted (and should be zero).  When
     `compute_bounds` is set, the theoretical error interval at the
     monitored location is evaluated once and the empirical coverage of
     the per-replication errors is reported.

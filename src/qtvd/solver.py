@@ -38,9 +38,12 @@ and every derivative value is a sum of -tau, +-lam and unit jumps, so it
 lies on the lattice (1/D)Z with D = lcm(den tau, den lam).  The exact
 `fit` therefore runs the same `_fit_core` on the ranks of y among its
 distinct values, with tau*D, lam*D and the unit jump D as integers, and
-maps the returned ranks back to data values; `fit_float` runs it on
-floats with unit jump 1.  Ranks come from y scaled by the lcm of its
-denominators, so no Fraction is hashed or compared.
+maps the returned ranks back to data values.  Ranks come from y scaled
+by the lcm of its denominators, so no Fraction is hashed or compared.
+`fit_float` needs no ranks: float comparisons are exact and every finite
+float is a dyadic rational, so it runs `_fit_core` on the floats with
+the integer levels of Fraction(tau) and Fraction(lam), and returns the
+floats of the Fractions `fit` returns.
 
 Optimality is certified independently of the solver: theta minimises F
 iff there are vectors g (quantile-loss subgradients) and z (edge duals
@@ -58,8 +61,9 @@ D - tau*D and +-lam*D, on int64.  Every stored quantity is bounded by
 2*n*D + lam*D in absolute value; when that bound does not fit in int64,
 the same kernel runs on object arrays of Python ints.  The witness
 becomes Fractions only at the end, one Fraction v/D per distinct level v
-of g and z.  `certify_float` runs the kernel on float64 with unit 1 and
-tolerances; the two differ in nothing else.
+of g and z.  `certify_float` runs the kernel on the float y and theta
+themselves, again only compared, so its verdict is that of `certify` on
+their Fractions, with no tolerance.
 `objective_value` sums the loss and the total variation as Python ints,
 y and theta scaled by the lcm of their denominators, and builds one
 Fraction.
@@ -176,7 +180,7 @@ def objective_value(theta: Sequence, inst: Instance) -> Fraction:
 
 
 def _fit_core(y: Sequence, tau, lam, prefer_high: bool, unit=1) -> list:
-    """Forward/backward pass; arithmetic follows the input types.
+    """Forward/backward pass: data values are only compared and negated; tau, lam, unit come from `_lattice`.
 
     Derivative values are in units where one data point's jump is `unit`.
     State: `base` (value at -inf), `neg_top` (minus the value at +inf),
@@ -266,25 +270,31 @@ def _fit_core(y: Sequence, tau, lam, prefer_high: bool, unit=1) -> list:
     return theta
 
 
-def fit(inst: Instance, extremality: Extremality = "any") -> Fit:
-    """Exact global minimiser; "upper"/"lower" return the extremal solutions."""
+def _prefer_high(extremality: Extremality) -> bool:
+    """Whether ties resolve upward ("upper", "any") or downward ("lower")."""
     if extremality not in ("lower", "upper", "any"):
         raise ValueError(f"unknown extremality {extremality!r}")
+    return extremality != "lower"
+
+
+def fit(inst: Instance, extremality: Extremality = "any") -> Fit:
+    """Exact global minimiser; "upper"/"lower" return the extremal solutions."""
+    prefer_high = _prefer_high(extremality)
     _, (ys,) = _scaled(inst.y)
     value = dict(zip(ys, inst.y))
     uniq = sorted(value)
     unit, tau, lam = _lattice(inst.tau, inst.lam)
-    ranks = _fit_core(_ranks(ys, uniq), tau, lam, extremality != "lower", unit)
+    ranks = _fit_core(_ranks(ys, uniq), tau, lam, prefer_high, unit)
     theta = tuple(value[uniq[r]] for r in ranks)
     return Fit(theta=theta, objective=objective_value(theta, inst), extremality=extremality)
 
 
-def _finite_floats(values: Sequence, what: str) -> list:
-    """Float copies of `values`; NaN and +-inf are rejected, they would certify garbage."""
+def _finite_floats(values: Sequence, what: str) -> np.ndarray:
+    """`values` as a float64 array; NaN and +-inf are rejected, they would certify garbage."""
     out = np.asarray(values, dtype=float)
     if not np.isfinite(out).all():
         raise ValueError(f"{what} must be finite")
-    return out.tolist()
+    return out
 
 
 def _check_nonempty(y: Sequence) -> None:
@@ -292,18 +302,21 @@ def _check_nonempty(y: Sequence) -> None:
         raise ValueError("data vector must be non-empty")
 
 
-def _check_float_levels(tau: float, lam: float) -> None:
+def _float_lattice(tau: float, lam: float) -> tuple:
+    """`_lattice` of float levels: every finite float is a dyadic rational, so Fraction is exact."""
     if not 0.0 < tau < 1.0:
         raise ValueError(f"tau must be in (0, 1), got {tau}")
     if not 0.0 <= lam < inf:
         raise ValueError(f"lam must be finite and >= 0, got {lam}")
+    return _lattice(Fraction(float(tau)), Fraction(float(lam)))
 
 
 def fit_float(y: Sequence, tau: float, lam: float, extremality: Extremality = "any") -> list:
-    """Floating-point fast path of `fit` for large n; returns theta only."""
-    _check_float_levels(tau, lam)
+    """`fit` for float data and levels, returning theta only: the same floats `fit` gives on their Fractions."""
+    prefer_high = _prefer_high(extremality)
+    unit, tau, lam = _float_lattice(tau, lam)
     _check_nonempty(y)
-    return _fit_core(_finite_floats(y, "data"), float(tau), float(lam), extremality != "lower")
+    return _fit_core(_finite_floats(y, "data").tolist(), tau, lam, prefer_high, unit)
 
 
 def _pick(cond, a, b, dtype):
@@ -311,16 +324,16 @@ def _pick(cond, a, b, dtype):
     return np.where(cond, np.asarray(a, dtype=dtype), np.asarray(b, dtype=dtype))
 
 
-def _dual_system(y, theta, tau, lam, one, value_tol, dual_tol, dtype):
+def _dual_system(y, theta, tau, lam, one):
     """Boxes and forward reach of the dual system, or None if it is infeasible.
 
-    Arithmetic is in `dtype` (float64, int64, or object arrays of Python
-    ints), with `one` the length of a data point's g box.  g_j is the
-    subgradient of rho_tau(y_j - .) at theta_j: {-tau} below the data
-    value, [-tau, one-tau] on it, {one-tau} above.  z_k is free in
-    [-lam, lam] on flat steps of theta and pinned to +lam (downward jump)
-    or -lam (upward jump); z_0 = z_n = 0.  Values closer than value_tol
-    count as equal, and every box is widened by dual_tol.
+    y and theta are only compared (integer ranks from `certify`, floats
+    from `certify_float`); the boxes are integers in units where a data
+    point's g box has length `one`.  g_j is the subgradient of
+    rho_tau(y_j - .) at theta_j: {-tau} below the data value, [-tau,
+    one-tau] on it, {one-tau} above.  z_k is free in [-lam, lam] on flat
+    steps of theta and pinned to +lam (downward jump) or -lam (upward
+    jump); z_0 = z_n = 0.
 
     With A and B the prefix sums of the upper and lower g bounds (A_0 =
     B_0 = 0), z_k = -(g_0 + ... + g_{k-1}) ranges over [lo_k, hi_k] as
@@ -328,15 +341,14 @@ def _dual_system(y, theta, tau, lam, one, value_tol, dual_tol, dtype):
     z_lo + A) - A and hi = cummin(0, z_hi + B) - B; the system is
     feasible iff lo <= hi everywhere.  Returns (g_hi, lo, hi, B).
     """
-    y = np.asarray(y, dtype=dtype)
-    theta = np.asarray(theta, dtype=dtype)
+    y, theta = np.asarray(y), np.asarray(theta)
+    # |lo|, |hi|, |lo + B| <= 2*n*one + lam; a feasible z and g stay within lam and one.
+    dtype = np.int64 if 2 * len(y) * one + lam <= np.iinfo(np.int64).max else object
     zero = np.zeros(1, dtype=dtype)
-    d = theta - y
-    step = theta[:-1] - theta[1:]
-    g_lo = _pick(d > value_tol, one - tau - dual_tol, -tau - dual_tol, dtype)
-    g_hi = _pick(d < -value_tol, -tau + dual_tol, one - tau + dual_tol, dtype)
-    z_lo = np.append(_pick(step > value_tol, lam - dual_tol, -lam - dual_tol, dtype), -dual_tol)
-    z_hi = np.append(_pick(step < -value_tol, -lam + dual_tol, lam + dual_tol, dtype), dual_tol)
+    g_lo = _pick(theta > y, one - tau, -tau, dtype)
+    g_hi = _pick(theta < y, -tau, one - tau, dtype)
+    z_lo = np.append(_pick(theta[:-1] > theta[1:], lam, -lam, dtype), zero)
+    z_hi = np.append(_pick(theta[:-1] < theta[1:], -lam, lam, dtype), zero)
     a = np.concatenate((zero, np.cumsum(g_hi)))
     b = np.concatenate((zero, np.cumsum(g_lo)))
     lo = np.maximum.accumulate(np.concatenate((zero, z_lo + a[1:]))) - a
@@ -354,9 +366,7 @@ def certify(theta: Sequence, inst: Instance) -> Optional[DualCertificate]:
     _, (ys, ts) = _scaled(inst.y, theta)
     uniq = sorted(set(ys).union(ts))
     one, tau, lam = _lattice(inst.tau, inst.lam)
-    # |lo|, |hi|, |lo + B| <= 2*n*one + lam; a feasible z and g stay within lam and one.
-    dtype = np.int64 if 2 * inst.n * one + lam <= np.iinfo(np.int64).max else object
-    system = _dual_system(_ranks(ys, uniq), _ranks(ts, uniq), tau, lam, one, 0, 0, dtype)
+    system = _dual_system(_ranks(ys, uniq), _ranks(ts, uniq), tau, lam, one)
     if system is None:
         return None
     g_hi, lo, hi, b = system
@@ -371,31 +381,13 @@ def certify(theta: Sequence, inst: Instance) -> Optional[DualCertificate]:
     return DualCertificate(g=tuple(level[v] for v in g), z=tuple(level[v] for v in z))
 
 
-def certify_float(y: Sequence, theta: Sequence, tau: float, lam: float, tol: float = 1e-8) -> bool:
-    """Toleranced feasibility of the dual system; used by the simulation fast path.
-
-    `tol` is relative: values (theta against y, neighbours of theta) count
-    as equal within tol * max(|y|_inf, |theta|_inf), and the dual boxes are
-    widened by tol * max(1, lam).  The objective is 1-homogeneous in
-    (y, theta) and the dual system does not depend on their scale, so
-    scaling both by a power of two leaves the verdict unchanged (short of
-    underflow or overflow).  At tol = 0 a tight but feasible system (some
-    lo_k == hi_k in exact arithmetic) is decided by floating-point rounding.
-    """
+def certify_float(y: Sequence, theta: Sequence, tau: float, lam: float) -> bool:
+    """Exact optimality decision for float data and theta: whether `certify` accepts their Fractions."""
     if len(theta) != len(y):
         raise ValueError("length mismatch")
     _check_nonempty(y)
-    _check_float_levels(tau, lam)
-    if not 0.0 <= tol < inf:
-        raise ValueError(f"tol must be finite and >= 0, got {tol}")
-    y, theta = np.asarray(y, dtype=float), np.asarray(theta, dtype=float)
-    if not np.isfinite(y).all():
-        raise ValueError("data must be finite")
-    if not np.isfinite(theta).all():
-        raise ValueError("theta must be finite")
-    lam, tol = float(lam), float(tol)
-    scale = max(np.abs(y).max(initial=0.0), np.abs(theta).max(initial=0.0))
-    return _dual_system(y, theta, float(tau), lam, 1.0, tol * scale, tol * max(1.0, lam), float) is not None
+    one, tau, lam = _float_lattice(tau, lam)
+    return _dual_system(_finite_floats(y, "data"), _finite_floats(theta, "theta"), tau, lam, one) is not None
 
 
 def lattice_join(theta1: Sequence, theta2: Sequence) -> tuple:

@@ -31,6 +31,7 @@ from qtvd.solver import (
     lattice_meet,
     objective_value,
     _fit_core,
+    _lattice,
 )
 
 F = Fraction
@@ -116,8 +117,10 @@ class TestFit:
         assert up.objective == objective
 
     def test_unknown_extremality(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown extremality 'median'"):
             fit(Instance((1,), F(1, 2), F(1)), "median")
+        with pytest.raises(ValueError, match="unknown extremality 'bogus'"):
+            fit_float([3.0, 1.0, 2.0], 0.5, 0.3, "bogus")
 
     def test_oracle_agreement_small_n(self):
         rng = random.Random(11)
@@ -356,16 +359,19 @@ class TestFitCoreAgainstHelperWalk:
             y = [rng.choice(pool) for _ in range(n)]
             tau = rng.choice((0.5, 0.25, 0.3, 0.9))
             for lam in (0.25, rng.uniform(0.5, 3.0), float(n), 2.0 * n):
+                unit, t, l = _lattice(F(tau), F(lam))  # the integer levels fit_float passes
                 for prefer_high in (False, True):
-                    assert _fit_core(y, tau, lam, prefer_high) == reference_fit_core(y, tau, lam, prefer_high)
+                    args = (y, t, l, prefer_high, unit)
+                    assert _fit_core(*args) == reference_fit_core(*args)
 
     def test_mc_rate_shaped_floats(self):
         # Large n with lam near its rate-optimal size; dyadic tau makes the walks hit the bound exactly.
         rng = random.Random(47)
         for n, lam in ((256, 20.0), (2048, 68.4), (4096, 101.1)):
             y = [abs(2 * i / n - 1) + 0.1 * math.tan(math.pi * (rng.random() - 0.5)) for i in range(n)]
+            unit, t, l = _lattice(F(0.5), F(lam))
             for prefer_high in (False, True):
-                assert _fit_core(y, 0.5, lam, prefer_high) == reference_fit_core(y, 0.5, lam, prefer_high)
+                assert _fit_core(y, t, l, prefer_high, unit) == reference_fit_core(y, t, l, prefer_high, unit)
 
     def test_exhausted_derivative_raises(self):
         # tau above the unit jump makes the value at +inf negative, so a clip walk runs out of breakpoints.
@@ -383,7 +389,8 @@ class TestFloatPath:
             y = [rng.gauss(0, 1) for _ in range(n)]
             tau, lam = 0.3, 0.7
             theta = fit_float(y, tau, lam)
-            assert certify_float(y, theta, tau, lam, 1e-9)
+            assert theta == [float(v) for v in fit(Instance(tuple(F(v) for v in y), F(tau), F(lam))).theta]
+            assert certify_float(y, theta, tau, lam)
 
     def test_matches_exact_on_dyadic_data(self):
         # Integer data with dyadic tau and lam keep every float operation exact.
@@ -398,7 +405,7 @@ class TestFloatPath:
                 assert fit_float(y, float(tau), float(lam), ext) == list(fit(inst, ext).theta)
 
     def test_certificate_matches_exact_on_dyadic_data(self):
-        # Same dyadic setting: at tol = 0 the float verdict is the exact one.
+        # Same dyadic setting: the float verdict is the exact one.
         rng = random.Random(29)
         verdicts = set()
         for _ in range(150):
@@ -416,7 +423,7 @@ class TestFloatPath:
             for theta in candidates:
                 exact = certify(theta, inst) is not None
                 verdicts.add(exact)
-                assert certify_float(y, [float(v) for v in theta], float(tau), float(lam), 0.0) == exact
+                assert certify_float(y, [float(v) for v in theta], float(tau), float(lam)) == exact
         assert verdicts == {True, False}
 
     @pytest.mark.parametrize("lam", [0.05, 0.5])
@@ -450,9 +457,9 @@ class TestFloatPath:
             fit_float([1.0, bad, 2.0], 0.5, 1.0)
         with pytest.raises(ValueError, match="data must be finite"):
             fit_float(np.array([1.0, bad, 2.0]), 0.5, 1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="data must be finite"):
             certify_float([1.0, bad, 2.0], [2.0, 2.0, 2.0], 0.5, 1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="theta must be finite"):
             certify_float([1.0, 2.0, 3.0], [2.0, bad, 2.0], 0.5, 1.0)
         with pytest.raises(ValueError):
             fit_float([1.0, 2.0], 0.5, bad)
@@ -460,17 +467,15 @@ class TestFloatPath:
             certify_float([1.0, 2.0], [1.5, 1.5], 0.5, bad)
         with pytest.raises(ValueError):
             certify_float([1.0, 2.0], [1.5, 1.5], bad, 1.0)
-        with pytest.raises(ValueError):
-            certify_float([1.0, 2.0], [5.0, 5.0], 0.5, 1.0, bad)
 
     def test_certify_float_rejects_suboptimal(self):
         y = [0.0, 10.0]
         theta = fit_float(y, 0.5, 0.25)
         bad = [theta[0] + 5.0, theta[1]]
-        assert not certify_float(y, bad, 0.5, 0.25, 1e-9)
+        assert not certify_float(y, bad, 0.5, 0.25)
 
-    def test_certify_float_tolerance_is_relative_to_data(self):
-        # an absolute 1e-8 would swallow the whole data scale here
+    def test_certify_float_is_exact_at_tiny_scales(self):
+        # data and lam far below 1e-8: the verdict depends on no absolute scale
         y = [1e-9, -1e-9, 3e-9, 0.0]
         lam = 1e-10
         assert not certify_float(y, [0.0] * 4, 0.5, lam)
@@ -498,36 +503,93 @@ class TestFloatPath:
                 assert certify_float([s * v for v in y], [s * v for v in theta], 0.3, lam) == base, (k, lam)
         assert verdicts == {True, False}
 
+    # Non-dyadic tau and lam, where rounded float arithmetic on the levels breaks ties wrongly:
+    # a suboptimal "lower" fit, and an optimal fit that is not the upper one.
+    def test_suboptimal_lower_fit_at_tau_0_9(self):
+        y, tau, lam = [0.3, -0.3, -0.6, 0.6, -0.9, 0.3, 0.4, -0.9, 0.5], 0.9, 0.2
+        inst = Instance(tuple(F(v) for v in y), F(tau), F(lam))
+        assert fit_float(y, tau, lam, "lower") == [float(v) for v in fit(inst, "lower").theta]
+        suboptimal = [0.3, 0.3, 0.3, 0.6, 0.4, 0.4, 0.4, 0.4, 0.5]
+        assert certify(tuple(F(v) for v in suboptimal), inst) is None
+        assert not certify_float(y, suboptimal, tau, lam)
+
+    def test_upper_fit_at_tau_0_3(self):
+        y, tau, lam = [-0.9, 0.5, -0.1, -0.2, 0.9], 0.3, 0.3
+        inst = Instance(tuple(F(v) for v in y), F(tau), F(lam))
+        assert fit_float(y, tau, lam, "upper") == [float(v) for v in fit(inst, "upper").theta]
+        assert fit_float(y, tau, lam, "upper") == [-0.9, -0.1, -0.1, -0.2, 0.9]
+
+    def test_one_ulp_move_is_rejected(self):
+        rng = random.Random(53)
+        n, lam = 8192, 68.4
+        y = [abs(2 * i / n - 1) + 0.1 * math.tan(math.pi * (rng.random() - 0.5)) for i in range(n)]
+        theta = fit_float(y, 0.5, lam)
+        assert certify_float(y, theta, 0.5, lam)
+        for j in (0, 1234, n // 2 + 17, n - 1):
+            for direction in (-math.inf, math.inf):
+                moved = theta[:j] + [math.nextafter(theta[j], direction)] + theta[j + 1:]
+                assert not certify_float(y, moved, 0.5, lam), (j, direction)
+
+    @pytest.mark.parametrize("lam", [2.0**-10, 0.7])
+    def test_certificate_past_int64_agrees_with_exact(self, lam):
+        # At tau 0.3, D = 2**54, so 2*n*D + lam*D exceeds int64 from n = 257 and the boxes are Python ints.
+        # With lam = 2**-10 theta is mostly y, and the prefix sums of the g boxes pass 2**63 in fact.
+        rng = random.Random(59)
+        n, tau = 2000, 0.3
+        one, _, lam_d = _lattice(F(tau), F(lam))
+        assert 2 * n * one + lam_d > np.iinfo(np.int64).max
+        y = [round(rng.gauss(0, 1), 1) for _ in range(n)]
+        inst = Instance(tuple(F(v) for v in y), F(tau), F(lam))
+        theta = fit_float(y, tau, lam)
+        assert theta == [float(v) for v in fit(inst).theta]
+        j = n // 2
+        for new in (theta[j], theta[j] + 0.1, math.nextafter(theta[j], math.inf)):
+            moved = theta[:j] + [new] + theta[j + 1:]
+            exact = certify(tuple(F(v) for v in moved), inst) is not None
+            assert certify_float(y, moved, tau, lam) == exact == (new == theta[j])
+
+
+_FINITE = st.floats(min_value=-1e300, max_value=1e300)  # nextafter and small steps stay finite
+_QUARTERS = st.integers(-24, 24).map(lambda k: k / 4)
+
 
 @st.composite
-def _dyadic_case(draw):
-    """Small instance on quarter-integer data with dyadic tau and lam, plus a candidate theta."""
+def _float_case(draw):
+    """Small instance on finite floats with any float tau and lam, plus a candidate theta.
+
+    Data come from a small pool, so ties occur; the pool mixes quarter-integers
+    with arbitrary floats, and tau and lam mix dyadic, non-dyadic and arbitrary levels.
+    """
     n = draw(st.integers(1, 10))
-    quarters = st.integers(-24, 24)
-    y = [F(k, 4) for k in draw(st.lists(quarters, min_size=n, max_size=n))]
-    tau = F(draw(st.sampled_from((1, 2, 3))), 4)
-    lam = F(draw(st.integers(0, 16 * n)), 8)
+    pool = draw(st.lists(st.one_of(_QUARTERS, _FINITE), min_size=1, max_size=5))
+    y = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    tau = draw(st.one_of(st.sampled_from((0.25, 0.5, 0.75, 0.1, 0.3, 1 / 3, 0.9)),
+                         st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)))
+    lam = draw(st.one_of(st.integers(0, 16 * n).map(lambda k: k / 8),
+                         st.sampled_from((0.01, 0.2, 0.3, 0.7, float(n))),
+                         st.floats(0.0, 1e6)))
     extremality = draw(st.sampled_from(("lower", "upper", "any")))
-    kind = draw(st.sampled_from(("fit", "bump", "free")))
-    free = [F(k, 4) for k in draw(st.lists(quarters, min_size=n, max_size=n))]
-    bump = (draw(st.integers(0, n - 1)), F(draw(st.sampled_from((-4, -1, 1, 2, 8))), 8))
+    kind = draw(st.sampled_from(("fit", "bump", "ulp", "free")))
+    free = draw(st.lists(st.one_of(st.sampled_from(pool), _FINITE), min_size=n, max_size=n))
+    bump = (draw(st.integers(0, n - 1)), draw(st.sampled_from((-4, -1, 1, 2, 8))) / 8)
     return y, tau, lam, extremality, kind, free, bump
 
 
 class TestFloatExactProperty:
-    # Quarter-integer data with dyadic tau and lam keep every float operation exact,
-    # so the float paths must agree with the exact ones bit for bit.
+    # Float comparisons are exact and every finite float is a dyadic rational, so the
+    # float paths must agree bit for bit with the exact ones on the Fractions of their inputs.
     @settings(derandomize=True, database=None, max_examples=300, deadline=None)
-    @given(_dyadic_case())
+    @given(_float_case())
     def test_float_paths_equal_exact(self, case):
         y, tau, lam, extremality, kind, free, (j, step) = case
-        inst = Instance(tuple(y), tau, lam)
-        yf = [float(v) for v in y]
-        theta = fit(inst, extremality).theta
-        assert fit_float(yf, float(tau), float(lam), extremality) == [float(v) for v in theta]
+        inst = Instance(tuple(F(v) for v in y), F(tau), F(lam))
+        theta = [float(v) for v in fit(inst, extremality).theta]
+        assert fit_float(y, tau, lam, extremality) == theta
         if kind == "bump":
-            theta = theta[:j] + (theta[j] + step,) + theta[j + 1:]
+            theta[j] += step
+        elif kind == "ulp":
+            theta[j] = math.nextafter(theta[j], math.copysign(math.inf, step))
         elif kind == "free":
-            theta = tuple(free)
-        exact = certify(theta, inst) is not None
-        assert certify_float(yf, [float(v) for v in theta], float(tau), float(lam), 0.0) == exact
+            theta = free
+        exact = certify(tuple(F(v) for v in theta), inst) is not None
+        assert certify_float(y, theta, tau, lam) == exact
