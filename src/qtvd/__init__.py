@@ -7,13 +7,7 @@ and runs pointwise risk-rate simulations under heavy-tailed noise.
 """
 
 from .envelope import Envelope, envelope, lower_envelope_at, reflection_check, upper_envelope_at
-from .intervals import (
-    DiscreteInterval,
-    ExtendedValue,
-    NEG_INF,
-    POS_INF,
-    boundary_constant,
-)
+from .intervals import ExtendedValue, NEG_INF, POS_INF
 from .solver import (
     DualCertificate,
     Fit,
@@ -30,7 +24,6 @@ from .solver import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DiscreteInterval",
     "DualCertificate",
     "Envelope",
     "ExtendedValue",
@@ -38,7 +31,6 @@ __all__ = [
     "Instance",
     "NEG_INF",
     "POS_INF",
-    "boundary_constant",
     "certify",
     "certify_float",
     "envelope",

@@ -11,13 +11,13 @@ pairs:
             of  y_{I,(ceil(l_{I,J}))},
 
 with adjusted levels u_{I,J} = tau*|I| - 2*lam*C_{I,J} and
-l_{I,J} = tau*|I| + 2*lam*C_{I,J}, where C_{I,J} is the boundary
-constant of the nested pair (see `qtvd.intervals`).
+l_{I,J} = tau*|I| + 2*lam*C_{I,J}, where C_{I,J} in
+{-1, -1/2, 0, 1/2, 1} is the boundary constant of the nested pair.
 
 This module evaluates both formulas by full enumeration; no pruning or
 early exit is applied.  The boundary constant only depends on which
 endpoints I shares with J and on whether J touches 1 or n
-(`qtvd.intervals._c2`), so each side needs five selected-rank tables,
+(`_c2`), so each side needs five selected-rank tables,
 one per constant, holding for every interval [a:b] the rank of its
 selected order statistic.  They are built once per call, sorting the
 windows of each length once for both sides; the selection indices are
@@ -52,7 +52,7 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .intervals import ExtendedValue, NEG_INF, POS_INF, _as_rational, _c2
+from .intervals import ExtendedValue, NEG_INF, POS_INF, _as_rational
 from .solver import _lattice
 
 __all__ = [
@@ -83,8 +83,18 @@ class Envelope:
     lower: tuple[ExtendedValue, ...]
     upper: tuple[ExtendedValue, ...]
 
-    def __len__(self) -> int:
-        return len(self.lower)
+
+def _c2(shares_left: bool, shares_right: bool, at_first: bool, at_last: bool) -> int:
+    """Twice the boundary constant C_{I,J} of I nested in J, as an int in {-2,-1,0,1,2}.
+
+    The inputs say whether I shares J's left / right endpoint and whether J
+    touches the global boundary 1 / n.  Each end of J contributes +1 if I
+    avoids it, -1 if I shares it and it is interior to [1:n], and 0 if I
+    shares it and it is a global boundary point.
+    """
+    left = (int(at_first) - 1) if shares_left else 1
+    right = (int(at_last) - 1) if shares_right else 1
+    return left + right
 
 
 class _RankTables:

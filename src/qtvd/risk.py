@@ -23,8 +23,7 @@ with probability >= 1 - 4*n^{-(c-1)}; near the global boundary the same
 holds over one-sided interval families.  Locations with an empty
 admissible family are flagged rather than bounded.  `pointwise_bounds`
 is the one evaluation of this minimum: Bias comes from running extrema
-of theta* outward from i, Dist and SD from `_dist` and `_sd`, whose
-scalar forms are `dist_boundary` and `sd_bound`.
+of theta* outward from i, Dist and SD from `_dist` and `_sd`.
 
 Balancing bias against the stochastic term gives the optimal penalty:
 for alpha-smooth signals (alpha <= 1, local Hoelder norm L0)
@@ -53,7 +52,6 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .intervals import DiscreteInterval
 from .solver import certify_float, fit_float
 
 __all__ = [
@@ -68,8 +66,6 @@ __all__ = [
     "PointwiseBounds",
     "RiskReport",
     "RateRegression",
-    "dist_boundary",
-    "sd_bound",
     "growth_constants",
     "pointwise_bounds",
     "lambda_star",
@@ -112,9 +108,6 @@ class Cauchy:
     def shift(self, tau: float) -> float:
         return -self.scale * math.tan(math.pi * (tau - 0.5))
 
-    def cdf(self, t: float, tau: float) -> float:
-        return 0.5 + math.atan((t - self.shift(tau)) / self.scale) / math.pi
-
     def density(self, t: float, tau: float) -> float:
         u = t - self.shift(tau)
         return self.scale / (math.pi * (self.scale**2 + u**2))
@@ -134,9 +127,6 @@ class Gaussian:
 
     def shift(self, tau: float) -> float:
         return -self.sigma * _STD_NORMAL.inv_cdf(tau)
-
-    def cdf(self, t: float, tau: float) -> float:
-        return _STD_NORMAL.cdf((t - self.shift(tau)) / self.sigma)
 
     def density(self, t: float, tau: float) -> float:
         return _STD_NORMAL.pdf((t - self.shift(tau)) / self.sigma) / self.sigma
@@ -158,12 +148,6 @@ class Laplace:
         if tau < 0.5:
             return -self.scale * math.log(2.0 * tau)
         return self.scale * math.log(2.0 * (1.0 - tau))
-
-    def cdf(self, t: float, tau: float) -> float:
-        u = t - self.shift(tau)
-        if u < 0:
-            return 0.5 * math.exp(u / self.scale)
-        return 1.0 - 0.5 * math.exp(-u / self.scale)
 
     def density(self, t: float, tau: float) -> float:
         u = t - self.shift(tau)
@@ -325,11 +309,8 @@ class RiskConstants:
         c1, delta = growth_constants(noise, tau, delta)
         return cls(c1=c1, delta=delta, **kwargs)
 
-    def lambda_coefficient(self, tau: float) -> float:
-        return (self.c + 3.0) * tau / (8.0 * self.c1)
-
     def lambda_floor(self, n: int, tau: float) -> float:
-        return self.lambda_coefficient(tau) * math.log(n)
+        return (self.c + 3.0) * tau / (8.0 * self.c1) * math.log(n)
 
     def min_interval_length(self, lam: float) -> float:
         """Admissible intervals must be strictly longer than this."""
@@ -344,7 +325,14 @@ def _boundary_regime(i: int, n: int, C1: float) -> tuple[float, bool, bool]:
 
 
 def _dist(i, j1, j2, near_left: bool, near_right: bool):
-    """Dist(i, dJ) for J = [j1:j2] (see `dist_boundary`); j1 or j2 may be an integer array."""
+    """Dist(i, dJ) for J = [j1:j2]; j1 or j2 may be an integer array.
+
+    The distance from i to the boundary of J, one-sided near the global
+    boundary.  Interior regime (neither flag of `_boundary_regime`): min
+    of the two one-sided distances; left regime (near_left, even if
+    near_right too): distance to the right boundary point only; right
+    regime: to the left one.
+    """
     if near_left:
         return j2 - i + 1
     if near_right:
@@ -355,28 +343,6 @@ def _dist(i, j1, j2, near_left: bool, near_right: bool):
 def _sd(c_tilde: float, logn: float, dist, length, lam: float, level: float):
     """C~ * ( sqrt(log n / Dist) + level*log n/lam + lam/|J| ), on floats or arrays."""
     return c_tilde * (np.sqrt(logn / dist) + level * logn / lam + lam / length)
-
-
-def dist_boundary(i: int, J: DiscreteInterval, n: int, C1: float) -> int:
-    """Distance from i to the boundary of J, one-sided near the global boundary.
-
-    Interior regime (C1*log n <= i <= n - C1*log n): min of the two
-    one-sided distances; left regime (i < C1*log n, even if i > n - C1*log n
-    too): distance to the right boundary point only; right regime: to the
-    left one.
-    """
-    if not (J.contains(i) and 1 <= J.a and J.b <= n):
-        raise ValueError(f"need i in J within [1:{n}]")
-    _, near_left, near_right = _boundary_regime(i, n, C1)
-    return int(_dist(i, J.a, J.b, near_left, near_right))
-
-
-def sd_bound(i: int, J: DiscreteInterval, lam: float, n: int, tau: float, constants: RiskConstants) -> float:
-    """C~ * ( sqrt(log n / Dist(i,dJ)) + tau*log n/lam + lam/|J| )."""
-    if lam <= 0:
-        raise ValueError("lam must be > 0")
-    dist = dist_boundary(i, J, n, constants.C1)
-    return float(_sd(constants.c_tilde, math.log(n), dist, J.length, lam, tau))
 
 
 @dataclass(frozen=True)

@@ -153,6 +153,19 @@ def naive_envelope(y, tau, lam):
     return lower, upper
 
 
+def noise_cdf(noise, t, tau):
+    """CDF at t of a `qtvd.risk` noise family after its shift, from the closed forms."""
+    family = type(noise).__name__
+    if family == "Gaussian":
+        return 0.5 * math.erfc(-(t - noise.shift(tau)) / (noise.sigma * math.sqrt(2.0)))
+    u = (t - noise.shift(tau)) / noise.scale
+    if family == "Cauchy":
+        return 0.5 + math.atan(u) / math.pi
+    if family == "Laplace":
+        return 0.5 * math.exp(u) if u < 0 else 1.0 - 0.5 * math.exp(-u)
+    raise ValueError(f"no closed-form CDF for {family}")
+
+
 def naive_center_bounds(theta_star, tau, lam, constants, i):
     """Second, independently written enumerator for the pointwise error bounds.
 

@@ -2,22 +2,16 @@ import math
 import operator
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from helpers import BOUNDARY_CASES, adjusted_levels, order_stat
 
-from qtvd.envelope import _RankTables
-from qtvd.intervals import (
-    DiscreteInterval,
-    ExtendedValue,
-    NEG_INF,
-    POS_INF,
-    boundary_constant,
-)
+from qtvd.envelope import _c2, _RankTables
+from qtvd.intervals import ExtendedValue, NEG_INF, POS_INF, _as_rational
 
 F = Fraction
-I = DiscreteInterval
 
 
 class TestOrderStat:  # the reference oracle's convention, and the envelope's rank tables against it
@@ -70,11 +64,15 @@ class TestOrderStat:  # the reference oracle's convention, and the envelope's ra
         with pytest.raises(ValueError):
             order_stat((1, 2), 1, 3, 1)
 
-    def test_cache_matches_plain_sort(self):
+    # together the pairs put adjusted levels on integers for every c2, where floor and ceil
+    # differ by one from the rounding of a nearby level; tau in {0, 1} is included
+    @pytest.mark.parametrize("tau, lam", [
+        (F(2, 5), F(3, 4)), (F(1, 2), F(1, 2)), (F(1, 3), F(1)), (F(0), F(2)), (F(1), F(1, 4)), (F(3, 10), F(7, 10)),
+    ])
+    def test_cache_matches_plain_sort(self, tau, lam):
         # the envelope's selected-rank tables, the one order-statistic cache in the package
         rng = random.Random(2)
         y = [F(rng.randint(-5, 5), rng.choice((1, 3))) for _ in range(12)]
-        tau, lam = F(2, 5), F(3, 4)
         ranked = _RankTables(y, tau, lam, allow_large_n=False)
         ext = {-1: -math.inf, len(ranked.uniq): math.inf, **dict(enumerate(ranked.uniq))}
         upper, lower = ranked.tables("upper", "lower")
@@ -86,55 +84,39 @@ class TestOrderStat:  # the reference oracle's convention, and the envelope's ra
                     assert ext[lower[c2 + 2, a - 1, b - 1]] == order_stat(y, a, b, math.ceil(l))
 
 
-class TestBoundaryConstant:
-    def test_interior_strict(self):
-        assert boundary_constant(I(4, 7), I(3, 8), 10) == 1
+class TestBoundaryConstant:  # 2*C_{I,J} = _c2(I shares J's left end, right end, J touches 1, n)
+    def test_interior_strict(self):  # I = [4:7] in J = [3:8], n = 10
+        assert _c2(False, False, False, False) == 2
 
-    def test_interior_equal(self):
-        assert boundary_constant(I(3, 8), I(3, 8), 10) == -1
+    def test_interior_equal(self):  # I = J = [3:8], n = 10
+        assert _c2(True, True, False, False) == -2
 
-    def test_full_line_equal(self):
-        assert boundary_constant(I(1, 10), I(1, 10), 10) == 0
+    def test_full_line_equal(self):  # I = J = [1:10], n = 10
+        assert _c2(True, True, True, True) == 0
 
-    def test_left_touching_shares_left(self):
-        assert boundary_constant(I(1, 4), I(1, 6), 10) == F(1, 2)
+    def test_left_touching_shares_left(self):  # I = [1:4] in J = [1:6], n = 10
+        assert _c2(True, False, True, False) == 1
 
-    def test_left_touching_table(self):
-        n = 10
-        J = I(1, 6)
-        assert boundary_constant(I(2, 5), J, n) == 1
-        assert boundary_constant(I(1, 6), J, n) == F(-1, 2)
-        assert boundary_constant(I(2, 6), J, n) == 0
+    def test_left_touching_table(self):  # J = [1:6], n = 10
+        assert _c2(False, False, True, False) == 2  # I = [2:5]
+        assert _c2(True, True, True, False) == -1  # I = [1:6]
+        assert _c2(False, True, True, False) == 0  # I = [2:6]
 
-    def test_right_touching_table(self):
-        n = 10
-        J = I(5, 10)
-        assert boundary_constant(I(6, 9), J, n) == 1
-        assert boundary_constant(I(5, 10), J, n) == F(-1, 2)
-        assert boundary_constant(I(6, 10), J, n) == F(1, 2)
-        assert boundary_constant(I(5, 9), J, n) == 0
+    def test_right_touching_table(self):  # J = [5:10], n = 10
+        assert _c2(False, False, False, True) == 2  # I = [6:9]
+        assert _c2(True, True, False, True) == -1  # I = [5:10]
+        assert _c2(False, True, False, True) == 1  # I = [6:10]
+        assert _c2(True, False, False, True) == 0  # I = [5:9]
 
-    def test_full_line_table(self):
-        n = 6
-        J = I(1, 6)
-        assert boundary_constant(I(2, 5), J, n) == 1
-        assert boundary_constant(I(1, 3), J, n) == F(1, 2)
-        assert boundary_constant(I(4, 6), J, n) == F(1, 2)
+    def test_full_line_table(self):  # J = [1:6], n = 6
+        assert _c2(False, False, True, True) == 2  # I = [2:5]
+        assert _c2(True, False, True, True) == 1  # I = [1:3]
+        assert _c2(False, True, True, True) == 1  # I = [4:6]
 
-    def test_not_nested_rejected(self):
-        with pytest.raises(ValueError):
-            boundary_constant(I(1, 5), I(2, 6), 10)
-
-    def test_fuzz_stays_in_five_value_set(self):
-        rng = random.Random(3)
-        for _ in range(3000):
-            n = rng.randint(1, 30)
-            j1 = rng.randint(1, n)
-            j2 = rng.randint(j1, n)
-            s = rng.randint(j1, j2)
-            t = rng.randint(s, j2)
-            expected = BOUNDARY_CASES[j1 == 1, j2 == n][s == j1, t == j2]
-            assert boundary_constant(I(s, t), I(j1, j2), n) == expected
+    def test_matches_case_table_on_all_flags(self):
+        for at_first, at_last, shares_left, shares_right in product((False, True), repeat=4):
+            expected = BOUNDARY_CASES[at_first, at_last][shares_left, shares_right]
+            assert _c2(shares_left, shares_right, at_first, at_last) == 2 * expected
             assert expected in {-1, F(-1, 2), 0, F(1, 2), 1}
 
 
@@ -163,7 +145,7 @@ class TestAdjustedLevels:  # the reference oracle's levels, from its case table 
             lam = F(rng.randint(0, 9), rng.choice((1, 2, 3)))
             u, l = adjusted_levels((s, t), (j1, j2), tau, lam, n)
             assert u + l == 2 * tau * (t - s + 1)
-            assert l - u == 4 * lam * boundary_constant(I(s, t), I(j1, j2), n)
+            assert l - u == 2 * lam * _c2(s == j1, t == j2, j1 == 1, j2 == n)
 
     def test_rejects_bad_tau_and_lam(self):
         with pytest.raises(ValueError):
@@ -172,36 +154,18 @@ class TestAdjustedLevels:  # the reference oracle's levels, from its case table 
             adjusted_levels((1, 2), (1, 3), F(1, 2), F(-1), 5)
 
 
-class TestFloorCeil:  # of the adjusted levels, exact on Fractions
-    def test_examples(self):
-        assert math.floor(F(7, 2)) == 3
-        assert math.ceil(F(2)) == 2
-        assert math.floor(F(-1, 2)) == -1
-
-    def test_antisymmetry_floor_ceil_relation(self):
-        # |I| - floor(l') >= ceil(|I| - l') with l' = (1-tau)|I| - 2*lam*C
-        rng = random.Random(5)
-        for _ in range(500):
-            m = rng.randint(1, 20)
-            tau = F(rng.randint(0, 10), 10)
-            lam = F(rng.randint(0, 8), rng.choice((1, 2, 4)))
-            c = F(rng.choice((-2, -1, 0, 1, 2)), 2)
-            lprime = (1 - tau) * m - 2 * lam * c
-            assert m - math.floor(lprime) >= math.ceil(m - lprime)
-
-
 class TestExtendedValue:
     def test_total_order(self):
-        fin = ExtendedValue.finite(F(1, 3))
+        fin = ExtendedValue(0, F(1, 3))
         assert NEG_INF < fin < POS_INF
-        assert ExtendedValue.finite(0) < fin
+        assert ExtendedValue(0, F(0)) < fin
         assert not NEG_INF < NEG_INF
 
     @pytest.mark.filterwarnings("error")
     def test_all_four_orderings_and_mixed_types(self):
-        fin = ExtendedValue.finite(1)
+        fin = ExtendedValue(0, F(1))
         assert POS_INF > fin > NEG_INF and POS_INF >= fin >= NEG_INF
-        assert fin >= ExtendedValue.finite(1) and not fin > ExtendedValue.finite(1)
+        assert fin >= ExtendedValue(0, F(1)) and not fin > ExtendedValue(0, F(1))
         for compare in (operator.lt, operator.le, operator.gt, operator.ge):
             with pytest.raises(TypeError):
                 compare(fin, 5)
@@ -211,30 +175,18 @@ class TestExtendedValue:
     def test_negation_swaps_infinities(self):
         assert -POS_INF == NEG_INF
         assert -NEG_INF == POS_INF
-        assert -ExtendedValue.finite(F(2, 5)) == ExtendedValue.finite(F(-2, 5))
+        assert -ExtendedValue(0, F(2, 5)) == ExtendedValue(0, F(-2, 5))
 
     def test_hash_and_equality(self):
-        assert len({POS_INF, ExtendedValue(1), ExtendedValue.finite(1), ExtendedValue.finite(1)}) == 2
+        assert len({POS_INF, ExtendedValue(1), ExtendedValue(0, F(1)), ExtendedValue(0, F(1))}) == 2
 
     def test_finite_value_accessor(self):
-        assert ExtendedValue.finite(7).finite_value() == 7
+        assert ExtendedValue(0, F(7)).finite_value() == 7
         with pytest.raises(ValueError):
             POS_INF.finite_value()
 
-    def test_floats_rejected(self):
-        with pytest.raises(TypeError):
-            ExtendedValue.finite(0.5)
+    def test_floats_rejected(self):  # the coercion every exact entry point applies
+        with pytest.raises(TypeError, match="must be an exact rational"):
+            _as_rational(0.5, "value")
+        assert _as_rational("1/3", "value") == F(1, 3)
 
-
-class TestDiscreteInterval:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            I(3, 2)
-        with pytest.raises(ValueError):
-            I(0, 2)
-
-    def test_length_and_membership(self):
-        j = I(2, 5)
-        assert j.length == 4
-        assert j.contains(2) and j.contains(5) and not j.contains(6)
-        assert I(3, 4).within(j) and not I(1, 4).within(j)

@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from helpers import naive_center_bounds
+from helpers import naive_center_bounds, noise_cdf
 
-from qtvd.intervals import DiscreteInterval
 from qtvd.risk import (
     Cauchy,
     ConstantSignal,
@@ -15,16 +14,15 @@ from qtvd.risk import (
     ModelSpec,
     PiecewiseConstantSignal,
     RiskConstants,
-    dist_boundary,
+    _boundary_regime,
+    _dist,
+    _sd,
     growth_constants,
     lambda_star,
     pointwise_bounds,
     rate_regress,
-    sd_bound,
     simulate,
 )
-
-DI = DiscreteInterval
 
 
 def smallest_admissible_n(constants, tau, lam_policy, x0=0.5, n_max=1 << 16):
@@ -44,7 +42,7 @@ class TestNoise:
     @pytest.mark.parametrize("noise", [Cauchy(1.0), Gaussian(1.0), Laplace(1.0), Cauchy(0.3), Laplace(2.0)])
     @pytest.mark.parametrize("tau", [0.3, 0.5, 0.75])
     def test_cdf_at_zero_is_tau(self, noise, tau):
-        assert noise.cdf(0.0, tau) == pytest.approx(tau, abs=1e-12)
+        assert noise_cdf(noise, 0.0, tau) == pytest.approx(tau, abs=1e-12)
 
     def test_centering_frequency(self):
         # empirical fraction of draws below zero stays within 3e-3 of tau
@@ -64,7 +62,7 @@ class TestNoise:
     def test_growth_condition_on_grid(self, noise, tau):
         c1, delta = growth_constants(noise, tau)
         for t in np.linspace(-delta, delta, 401):
-            assert abs(noise.cdf(float(t), tau) - tau) >= c1 * abs(t) - 1e-12
+            assert abs(noise_cdf(noise, float(t), tau) - tau) >= c1 * abs(t) - 1e-12
 
     def test_degenerate_scale_rejected_for_constants(self):
         for noise in (Cauchy(0.0), Gaussian(0.0), Laplace(0.0)):
@@ -170,50 +168,47 @@ class TestBoundPieces:
             pointwise_bounds([1.0, 2.0, 3.0], 0.5, 1.0, RiskConstants(c1=0.2), locations=[4], allow_small_lambda=True)
 
     def test_dist_interior(self):
-        assert dist_boundary(50, DI(40, 70), 100, 0.5) == 11
+        assert _boundary_regime(50, 100, 0.5)[1:] == (False, False)
+        assert _dist(50, 40, 70, False, False) == 11
 
     def test_dist_left_boundary_regime(self):
-        assert dist_boundary(1, DI(1, 30), 100, 1.0) == 30
+        assert _boundary_regime(1, 100, 1.0)[1:] == (True, False)
+        assert _dist(1, 1, 30, True, False) == 30
 
     def test_dist_symmetric_center(self):
-        assert dist_boundary(10, DI(5, 15), 100, 0.1) == 6 == min(10 - 5 + 1, 15 - 10 + 1)
+        assert _boundary_regime(10, 100, 0.1)[1:] == (False, False)
+        assert _dist(10, 5, 15, False, False) == 6 == min(10 - 5 + 1, 15 - 10 + 1)
 
     def test_sd_scales_with_c_tilde(self):
-        base = RiskConstants(c1=0.2, c_tilde=4.0)
-        double = RiskConstants(c1=0.2, c_tilde=8.0)
-        j = DI(10, 40)
-        assert sd_bound(20, j, 5.0, 100, 0.5, double) == pytest.approx(
-            2 * sd_bound(20, j, 5.0, 100, 0.5, base)
-        )
+        logn = math.log(100)
+        assert _sd(8.0, logn, 11, 31, 5.0, 0.5) == pytest.approx(2 * _sd(4.0, logn, 11, 31, 5.0, 0.5))
 
     def test_sd_dominated_by_lam_over_len_for_large_lam(self):
-        const = RiskConstants(c1=0.2)
-        j = DI(10, 40)
         lam = 1e9
-        val = sd_bound(20, j, lam, 100, 0.5, const)
-        assert val == pytest.approx(const.c_tilde * lam / j.length, rel=1e-6)
+        assert _sd(4.0, math.log(100), 11, 31, lam, 0.5) == pytest.approx(4.0 * lam / 31, rel=1e-6)
 
     def test_sd_direct_formula_recomputation(self):
-        n, tau = 4096, 0.5
-        j = DI(1537, 2560)
-        lam = math.sqrt(math.log(n) * j.length)
-        const = RiskConstants(c1=1.0 / (2 * math.pi), c_tilde=4.0, C1=1.0)
-        dist = min(2048 - 1537 + 1, 2560 - 2048 + 1)
+        n, tau, i, (j1, j2) = 4096, 0.5, 2048, (1537, 2560)
+        lam = math.sqrt(math.log(n) * 1024)
+        dist = _dist(i, j1, j2, *_boundary_regime(i, n, 1.0)[1:])
+        assert dist == min(2048 - 1537 + 1, 2560 - 2048 + 1)
         expected = 4.0 * (
             math.sqrt(math.log(n) / dist) + tau * math.log(n) / lam + lam / 1024
         )
-        assert sd_bound(2048, j, lam, n, tau, const) == pytest.approx(expected, rel=1e-15)
+        assert _sd(4.0, math.log(n), dist, j2 - j1 + 1, lam, tau) == pytest.approx(expected, rel=1e-15)
 
-    def test_sd_rejects_nonpositive_lam(self):
-        with pytest.raises(ValueError):
-            sd_bound(2, DI(1, 3), 0.0, 10, 0.5, RiskConstants(c1=0.2))
+    def test_sd_rejects_nonpositive_lam(self):  # SD divides by lam; the bounds refuse lam <= 0
+        for lam in (0.0, -1.0):
+            with pytest.raises(ValueError, match="lam must be > 0"):
+                pointwise_bounds([0.0] * 10, 0.5, lam, RiskConstants(c1=0.2), allow_small_lambda=True)
 
     def test_bound_components_record(self):
         # one admissible interval, J = [2:3]: the bound is exactly Bias +- SD of that J
-        const, lam, J = RiskConstants(c1=0.25, C1=0.5), 0.1, DI(2, 3)
+        const, lam = RiskConstants(c1=0.25, C1=0.5), 0.1
         b = pointwise_bounds([0, 1, 2, 1], 0.5, lam, const, locations=[2], allow_small_lambda=True)
-        sd = sd_bound(2, J, lam, 4, 0.5, const)
-        assert dist_boundary(2, J, 4, const.C1) == 1
+        dist = _dist(2, 2, 3, *_boundary_regime(2, 4, const.C1)[1:])
+        assert dist == 1
+        sd = _sd(const.c_tilde, math.log(4), dist, 2, lam, 0.5)
         assert b.upper == (1 + sd,) and b.lower == (0 - sd,)
 
 
@@ -226,7 +221,7 @@ class TestPointwiseBounds:
         lam = lambda_star(n, 2.0, r0=0.125)
         b = pointwise_bounds([0.0] * n, tau, lam, self.const, locations=[512])
         best = min(
-            sd_bound(512, DI(j1, j2), lam, n, tau, self.const)
+            _sd(self.const.c_tilde, math.log(n), min(512 - j1 + 1, j2 - 512 + 1), j2 - j1 + 1, lam, tau)
             for j1 in range(2, 513)
             for j2 in range(512, n)
             if (j2 - j1 + 1) > self.const.min_interval_length(lam)

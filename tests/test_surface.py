@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from qtvd.risk import RiskConstants
+from qtvd.envelope import Envelope
+from qtvd.intervals import ExtendedValue
+from qtvd.risk import Cauchy, Gaussian, Laplace, RiskConstants
 
 MODULES = ["qtvd", "qtvd.cli", "qtvd.envelope", "qtvd.intervals", "qtvd.penalties", "qtvd.risk", "qtvd.solver"]
 
@@ -16,6 +18,7 @@ REMOVED = [
     "grid_oracle", "GridOracleResult", "GRID_ORACLE_CAP",
     "BoundComponents", "bound_components", "bias_terms", "smallest_admissible_n",
     "ValidationError", "penalty_value", "floor_index", "ceil_index", "_trim", "_peek",
+    "DiscreteInterval", "boundary_constant", "dist_boundary", "sd_bound",
 ]
 
 
@@ -28,6 +31,18 @@ def test_exports_resolve_and_removed_names_are_gone(name):
 
 def test_risk_constants_dropped_as_dict():
     assert not hasattr(RiskConstants, "as_dict")
+
+
+@pytest.mark.parametrize("owner, attr", [
+    (ExtendedValue, "finite"), (ExtendedValue, "is_finite"), (Envelope, "__len__"),
+    (RiskConstants, "lambda_coefficient"), (Cauchy, "cdf"), (Gaussian, "cdf"), (Laplace, "cdf"),
+])
+def test_methods_without_callers_are_gone(owner, attr):
+    assert not hasattr(owner, attr)
+
+
+def test_boundary_constant_kernel_lives_in_envelope():
+    assert not hasattr(importlib.import_module("qtvd.intervals"), "_c2")
 
 
 def test_helpers_import_only_instance_from_qtvd():
