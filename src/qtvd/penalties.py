@@ -20,8 +20,9 @@ linear dependence of the quantile loss on its level:
 The audit runs on chain penalties, where the exact solver applies; for
 non-chain graphs only the submodularity test is exposed.  All functions
 are pure; fuzz trials use one seeded generator and are reported
-deterministically.  The fuzzer draws integers and sums the submodularity
-gap over the edges where x and y cross, with each edge's kernel memoised.
+deterministically.  Both audits run on integers: the fuzzer's gap is one
+integer ratio, with one kernel memo per distinct (weight, kernel), and the
+non-crossing gap is a difference of the two fits' scaled data values.
 """
 
 from __future__ import annotations
@@ -30,10 +31,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from math import lcm
 from typing import Sequence
 
 from .intervals import _as_rational
-from .solver import Instance, fit
+from .solver import Instance, _fit_ranks
 
 __all__ = [
     "Absolute",
@@ -149,7 +151,9 @@ def submodularity_fuzz(penalty: PairwisePenalty, trials: int, seed: int) -> Fuzz
     by edge: an edge (i, j) with (x_i - y_i) * (x_j - y_j) >= 0 has x v y and
     x ^ y equal to x and y on its ends and adds 0; any other edge has join
     and meet differences x_i - y_j and y_i - x_j.  Each difference is m*p/q,
-    so each edge memoises its kernel values by (p*m, q).
+    so the edges sharing a weight w and a kernel object share one memo of
+    w*phi by (p*m, q), held as ints (numerator, denominator); a trial sums
+    its terms as one integer ratio over the lcm of their denominators.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -159,9 +163,12 @@ def submodularity_fuzz(penalty: PairwisePenalty, trials: int, seed: int) -> Fuzz
     for e in penalty.edges:  # n is the largest index, so only an index below 1 is out of range
         if min(e.i, e.j) < 1:
             raise IndexError(f"edge ({e.i},{e.j}) out of range for length {n}")
-    # One memo per edge, keyed by ints: its kernel runs once per distinct num/den and need not hash.
-    terms = [(e.i - 1, e.j - 1, e.weight, cache(lambda num, den, phi=e.kernel: phi(Fraction(num, den))))
-             for e in penalty.edges]
+    memo = {}  # one per distinct (weight, kernel), keyed by id() because a kernel need not hash
+    for e in penalty.edges:
+        if (e.weight, id(e.kernel)) not in memo:
+            memo[e.weight, id(e.kernel)] = cache(
+                lambda num, den, w=e.weight, phi=e.kernel: (w * phi(Fraction(num, den))).as_integer_ratio())
+    terms = [(e.i - 1, e.j - 1, memo[e.weight, id(e.kernel)]) for e in penalty.edges]
     rng = random.Random(seed)
     violations = 0
     first = None
@@ -169,12 +176,17 @@ def submodularity_fuzz(penalty: PairwisePenalty, trials: int, seed: int) -> Fuzz
         p, q = rng.randint(1, 5), rng.randint(1, 5)
         kx = [rng.randint(-3, 3) for _ in range(n)]
         ky = [rng.randint(-3, 3) for _ in range(n)]
-        gap = 0
-        for i, j, weight, phi in terms:
+        num, den = 0, 1  # the gap is num/den; den is the lcm of the denominators added so far
+        for i, j, phi in terms:
             a, b, c, d = kx[i], kx[j], ky[i], ky[j]
             if (a - c) * (b - d) < 0:
-                gap += weight * (phi(p * (a - b), q) + phi(p * (c - d), q) - phi(p * (a - d), q) - phi(p * (c - b), q))
-        if gap < 0:
+                for sign, m in ((1, a - b), (1, c - d), (-1, a - d), (-1, c - b)):
+                    t, u = phi(p * m, q)
+                    if den % u:
+                        common = lcm(den, u)
+                        num, den = num * (common // den), common
+                    num += sign * t * (den // u)
+        if num < 0:
             violations += 1
             if first is None:
                 scale = Fraction(p, q)
@@ -194,15 +206,16 @@ def noncrossing_audit(y: Sequence, lam, tau1, tau2) -> NonCrossingReport:
     Requires tau1 < tau2 and a shared lam; the claim is specific to a
     common tuning parameter.  Extremal fits realise the solution-set
     envelopes exactly, so this checks non-crossing of the full solution
-    sets, not just of one pair of minimisers.
+    sets, not just of one pair of minimisers.  Both fits rank the same y,
+    so the gap is a difference of scaled data values; one Fraction is built.
     """
     tau1 = _as_rational(tau1, "tau1")
     tau2 = _as_rational(tau2, "tau2")
     if not tau1 < tau2:
         raise ValueError(f"need tau1 < tau2, got {tau1} >= {tau2}")
-    upper1 = fit(Instance(tuple(y), tau1, lam), "upper").theta
-    lower2 = fit(Instance(tuple(y), tau2, lam), "lower").theta
-    worst = min(b - a for a, b in zip(upper1, lower2))
+    scale, uniq, _, upper1 = _fit_ranks(Instance(tuple(y), tau1, lam), "upper")
+    lower2 = _fit_ranks(Instance(tuple(y), tau2, lam), "lower")[3]
+    worst = Fraction(min(uniq[b] - uniq[a] for a, b in zip(upper1, lower2)), scale)
     return NonCrossingReport(ok=worst >= 0, worst_gap=worst)
 
 

@@ -39,7 +39,8 @@ lies on the lattice (1/D)Z with D = lcm(den tau, den lam).  The exact
 `fit` therefore runs the same `_fit_core` on the ranks of y among its
 distinct values, with tau*D, lam*D and the unit jump D as integers, and
 maps the returned ranks back to data values.  Ranks come from y scaled
-by the lcm of its denominators, so no Fraction is hashed or compared.
+by the lcm of its denominators, so no Fraction is hashed or compared;
+`_fit_ranks` stops at the ranks, which `qtvd.penalties` audits directly.
 `fit_float` needs no ranks: float comparisons are exact and every finite
 float is a dyadic rational, so it runs `_fit_core` on the floats with
 the integer levels of Fraction(tau) and Fraction(lam), and returns the
@@ -277,15 +278,21 @@ def _prefer_high(extremality: Extremality) -> bool:
     return extremality != "lower"
 
 
+def _fit_ranks(inst: Instance, extremality: Extremality) -> tuple:
+    """(scale, uniq, y ranks, theta ranks); uniq is y's sorted distinct values times scale, as ints."""
+    prefer_high = _prefer_high(extremality)
+    scale, (ys,) = _scaled(inst.y)
+    uniq = sorted(set(ys))
+    unit, tau, lam = _lattice(inst.tau, inst.lam)
+    y_ranks = _ranks(ys, uniq)
+    return scale, uniq, y_ranks, _fit_core(y_ranks, tau, lam, prefer_high, unit)
+
+
 def fit(inst: Instance, extremality: Extremality = "any") -> Fit:
     """Exact global minimiser; "upper"/"lower" return the extremal solutions."""
-    prefer_high = _prefer_high(extremality)
-    _, (ys,) = _scaled(inst.y)
-    value = dict(zip(ys, inst.y))
-    uniq = sorted(value)
-    unit, tau, lam = _lattice(inst.tau, inst.lam)
-    ranks = _fit_core(_ranks(ys, uniq), tau, lam, prefer_high, unit)
-    theta = tuple(value[uniq[r]] for r in ranks)
+    _, _, y_ranks, ranks = _fit_ranks(inst, extremality)
+    value = dict(zip(y_ranks, inst.y))
+    theta = tuple(value[r] for r in ranks)
     return Fit(theta=theta, objective=objective_value(theta, inst), extremality=extremality)
 
 

@@ -66,6 +66,8 @@ MIXED_EDGES = (
     Edge(3, 4, F(1, 3), Absolute()),
 )
 
+SHARED_ABS = Absolute()
+
 FUZZ_PENALTIES = {
     "chain-absolute": PairwisePenalty.chain(5),
     "chain-square": PairwisePenalty.chain(5, kernel=Square()),
@@ -78,6 +80,13 @@ FUZZ_PENALTIES = {
         unchecked=True,
     ),
     "non-convex-kernel": PairwisePenalty.chain(4, kernel=lambda x: -abs(x)),
+    # Kernel memos are shared per (weight, kernel object): one kernel under two weights needs two memos,
+    # equal but distinct kernels get one each, and a kernel may return plain ints.
+    "shared-kernel-signed-weights": PairwisePenalty(
+        (Edge(1, 2, F(1), SHARED_ABS), Edge(2, 3, F(-1), SHARED_ABS), Edge(3, 4, F(1), SHARED_ABS)), unchecked=True
+    ),
+    "equal-huber-objects": PairwisePenalty((Edge(1, 2, F(1), Huber(F(1, 2))), Edge(2, 3, F(1), Huber(F(1, 2))))),
+    "int-kernel": PairwisePenalty.chain(4, kernel=lambda x: 0),
 }
 
 
@@ -110,8 +119,14 @@ class TestSubmodularityFuzz:
             rep = submodularity_fuzz(pen, trials=50, seed=seed)
             assert (rep.violations, rep.first_violation) == naive_submodularity_fuzz(pen, 50, seed), seed
             total += rep.violations
-        if name in ("planted-negative", "non-convex-kernel"):
+        if name in ("planted-negative", "non-convex-kernel", "shared-kernel-signed-weights"):
             assert total > 0
+
+    def test_long_chain_matches_literal_loop(self):
+        # 299 edges with mixed denominators in one trial's gap: its denominator must stay an lcm, not a product.
+        pen = PairwisePenalty.chain(300, weight=F(2, 3), kernel=Huber(F(1, 2)))
+        rep = submodularity_fuzz(pen, trials=200, seed=0)
+        assert (rep.violations, rep.first_violation) == naive_submodularity_fuzz(pen, 200, 0)
 
     def test_edge_index_below_one_raises(self):
         with pytest.raises(IndexError, match=r"edge \(0,1\) out of range"):
@@ -138,6 +153,20 @@ class TestNonCrossingAudit:
             taus = sorted(rng.sample([F(k, 10) for k in range(1, 10)], 2))
             rep = noncrossing_audit(y, F(rng.randint(1, 8), 4), taus[0], taus[1])
             assert rep.ok and rep.worst_gap >= 0
+
+    def test_worst_gap_is_exact(self):
+        # y in k/1, k/2, k/3 puts the shared scale above 1, so a gap not divided by it fails here.
+        rng = random.Random(7)
+        for _ in range(80):
+            n = rng.randint(1, 30)
+            y = tuple(F(rng.randint(-9, 9), rng.choice((1, 2, 3))) for _ in range(n))
+            lam = rng.choice((F(0), F(1, 4), F(3), F(n)))
+            t1, t2 = sorted(rng.sample([F(k, 10) for k in range(1, 10)], 2))
+            upper1 = fit(Instance(y, t1, lam), "upper").theta
+            lower2 = fit(Instance(y, t2, lam), "lower").theta
+            rep = noncrossing_audit(y, lam, t1, t2)
+            assert rep.worst_gap == min(b - a for a, b in zip(upper1, lower2))
+            assert rep.ok == (rep.worst_gap >= 0)
 
     def test_lambda_zero_gap_is_zero(self):
         y = (F(3), F(-1), F(4))
