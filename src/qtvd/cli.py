@@ -93,8 +93,7 @@ def _parse_constants(pairs: Optional[Sequence[str]], noise, tau: float) -> risk.
         except ValueError as exc:
             raise ValueError(f"--constants {key}: bad float {raw!r}") from exc
     if "c1" in overrides:
-        base = {"delta": 1.0, **overrides}
-        return risk.RiskConstants(**base)
+        return risk.RiskConstants(**overrides)
     return risk.RiskConstants.for_noise(noise, tau, **overrides)
 
 
@@ -229,9 +228,7 @@ def _cmd_simulate(args) -> int:
     constants = None
     if args.bounds:
         constants = _parse_constants(args.constants, noise, args.tau)
-    report = risk.simulate(
-        model, lam, args.reps, x0=args.x0, constants=constants, compute_bounds=args.bounds
-    )
+    report = risk.simulate(model, lam, args.reps, x0=args.x0, constants=constants)
     _write_csv(args.output + ".csv", [report])
     _emit(report.summary(), args.output + ".json")
     print(f"simulate: {report.runtime_seconds:.2f}s, wrote {args.output}.csv/.json", file=sys.stderr)

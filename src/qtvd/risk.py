@@ -13,8 +13,8 @@ intervals.  For an outer interval J containing i define
 with Dist(i, dJ) the distance from i to the boundary of J = [j1:j2]
 (one-sided near the global boundary, regime chosen by comparing i with
 C1 * log n).  With the noise CDF growing at rate c1 around its zero
-quantile on [-delta, delta], and lam at least of order log n, the error
-at interior locations is bounded by
+quantile on [-delta, delta] (`RiskConstants.for_noise`), and lam at
+least of order log n, the error at interior locations is bounded by
 
     max_J [Bias-(i,J) - SD^{1-tau}]  <=  err_i  <=  min_J [Bias+(i,J) + SD^tau]
 
@@ -33,8 +33,10 @@ for alpha-smooth signals (alpha <= 1, local Hoelder norm L0)
 
 yielding local error of order n^(-a/(2a+1)) up to log factors; for
 signals constant within radius r0 of the monitored point x0,
-lam* = sqrt(n * r0 * log n) and order sqrt(log n / n).  The
-Monte-Carlo harness regresses the log median absolute error on log n to
+lam* = sqrt(n * r0 * log n) and order sqrt(log n / n); each signal
+class gives its own lam* at x0 through `star_lambda(n, x0)`.  The
+Monte-Carlo harness certifies every fit, evaluates the bounds when given
+constants, and regresses the log median absolute error on log n to
 check those exponents empirically.
 
 Replications derive independent generator streams from (master seed,
@@ -66,7 +68,6 @@ __all__ = [
     "PointwiseBounds",
     "RiskReport",
     "RateRegression",
-    "growth_constants",
     "pointwise_bounds",
     "lambda_star",
     "simulate",
@@ -160,24 +161,6 @@ class Laplace:
 Noise = Union[Cauchy, Gaussian, Laplace]
 
 
-def growth_constants(noise: Noise, tau: float, delta: float = 1.0) -> tuple[float, float]:
-    """(c1, delta) with |F(t) - tau| >= c1*|t| on |t| <= delta.
-
-    The shifted densities are unimodal, so their minimum over [-delta, delta]
-    sits at an endpoint; that minimum is a valid growth rate for the CDF
-    around its zero quantile.  Cauchy(1) at tau=1/2, delta=1 gives
-    c1 = 1/(2*pi).
-    """
-    if delta <= 0:
-        raise ValueError("delta must be > 0")
-    if (noise.sigma if isinstance(noise, Gaussian) else noise.scale) == 0:
-        raise ValueError("degenerate noise: zero scale, growth constant is zero")
-    c1 = min(noise.density(-delta, tau), noise.density(delta, tau))
-    if not c1 > 0:
-        raise ValueError("degenerate noise: growth constant is zero")
-    return c1, delta
-
-
 # ---------------------------------------------------------------------------
 # signals on the design grid x_i = i/n
 # ---------------------------------------------------------------------------
@@ -193,11 +176,9 @@ class ConstantSignal:
     def values(self, n: int) -> np.ndarray:
         return np.full(n, float(self.level))
 
-    def local_radius(self, x0: float) -> float:
-        return min(x0, 1.0 - x0)
-
-    def holder(self) -> tuple[float, float]:
-        return math.inf, 0.0
+    def star_lambda(self, n: int, x0: float) -> float:
+        """lam* at x0: the signal is constant within min(x0, 1 - x0) of it."""
+        return lambda_star(n, 2.0, r0=min(x0, 1.0 - x0))
 
 
 @dataclass(frozen=True)
@@ -219,8 +200,9 @@ class HolderCusp:
         x = np.arange(1, n + 1) / n
         return self.norm * np.abs(x - self.x0) ** self.alpha
 
-    def holder(self) -> tuple[float, float]:
-        return self.alpha, self.norm
+    def star_lambda(self, n: int, x0: float) -> float:
+        """lam* of an alpha-smooth signal with Hoelder norm `norm`, whatever x0."""
+        return lambda_star(n, self.alpha, holder_norm=self.norm)
 
 
 @dataclass(frozen=True)
@@ -244,12 +226,9 @@ class PiecewiseConstantSignal:
         idx = np.searchsorted(self.breaks, x, side="left")
         return np.asarray(self.levels, dtype=float)[idx]
 
-    def local_radius(self, x0: float) -> float:
-        edges = (0.0, 1.0) + self.breaks
-        return min(abs(x0 - e) for e in edges)
-
-    def holder(self) -> tuple[float, float]:
-        return math.inf, 0.0
+    def star_lambda(self, n: int, x0: float) -> float:
+        """lam* at x0: the signal is constant up to the nearest break or end of [0, 1]."""
+        return lambda_star(n, 2.0, r0=min(abs(x0 - e) for e in (0.0, 1.0) + self.breaks))
 
 
 Signal = Union[ConstantSignal, HolderCusp, PiecewiseConstantSignal]
@@ -306,7 +285,20 @@ class RiskConstants:
 
     @classmethod
     def for_noise(cls, noise: Noise, tau: float, delta: float = 1.0, **kwargs) -> "RiskConstants":
-        c1, delta = growth_constants(noise, tau, delta)
+        """Constants whose c1 satisfies |F(t) - tau| >= c1*|t| on |t| <= delta.
+
+        The shifted densities are unimodal, so their minimum over [-delta, delta]
+        sits at an endpoint; that minimum is a valid growth rate for the CDF
+        around its zero quantile.  Cauchy(1) at tau=1/2, delta=1 gives
+        c1 = 1/(2*pi).
+        """
+        if delta <= 0:
+            raise ValueError("delta must be > 0")
+        if (noise.sigma if isinstance(noise, Gaussian) else noise.scale) == 0:
+            raise ValueError("degenerate noise: zero scale, growth constant is zero")
+        c1 = min(noise.density(-delta, tau), noise.density(delta, tau))
+        if not c1 > 0:
+            raise ValueError("degenerate noise: growth constant is zero")
         return cls(c1=c1, delta=delta, **kwargs)
 
     def lambda_floor(self, n: int, tau: float) -> float:
@@ -508,38 +500,26 @@ class RiskReport:
         }
 
 
-def resolve_lambda(model: ModelSpec, lam, x0: float) -> float:
-    """A number passes through; "star" derives the rate-optimal value from the signal at x0."""
-    if lam == "star":
-        alpha, norm = model.signal.holder()
-        if alpha <= 1:
-            return lambda_star(model.n, alpha, holder_norm=norm)
-        return lambda_star(model.n, 2.0, r0=model.signal.local_radius(x0))
-    return float(lam)
-
-
 def simulate(
     model: ModelSpec,
     lam,
     replications: int,
     x0: float = 0.5,
     constants: Optional[RiskConstants] = None,
-    compute_bounds: bool = False,
 ) -> RiskReport:
     """Draw data from the model, fit with the float fast path, record errors at x0.
 
-    Every fit is checked by `certify_float`, which decides optimality
-    exactly; failures are counted (and should be zero).  When
-    `compute_bounds` is set, the theoretical error interval at the
-    monitored location is evaluated once and the empirical coverage of
-    the per-replication errors is reported.
+    `lam` is a number or "star", the signal's `star_lambda(n, x0)`.  Every
+    fit, lam = 0 included, is checked exactly by `certify_float`; failures
+    are counted (and should be zero).  Given `constants`, the error bounds
+    at the monitored location and the errors' coverage of them are reported.
     """
     if replications < 1:
         raise ValueError("replications must be >= 1")
     if not 0.0 <= x0 <= 1.0:
         raise ValueError(f"x0 must be a finite design point in [0, 1], got {x0}")
-    lam_val = resolve_lambda(model, lam, x0)
     n = model.n
+    lam_val = model.signal.star_lambda(n, x0) if lam == "star" else float(lam)
     theta_star = model.signal.values(n)
     location = min(max(int(math.floor(n * x0)), 1), n)
     truth = theta_star[location - 1]
@@ -551,13 +531,11 @@ def simulate(
         eps = model.noise.sample(rng, n, model.tau)
         y = theta_star + eps
         theta = fit_float(y, model.tau, lam_val, "any")
-        if lam_val > 0 and not certify_float(y, theta, model.tau, lam_val):
+        if not certify_float(y, theta, model.tau, lam_val):
             cert_failures += 1
         errors.append(float(theta[location - 1] - truth))
     bound_lower = bound_upper = coverage = None
-    if compute_bounds:
-        if constants is None:
-            constants = RiskConstants.for_noise(model.noise, model.tau)
+    if constants is not None:
         bounds = pointwise_bounds(theta_star, model.tau, lam_val, constants, locations=[location])
         bound_lower = bounds.lower[0]
         bound_upper = bounds.upper[0]

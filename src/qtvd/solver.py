@@ -304,26 +304,25 @@ def _finite_floats(values: Sequence, what: str) -> np.ndarray:
     return out
 
 
-def _check_nonempty(y: Sequence) -> None:
-    if len(y) == 0:
-        raise ValueError("data vector must be non-empty")
+def _float_inputs(y: Sequence, tau: float, lam: float) -> tuple:
+    """(y as float64, D, tau*D, lam*D): the checked data and the `_lattice` of the float levels.
 
-
-def _float_lattice(tau: float, lam: float) -> tuple:
-    """`_lattice` of float levels: every finite float is a dyadic rational, so Fraction is exact."""
+    Every finite float is a dyadic rational, so Fraction is exact.
+    """
     if not 0.0 < tau < 1.0:
         raise ValueError(f"tau must be in (0, 1), got {tau}")
     if not 0.0 <= lam < inf:
         raise ValueError(f"lam must be finite and >= 0, got {lam}")
-    return _lattice(Fraction(float(tau)), Fraction(float(lam)))
+    if len(y) == 0:
+        raise ValueError("data vector must be non-empty")
+    return (_finite_floats(y, "data"), *_lattice(Fraction(float(tau)), Fraction(float(lam))))
 
 
 def fit_float(y: Sequence, tau: float, lam: float, extremality: Extremality = "any") -> list:
     """`fit` for float data and levels, returning theta only: the same floats `fit` gives on their Fractions."""
     prefer_high = _prefer_high(extremality)
-    unit, tau, lam = _float_lattice(tau, lam)
-    _check_nonempty(y)
-    return _fit_core(_finite_floats(y, "data").tolist(), tau, lam, prefer_high, unit)
+    y, unit, tau, lam = _float_inputs(y, tau, lam)
+    return _fit_core(y.tolist(), tau, lam, prefer_high, unit)
 
 
 def _pick(cond, a, b, dtype):
@@ -392,9 +391,8 @@ def certify_float(y: Sequence, theta: Sequence, tau: float, lam: float) -> bool:
     """Exact optimality decision for float data and theta: whether `certify` accepts their Fractions."""
     if len(theta) != len(y):
         raise ValueError("length mismatch")
-    _check_nonempty(y)
-    one, tau, lam = _float_lattice(tau, lam)
-    return _dual_system(_finite_floats(y, "data"), _finite_floats(theta, "theta"), tau, lam, one) is not None
+    y, one, tau, lam = _float_inputs(y, tau, lam)
+    return _dual_system(y, _finite_floats(theta, "theta"), tau, lam, one) is not None
 
 
 def lattice_join(theta1: Sequence, theta2: Sequence) -> tuple:

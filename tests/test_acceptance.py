@@ -214,7 +214,7 @@ def test_criterion_10_bound_coverage():
     constants = RiskConstants.for_noise(Cauchy(1.0), tau)  # defaults: c=2, c_tilde=4, C1=1
     lam = lambda_star(n, 2.0, r0=0.125)
     model = ModelSpec(n, tau, ConstantSignal(0.0), Cauchy(1.0), seed=101_010)
-    rep = simulate(model, lam, 1_000, x0=0.5, constants=constants, compute_bounds=True)
+    rep = simulate(model, lam, 1_000, x0=0.5, constants=constants)
     threshold = 1.0 - 4.0 * n ** (-(constants.c - 1.0))
     ok = rep.coverage is not None and rep.coverage >= threshold and rep.certificate_failures == 0
     _report(10, ok, f"coverage {rep.coverage:.4f} >= {threshold:.5f} at n=2^10 over 10^3 replications "

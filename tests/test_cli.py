@@ -207,6 +207,12 @@ class TestSimulateRate:
         doc = json.loads((tmp_path / "b.json").read_text())
         assert doc["bound_upper"] is not None and doc["coverage"] is not None
 
+    def test_given_c1_leaves_delta_at_one(self, tmp_path):
+        args = ["simulate", "--n", "1024", "--reps", "3", "--seed", "1", "--lambda", "30", "--bounds"]
+        assert run([*args, "--constants", "c1=0.2", "--output", str(tmp_path / "a")]) == 0
+        assert run([*args, "--constants", "c1=0.2", "delta=1", "--output", str(tmp_path / "b")]) == 0
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
     def test_rate_study(self, tmp_path):
         assert run(["rate", "--n-grid", "64,128,256,512", "--reps", "8", "--seed", "2",
                     "--signal", "pwc", "--breaks", "0.2,0.8", "--levels", "1,0,1",

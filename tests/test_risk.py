@@ -5,6 +5,7 @@ import pytest
 
 from helpers import naive_center_bounds, noise_cdf
 
+from qtvd import risk
 from qtvd.risk import (
     Cauchy,
     ConstantSignal,
@@ -17,7 +18,6 @@ from qtvd.risk import (
     _boundary_regime,
     _dist,
     _sd,
-    growth_constants,
     lambda_star,
     pointwise_bounds,
     rate_regress,
@@ -53,21 +53,22 @@ class TestNoise:
                 assert abs(float(np.mean(draws < 0)) - tau) < 3e-3
 
     def test_cauchy_growth_constant_closed_form(self):
-        c1, delta = growth_constants(Cauchy(1.0), 0.5, 1.0)
-        assert delta == 1.0
-        assert c1 == pytest.approx(1.0 / (math.pi * (1.0 + 1.0**2)), rel=1e-15)
+        const = RiskConstants.for_noise(Cauchy(1.0), 0.5, 1.0)
+        assert const.delta == 1.0
+        assert const.c1 == pytest.approx(1.0 / (math.pi * (1.0 + 1.0**2)), rel=1e-15)
 
     @pytest.mark.parametrize("noise", [Cauchy(1.0), Gaussian(1.0), Laplace(1.0)])
     @pytest.mark.parametrize("tau", [0.3, 0.5, 0.8])
     def test_growth_condition_on_grid(self, noise, tau):
-        c1, delta = growth_constants(noise, tau)
+        const = RiskConstants.for_noise(noise, tau)
+        c1, delta = const.c1, const.delta
         for t in np.linspace(-delta, delta, 401):
             assert abs(noise_cdf(noise, float(t), tau) - tau) >= c1 * abs(t) - 1e-12
 
     def test_degenerate_scale_rejected_for_constants(self):
         for noise in (Cauchy(0.0), Gaussian(0.0), Laplace(0.0)):
             with pytest.raises(ValueError):
-                growth_constants(noise, 0.5)
+                RiskConstants.for_noise(noise, 0.5)
 
     @pytest.mark.parametrize("family", [Cauchy, Gaussian, Laplace])
     @pytest.mark.parametrize("scale", [math.nan, math.inf, -1.0])
@@ -117,7 +118,7 @@ class TestSignals:
         sig = PiecewiseConstantSignal((0.5,), (1.0, 3.0))
         vals = sig.values(4)
         assert list(vals) == [1.0, 1.0, 3.0, 3.0]
-        assert sig.local_radius(0.25) == 0.25
+        assert sig.star_lambda(4, 0.25) == lambda_star(4, 2.0, r0=0.25)
 
     def test_piecewise_validation(self):
         with pytest.raises(ValueError):
@@ -352,6 +353,13 @@ class TestLambdaStar:
         with pytest.raises(ValueError, match="r0"):
             simulate(ModelSpec(64, 0.5, ConstantSignal(), Cauchy()), "star", 1, x0=1.0)
 
+    def test_star_of_constant_and_cusp_signals(self):
+        constant = ModelSpec(4096, 0.5, ConstantSignal(1.0), Cauchy(0.1))
+        for x0 in (0.25, 0.75):  # radius min(x0, 1 - x0) = 0.25 on both sides
+            assert simulate(constant, "star", 1, x0=x0).lam == lambda_star(4096, 2.0, r0=0.25)
+        cusp = ModelSpec(4096, 0.5, HolderCusp(0.5, norm=2.0), Cauchy(0.1))
+        assert simulate(cusp, "star", 1, x0=0.25).lam == lambda_star(4096, 0.5, holder_norm=2.0)
+
 
 class TestSimulate:
     def test_zero_noise_zero_lambda_is_exact(self):
@@ -359,6 +367,13 @@ class TestSimulate:
         rep = simulate(model, 0.0, 6)
         assert rep.errors == (0.0,) * 6
         assert rep.median_abs_error == 0.0
+
+    def test_every_fit_is_certified_at_zero_lambda(self, monkeypatch):
+        real, calls = risk.certify_float, []
+        monkeypatch.setattr(risk, "certify_float", lambda *args: calls.append(args) or real(*args))
+        rep = simulate(ModelSpec(32, 0.5, ConstantSignal(2.0), Cauchy(0.0), seed=1), 0.0, 6)
+        assert len(calls) == 6
+        assert rep.certificate_failures == 0
 
     def test_deterministic_given_seed(self):
         model = ModelSpec(128, 0.5, ConstantSignal(0.0), Cauchy(1.0), seed=9)
@@ -403,7 +418,7 @@ class TestSimulate:
     def test_coverage_against_bounds(self):
         model = ModelSpec(1024, 0.5, ConstantSignal(0.0), Cauchy(1.0), seed=6)
         lam = lambda_star(1024, 2.0, r0=0.125)
-        rep = simulate(model, lam, 30, compute_bounds=True)
+        rep = simulate(model, lam, 30, constants=RiskConstants.for_noise(model.noise, model.tau))
         assert rep.bound_upper is not None and rep.bound_lower is not None
         assert rep.coverage == 1.0
 

@@ -450,6 +450,8 @@ class TestFloatPath:
             fit_float([1.0], 0.0, 1.0)
         with pytest.raises(ValueError):
             fit_float([1.0], 0.5, -1.0)
+        with pytest.raises(ValueError, match="tau"):  # levels are checked before the data
+            certify_float([], [], 1.5, 1.0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_input(self, bad):

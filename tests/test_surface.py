@@ -2,13 +2,16 @@
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
 
 from qtvd.envelope import Envelope
 from qtvd.intervals import ExtendedValue
-from qtvd.risk import Cauchy, Gaussian, Laplace, RiskConstants
+from qtvd.risk import (
+    Cauchy, ConstantSignal, Gaussian, HolderCusp, Laplace, PiecewiseConstantSignal, RiskConstants, simulate,
+)
 
 MODULES = ["qtvd", "qtvd.cli", "qtvd.envelope", "qtvd.intervals", "qtvd.penalties", "qtvd.risk", "qtvd.solver"]
 
@@ -19,6 +22,7 @@ REMOVED = [
     "BoundComponents", "bound_components", "bias_terms", "smallest_admissible_n",
     "ValidationError", "penalty_value", "floor_index", "ceil_index", "_trim", "_peek",
     "DiscreteInterval", "boundary_constant", "dist_boundary", "sd_bound",
+    "growth_constants", "resolve_lambda", "_check_nonempty",
 ]
 
 
@@ -36,9 +40,15 @@ def test_risk_constants_dropped_as_dict():
 @pytest.mark.parametrize("owner, attr", [
     (ExtendedValue, "finite"), (ExtendedValue, "is_finite"), (Envelope, "__len__"),
     (RiskConstants, "lambda_coefficient"), (Cauchy, "cdf"), (Gaussian, "cdf"), (Laplace, "cdf"),
+    (ConstantSignal, "holder"), (ConstantSignal, "local_radius"), (HolderCusp, "holder"),
+    (PiecewiseConstantSignal, "holder"), (PiecewiseConstantSignal, "local_radius"),
 ])
 def test_methods_without_callers_are_gone(owner, attr):
     assert not hasattr(owner, attr)
+
+
+def test_simulate_reads_bounds_from_constants():
+    assert "compute_bounds" not in inspect.signature(simulate).parameters
 
 
 def test_boundary_constant_kernel_lives_in_envelope():
