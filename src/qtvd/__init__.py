@@ -2,7 +2,7 @@
 
 Fits the estimator exactly on a chain, computes the exact pointwise
 solution-set envelopes, certifies optimality through dual interval
-identities, audits lattice/non-crossing structure of the solution set,
+identities, audits non-crossing and submodularity of the solution set,
 and runs pointwise risk-rate simulations under heavy-tailed noise.
 """
 

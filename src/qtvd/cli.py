@@ -145,9 +145,9 @@ def _cmd_certify(args) -> int:
 
 def _cmd_audit(args) -> int:
     y, tau1, lam = _exact_inputs(args)
-    inst = solver.Instance(tuple(y), tau1, lam)  # every check runs on a valid instance
+    solver.Instance(tuple(y), tau1, lam)  # every check runs on a valid instance
     checks = [c.strip() for c in args.checks.split(",") if c.strip()]
-    known = ("noncross", "lattice", "submodular")
+    known = ("noncross", "submodular")
     if not checks:  # an audit that runs no check must not report ok
         raise ValueError(f"--checks names no check (choose from {', '.join(known)})")
     unknown = set(checks) - set(known)
@@ -162,13 +162,6 @@ def _cmd_audit(args) -> int:
         report = penalties.noncrossing_audit(y, lam, tau1, tau2)
         doc["noncross"] = {"ok": report.ok, "worst_gap": str(report.worst_gap)}
         ok = ok and report.ok
-    if "lattice" in checks:
-        lower = solver.fit(inst, "lower").theta
-        upper = solver.fit(inst, "upper").theta
-        join_ok = solver.certify(solver.lattice_join(lower, upper), inst) is not None
-        meet_ok = solver.certify(solver.lattice_meet(lower, upper), inst) is not None
-        doc["lattice"] = {"join_optimal": join_ok, "meet_optimal": meet_ok, "ok": join_ok and meet_ok}
-        ok = ok and join_ok and meet_ok
     if "submodular" in checks:
         n = min(len(y), 6)
         kernels = {
@@ -225,9 +218,9 @@ def _write_csv(path: str, reports: Sequence[risk.RiskReport]) -> None:
 def _cmd_simulate(args) -> int:
     signal, noise, lam = _model_inputs(args)
     model = risk.ModelSpec(args.n, args.tau, signal, noise, seed=args.seed)
-    constants = None
-    if args.bounds:
-        constants = _parse_constants(args.constants, noise, args.tau)
+    if args.constants is not None and not args.bounds:
+        raise ValueError("--constants needs --bounds")
+    constants = _parse_constants(args.constants, noise, args.tau) if args.bounds else None
     report = risk.simulate(model, lam, args.reps, x0=args.x0, constants=constants)
     _write_csv(args.output + ".csv", [report])
     _emit(report.summary(), args.output + ".json")
@@ -292,10 +285,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("--theta", required=True, help="candidate file, same format as --input")
     p_cert.set_defaults(handler=_cmd_certify)
 
-    p_audit = sub.add_parser("audit", help="non-crossing / lattice / submodularity checks")
+    p_audit = sub.add_parser("audit", help="non-crossing / submodularity checks")
     add_exact(p_audit)
     p_audit.add_argument("--tau2", default=None, help="second quantile level for the non-crossing audit")
-    p_audit.add_argument("--checks", default="noncross,lattice,submodular")
+    p_audit.add_argument("--checks", default="noncross,submodular")
     p_audit.add_argument("--trials", type=int, default=1000, help="submodularity fuzz trials per kernel")
     p_audit.add_argument("--seed", type=int, default=0)
     p_audit.set_defaults(handler=_cmd_audit)
@@ -314,13 +307,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--x0", type=float, default=0.5, help="monitored design point")
         p.add_argument("--reps", type=int, default=200)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--constants", nargs="*", default=None, metavar="k=v")
         p.add_argument("--output", required=True, help="output prefix; writes <prefix>.csv and <prefix>.json")
 
     p_sim = sub.add_parser("simulate", help="Monte-Carlo pointwise error study at one n")
     p_sim.add_argument("--n", type=int, required=True)
     add_model(p_sim)
     p_sim.add_argument("--bounds", action="store_true", help="also evaluate the theoretical error interval")
+    p_sim.add_argument("--constants", nargs="*", default=None, metavar="k=v", help="constant overrides; needs --bounds")
     p_sim.set_defaults(handler=_cmd_simulate)
 
     p_rate = sub.add_parser("rate", help="rate regression over an n-grid")

@@ -11,9 +11,9 @@ Submodularity of the penalty is what forces penalised quantile fits at
 two levels tau1 < tau2 (same lam) never to cross, and what closes the
 minimiser set under coordinatewise max/min.
 
-This module provides exact penalty evaluation, a seeded submodularity
-fuzzer, the non-crossing audit across quantile levels, and the exact
-linear dependence of the quantile loss on its level:
+This module provides the penalty kernels and edge lists, a seeded
+submodularity fuzzer, the non-crossing audit across quantile levels, and
+the exact linear dependence of the quantile loss on its level:
 
     Q_tau2(theta) - Q_tau1(theta) = (tau2 - tau1) * sum_i (y_i - theta_i).
 
@@ -123,15 +123,6 @@ class PairwisePenalty:
     def chain(cls, n: int, weight=1, kernel=Absolute()) -> "PairwisePenalty":
         """Consecutive-pairs penalty on [1:n]; Absolute kernel gives weight * TV."""
         return cls(tuple(Edge(i, i + 1, weight, kernel) for i in range(1, n)))
-
-    def value(self, theta: Sequence):
-        n = len(theta)
-        total = Fraction(0)
-        for e in self.edges:
-            if not (1 <= e.i <= n and 1 <= e.j <= n):
-                raise IndexError(f"edge ({e.i},{e.j}) out of range for length {n}")
-            total += e.weight * e.kernel(theta[e.i - 1] - theta[e.j - 1])
-        return total
 
 
 @dataclass(frozen=True)

@@ -220,11 +220,22 @@ def naive_center_bounds(theta_star, tau, lam, constants, i):
     return best_l, best_u
 
 
+def penalty_value(penalty, theta):
+    """P(theta): the sum of w * phi(theta_i - theta_j) over the penalty's edges, exact; indices are 1-based."""
+    n = len(theta)
+    total = Fraction(0)
+    for e in penalty.edges:
+        if not (1 <= e.i <= n and 1 <= e.j <= n):
+            raise IndexError(f"edge ({e.i},{e.j}) out of range for length {n}")
+        total += e.weight * e.kernel(theta[e.i - 1] - theta[e.j - 1])
+    return total
+
+
 def naive_submodularity_fuzz(penalty, trials, seed):
     """(violations, first_violation) of the literal fuzz loop: whole penalties at x, y, x v y and x ^ y.
 
     Draws the same stream as `qtvd.penalties.submodularity_fuzz` and
-    evaluates each point with `penalty.value`.
+    evaluates each point with `penalty_value`.
     """
     n = max(max(e.i, e.j) for e in penalty.edges)
     rng = random.Random(seed)
@@ -235,7 +246,8 @@ def naive_submodularity_fuzz(penalty, trials, seed):
         x = tuple(scale * rng.randint(-3, 3) for _ in range(n))
         y = tuple(scale * rng.randint(-3, 3) for _ in range(n))
         join, meet = tuple(map(max, x, y)), tuple(map(min, x, y))
-        if penalty.value(x) + penalty.value(y) < penalty.value(join) + penalty.value(meet):
+        lhs = penalty_value(penalty, x) + penalty_value(penalty, y)
+        if lhs < penalty_value(penalty, join) + penalty_value(penalty, meet):
             violations += 1
             if first is None:
                 first = (x, y)

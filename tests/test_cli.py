@@ -1,3 +1,4 @@
+import argparse
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -154,7 +155,7 @@ class TestAudit:
                     "--lambda", "1/2", "--checks", "noncross"]) == 3
         assert json.loads(capsys.readouterr().out)["ok"] is False
 
-    @pytest.mark.parametrize("check", ["noncross", "lattice", "submodular"])
+    @pytest.mark.parametrize("check", ["noncross", "submodular"])
     @pytest.mark.parametrize("option, value", [("--tau", "3/2"), ("--lambda", "-1")])
     def test_invalid_level_or_penalty_exits_2_for_every_check(self, check, option, value, y_file, tmp_path, capsys):
         out = tmp_path / "audit.json"
@@ -173,12 +174,13 @@ class TestAudit:
                     "--checks", checks, "--output", str(out)]) == 2
         captured = capsys.readouterr()
         assert "error:" in captured.err and captured.out == ""
-        assert all(name in captured.err for name in ("noncross", "lattice", "submodular"))
+        assert all(name in captured.err for name in ("noncross", "submodular")) and "lattice" not in captured.err
         assert not out.exists()
 
     def test_unknown_check_rejected(self, y_file):
-        assert run(["audit", "--input", y_file, "--tau", "1/4", "--lambda", "1/2",
-                    "--checks", "sorcery"]) == 2
+        for check in ("sorcery", "lattice"):
+            assert run(["audit", "--input", y_file, "--tau", "1/4", "--lambda", "1/2",
+                        "--checks", check]) == 2, check
 
 
 class TestSimulateRate:
@@ -271,6 +273,19 @@ class TestSimulateRate:
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "x.json").exists()
 
+    def test_constants_without_bounds_exit_2(self, tmp_path, capsys):
+        assert run(["simulate", "--n", "64", "--reps", "2", "--lambda", "8", "--constants", "c1=0.2",
+                    "--output", str(tmp_path / "x")]) == 2
+        assert "--constants" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
+
+    def test_rate_rejects_constants(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run(["rate", "--n-grid", "64,128,256,512", "--reps", "2", "--lambda", "8",
+                 "--constants", "c1=0.2", "--output", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "x.json").exists()
+
     @pytest.mark.parametrize("pair", ["c1=0", "c1=nan", "C1=nan", "c=nan", "c_tilde=nan", "delta=0"])
     def test_degenerate_constants_exit_2(self, pair, tmp_path, capsys):
         args = ["simulate", "--n", "1024", "--reps", "2", "--lambda", "30", "--bounds"]
@@ -317,4 +332,51 @@ class TestParserReuse:
         second = self._outputs(tmp_path, commands, ["noncross", "default"])
         assert first == second
         assert set(json.loads(first["noncross"][0])) == {"noncross", "ok"}
-        assert set(json.loads(first["default"][0])) == {"noncross", "lattice", "submodularity", "ok"}
+        assert set(json.loads(first["default"][0])) == {"noncross", "submodularity", "ok"}
+
+
+class TestEveryOptionIsRead:
+    """Each option a subcommand accepts is read by its handler on some valid call."""
+
+    @staticmethod
+    def _argvs(y_file, out):
+        exact = ["--input", y_file, "--tau", "1/2", "--lambda", "1/4", "--output", out]
+        model = ["--reps", "2", "--tau", "0.5", "--noise", "cauchy", "--scale", "1", "--x0", "0.5", "--seed", "1",
+                 "--output", out]
+        signals = [["--signal", "constant", "--level", "1", "--lambda", "8"],
+                   ["--signal", "cusp", "--alpha", "1", "--L0", "1", "--lambda", "star"],
+                   ["--signal", "pwc", "--breaks", "0.5", "--levels", "0,1", "--lambda", "8"]]
+        return {
+            "fit": [["fit", *exact, "--extremal", "upper"]],
+            "envelope": [["envelope", *exact, "--allow-large-n"]],
+            "certify": [["certify", *exact, "--theta", y_file]],
+            "audit": [["audit", *exact, "--tau2", "3/4", "--checks", "noncross,submodular", "--trials", "20"]],
+            "simulate": [["simulate", "--n", "64", *model, *signal] for signal in signals]
+            + [["simulate", "--n", "1024", *model, "--lambda", "30", "--bounds", "--constants", "c_tilde=4"]],
+            "rate": [["rate", "--n-grid", "32,64,128,256", *model, *signal] for signal in signals],
+        }
+
+    def test_no_option_is_parsed_but_never_read(self, y_file, tmp_path):
+        parser = cli.build_parser()
+        subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        argvs = self._argvs(y_file, str(tmp_path / "out"))
+        assert set(argvs) == set(subparsers.choices)
+        reads = set()
+
+        class Recorder(argparse.Namespace):
+            def __getattribute__(self, name):
+                reads.add(name)
+                return super().__getattribute__(name)
+
+        unread = {}
+        for command, calls in argvs.items():
+            names = {a.dest for a in subparsers.choices[command]._actions if not isinstance(a, argparse._HelpAction)}
+            for argv in calls:
+                args = parser.parse_args(argv, namespace=Recorder())
+                handler = args.handler
+                reads.clear()  # parsing reads the namespace too; count the handler's reads only
+                assert handler(args) == 0, argv
+                names -= reads
+            if names:
+                unread[command] = sorted(names)
+        assert unread == {}

@@ -9,6 +9,7 @@ import pytest
 
 from qtvd.envelope import Envelope
 from qtvd.intervals import ExtendedValue
+from qtvd.penalties import PairwisePenalty
 from qtvd.risk import (
     Cauchy, ConstantSignal, Gaussian, HolderCusp, Laplace, PiecewiseConstantSignal, RiskConstants, simulate,
 )
@@ -41,7 +42,7 @@ def test_risk_constants_dropped_as_dict():
     (ExtendedValue, "finite"), (ExtendedValue, "is_finite"), (Envelope, "__len__"),
     (RiskConstants, "lambda_coefficient"), (Cauchy, "cdf"), (Gaussian, "cdf"), (Laplace, "cdf"),
     (ConstantSignal, "holder"), (ConstantSignal, "local_radius"), (HolderCusp, "holder"),
-    (PiecewiseConstantSignal, "holder"), (PiecewiseConstantSignal, "local_radius"),
+    (PiecewiseConstantSignal, "holder"), (PiecewiseConstantSignal, "local_radius"), (PairwisePenalty, "value"),
 ])
 def test_methods_without_callers_are_gone(owner, attr):
     assert not hasattr(owner, attr)
