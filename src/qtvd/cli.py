@@ -12,7 +12,8 @@ diagnostic for malformed input), 3 when an audit finds a violation, so
 CI pipelines can gate on structural properties.
 
 Identical configuration and seed produce byte-identical JSON/CSV
-artifacts; wall-clock timings go to stderr only.
+artifacts; wall-clock timings go to stderr only.  The JSON layout is
+that of `json.dumps(doc, sort_keys=True, indent=2)`, byte for byte.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import functools
 import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import Optional, Sequence
 
 from . import penalties, risk, solver
@@ -44,38 +46,59 @@ def _parse_rational(text: str, what: str) -> Fraction:
 def _read_values(path: str) -> list[Fraction]:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
+            texts = [line.strip() for line in handle.read().splitlines()]
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
-    rows = [(idx + 1, line.strip()) for idx, line in enumerate(lines)]
-    rows = [(no, text) for no, text in rows if text]
+    rows = [text for text in texts if text]
     if not rows:
         raise ValueError(f"{path}: no data values found")
-    if rows[0][1].lower() == "y":  # single-column CSV header
+    start = 0  # index in `texts` where the data begin
+    if rows[0].lower() == "y":  # single-column CSV header; "y," is a data line
+        start = texts.index(rows[0]) + 1
         rows = rows[1:]
         if not rows:
             raise ValueError(f"{path}: header only, no data values")
-    parsed: dict[str, Fraction] = {}  # parse each distinct text once: fitted theta files repeat few levels
-    values = []
-    for no, text in rows:
-        text = text.rstrip(",")
-        value = parsed.get(text)
-        if value is None:
-            try:
-                value = parsed[text] = Fraction(text)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ValueError(f"{path}:{no}: could not parse {text!r}") from exc
-        values.append(value)
-    return values
+    parsed = {}  # each distinct text once, in order of first appearance: fitted theta files repeat few levels
+    for text in dict.fromkeys(rows):
+        number = text.rstrip(",")
+        try:
+            parsed[text] = Fraction(number)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"{path}:{texts.index(text, start) + 1}: could not parse {number!r}") from exc
+    return [parsed[text] for text in rows]
+
+
+def _json(value, indent: str) -> str:
+    """`json.dumps(value, sort_keys=True, indent=2)` nested at `indent`, byte for byte, without the
+    pure-Python encoder that `indent` selects: only scalars go through `json.dumps`."""
+    if isinstance(value, str):
+        return _json_str(value)
+    if not isinstance(value, (dict, list, tuple)) or not value:
+        return json.dumps(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        ends, items = "{}", (f"{_json_str(k)}: {_json(v, inner)}" for k, v in sorted(value.items()))
+    elif all(type(v) is str for v in value):  # theta, g and z: no call per item
+        ends, items = "[]", map(_json_str, value)
+    else:
+        ends, items = "[]", (_json(v, inner) for v in value)
+    return ends[0] + "\n" + inner + (",\n" + inner).join(items) + "\n" + indent + ends[1]
 
 
 def _emit(doc: dict, path: Optional[str]) -> None:
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    text = _json(doc, "") + "\n"
     if path is None:
         sys.stdout.write(text)
     else:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
+
+
+def _strs(values) -> list[str]:
+    """str of each value, once per distinct object (fitted vectors repeat a few); a Fraction hashes slower than str."""
+    ids = list(map(id, values))
+    text = {key: str(v) for key, v in dict(zip(ids, values)).items()}
+    return list(map(text.__getitem__, ids))
 
 
 def _parse_constants(pairs: Optional[Sequence[str]], noise, tau: float) -> risk.RiskConstants:
@@ -109,7 +132,7 @@ def _exact_inputs(args) -> tuple[list[Fraction], Fraction, Fraction]:
 
 
 def _certificate_doc(cert) -> Optional[dict]:
-    return None if cert is None else {"g": [str(v) for v in cert.g], "z": [str(v) for v in cert.z]}
+    return None if cert is None else {"g": _strs(cert.g), "z": _strs(cert.z)}
 
 
 def _cmd_fit(args) -> int:
@@ -117,7 +140,7 @@ def _cmd_fit(args) -> int:
     inst = solver.Instance(tuple(y), tau, lam)
     result = solver.fit(inst, args.extremal)
     doc = {
-        "theta": [str(v) for v in result.theta],
+        "theta": _strs(result.theta),
         "objective": str(result.objective),
         "extremality": result.extremality,
         "certificate": _certificate_doc(solver.certify(result.theta, inst)),

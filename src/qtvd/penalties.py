@@ -197,16 +197,20 @@ def noncrossing_audit(y: Sequence, lam, tau1, tau2) -> NonCrossingReport:
     Requires tau1 < tau2 and a shared lam; the claim is specific to a
     common tuning parameter.  Extremal fits realise the solution-set
     envelopes exactly, so this checks non-crossing of the full solution
-    sets, not just of one pair of minimisers.  Both fits rank the same y,
-    so the gap is a difference of scaled data values; one Fraction is built.
+    sets, not just of one pair of minimisers.  y is checked, scaled and
+    ranked once and both levels are fitted from that ranking, so the gap
+    is a difference of scaled data values; one Fraction is built.
     """
     tau1 = _as_rational(tau1, "tau1")
     tau2 = _as_rational(tau2, "tau2")
     if not tau1 < tau2:
         raise ValueError(f"need tau1 < tau2, got {tau1} >= {tau2}")
-    scale, uniq, _, upper1 = _fit_ranks(Instance(tuple(y), tau1, lam), "upper")
-    lower2 = _fit_ranks(Instance(tuple(y), tau2, lam), "lower")[3]
-    worst = Fraction(min(uniq[b] - uniq[a] for a, b in zip(upper1, lower2)), scale)
+    inst = Instance(tuple(y), tau1, lam)
+    if not tau2 < 1:
+        raise ValueError(f"tau must be in (0, 1), got {tau2}")
+    upper1, lower2 = _fit_ranks(inst, "upper"), _fit_ranks(inst, "lower", tau2)
+    uniq = inst._ranked_y[0]
+    worst = Fraction(min(uniq[b] - uniq[a] for a, b in zip(upper1, lower2)), inst._scaled_y[0])
     return NonCrossingReport(ok=worst >= 0, worst_gap=worst)
 
 

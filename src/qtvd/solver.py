@@ -39,8 +39,11 @@ lies on the lattice (1/D)Z with D = lcm(den tau, den lam).  The exact
 `fit` therefore runs the same `_fit_core` on the ranks of y among its
 distinct values, with tau*D, lam*D and the unit jump D as integers, and
 maps the returned ranks back to data values.  Ranks come from y scaled
-by the lcm of its denominators, so no Fraction is hashed or compared;
-`_fit_ranks` stops at the ranks, which `qtvd.penalties` audits directly.
+by the lcm of its denominators, so no Fraction is hashed or compared.
+An `Instance` keeps y's scaled ints and, apart, y's ranks from their
+first use, so a fit, its objective and its certificate scale y once.
+`_fit_ranks` stops at the ranks, which `qtvd.penalties` audits directly,
+at two levels of one ranking.
 `fit_float` needs no ranks: float comparisons are exact and every finite
 float is a dyadic rational, so it runs `_fit_core` on the floats with
 the integer levels of Fraction(tau) and Fraction(lam), and returns the
@@ -67,7 +70,8 @@ themselves, again only compared, so its verdict is that of `certify` on
 their Fractions, with no tolerance.
 `objective_value` sums the loss and the total variation as Python ints,
 y and theta scaled by the lcm of their denominators, and builds one
-Fraction.
+Fraction.  It and `certify` scale theta alone; y's cached ints are
+rescaled only when theta's denominators need a larger scale.
 
 All functions are pure and instances immutable, so batch fits over
 independent instances can run concurrently.  The exhaustive grid
@@ -81,6 +85,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import inf, lcm
 from typing import Literal, Optional, Sequence
 
@@ -127,6 +132,20 @@ class Instance:
     def n(self) -> int:
         return len(self.y)
 
+    # Computed on first use and not fields, so equality and hashing ignore them; apart, as `certify` never ranks y.
+    @cached_property
+    def _scaled_y(self) -> tuple:
+        """(s, y times s as ints), s the lcm of y's denominators."""
+        scale = lcm(*(v.denominator for v in self.y))
+        return scale, [v.numerator * (scale // v.denominator) for v in self.y]
+
+    @cached_property
+    def _ranked_y(self) -> tuple:
+        """(uniq, ranks): y's sorted distinct scaled ints, and the index of each y_i in uniq."""
+        ys = self._scaled_y[1]
+        uniq = sorted(set(ys))
+        return uniq, _ranks(ys, uniq)
+
 
 @dataclass(frozen=True)
 class Fit:
@@ -151,13 +170,20 @@ def _lattice(tau: Fraction, lam: Fraction) -> tuple:
     return unit, tau.numerator * (unit // tau.denominator), lam.numerator * (unit // lam.denominator)
 
 
-def _scaled(*vectors) -> tuple:
-    """(s, each vector times s as ints), s the lcm of all denominators.
+def _scaled_with(inst: Instance, theta: Sequence) -> tuple:
+    """(s, y times s, theta times s), as ints; s is the lcm of all denominators.
 
     Exact values then compare, hash and add as ints, never as Fractions.
+    y's cached ints are rescaled only when theta needs a larger s.
     """
-    scale = lcm(*(v.denominator for vec in vectors for v in vec))
-    return scale, [[v.numerator * (scale // v.denominator) for v in vec] for vec in vectors]
+    theta = tuple(_as_rational(v, "theta value") for v in theta)
+    if len(theta) != inst.n:
+        raise ValueError(f"theta has length {len(theta)}, expected {inst.n}")
+    scale, ys = inst._scaled_y
+    common = lcm(scale, *(v.denominator for v in theta))
+    if common != scale:
+        ys = [v * (common // scale) for v in ys]
+    return common, ys, [v.numerator * (common // v.denominator) for v in theta]
 
 
 def _ranks(values: Sequence, uniq: list) -> list:
@@ -168,10 +194,7 @@ def _ranks(values: Sequence, uniq: list) -> list:
 
 def objective_value(theta: Sequence, inst: Instance) -> Fraction:
     """Exact objective at theta for the given instance."""
-    theta = tuple(_as_rational(v, "theta value") for v in theta)
-    if len(theta) != inst.n:
-        raise ValueError(f"theta has length {len(theta)}, expected {inst.n}")
-    scale, (ys, ts) = _scaled(inst.y, theta)
+    scale, ys, ts = _scaled_with(inst, theta)
     diffs = [a - b for a, b in zip(ys, ts)]
     above = sum(d for d in diffs if d > 0)
     below = -sum(d for d in diffs if d < 0)
@@ -278,21 +301,17 @@ def _prefer_high(extremality: Extremality) -> bool:
     return extremality != "lower"
 
 
-def _fit_ranks(inst: Instance, extremality: Extremality) -> tuple:
-    """(scale, uniq, y ranks, theta ranks); uniq is y's sorted distinct values times scale, as ints."""
+def _fit_ranks(inst: Instance, extremality: Extremality, tau: Optional[Fraction] = None) -> list:
+    """The fit's index in `inst._ranked_y` uniq at each position; `tau` in (0, 1) replaces inst.tau."""
     prefer_high = _prefer_high(extremality)
-    scale, (ys,) = _scaled(inst.y)
-    uniq = sorted(set(ys))
-    unit, tau, lam = _lattice(inst.tau, inst.lam)
-    y_ranks = _ranks(ys, uniq)
-    return scale, uniq, y_ranks, _fit_core(y_ranks, tau, lam, prefer_high, unit)
+    unit, tau, lam = _lattice(inst.tau if tau is None else tau, inst.lam)
+    return _fit_core(inst._ranked_y[1], tau, lam, prefer_high, unit)
 
 
 def fit(inst: Instance, extremality: Extremality = "any") -> Fit:
     """Exact global minimiser; "upper"/"lower" return the extremal solutions."""
-    _, _, y_ranks, ranks = _fit_ranks(inst, extremality)
-    value = dict(zip(y_ranks, inst.y))
-    theta = tuple(value[r] for r in ranks)
+    value = dict(zip(inst._ranked_y[1], inst.y))
+    theta = tuple(value[r] for r in _fit_ranks(inst, extremality))
     return Fit(theta=theta, objective=objective_value(theta, inst), extremality=extremality)
 
 
@@ -366,10 +385,7 @@ def _dual_system(y, theta, tau, lam, one):
 
 def certify(theta: Sequence, inst: Instance) -> Optional[DualCertificate]:
     """Exact optimality decision: a witness (g, z) if theta minimises F, else None."""
-    theta = tuple(_as_rational(v, "theta value") for v in theta)
-    if len(theta) != inst.n:
-        raise ValueError(f"theta has length {len(theta)}, expected {inst.n}")
-    _, (ys, ts) = _scaled(inst.y, theta)
+    _, ys, ts = _scaled_with(inst, theta)
     uniq = sorted(set(ys).union(ts))
     one, tau, lam = _lattice(inst.tau, inst.lam)
     system = _dual_system(_ranks(ys, uniq), _ranks(ts, uniq), tau, lam, one)

@@ -1,9 +1,14 @@
 import argparse
+import contextlib
+import io
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import grid_oracle
 
@@ -62,6 +67,35 @@ class TestInput:
         assert run(["fit", "--input", bad, "--tau", "1/2", "--lambda", "1"]) == 2
         err = capsys.readouterr().err
         assert "bad.txt:3: could not parse 'oops'" in err and "bad.txt:5" not in err
+
+    def test_two_malformed_texts_name_the_earlier_line(self, tmp_path, capsys):
+        # "wrong" (line 2) comes before "bad" (line 4); in y.csv, the "y" on line 4 is data, not a header.
+        bad = write(tmp_path / "bad.txt", "1\nwrong\n2\nbad\nwrong\n")
+        assert run(["fit", "--input", bad, "--tau", "1/2", "--lambda", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "bad.txt:2: could not parse 'wrong'" in err and "bad.txt:4" not in err
+        with pytest.raises(ValueError, match=r"y\.csv:4: could not parse 'y'"):
+            cli._read_values(write(tmp_path / "y.csv", "y\n1\n\ny\n2\n"))
+
+    def test_crlf_blank_lines_and_trailing_commas(self, tmp_path):
+        path = write(tmp_path / "crlf.csv", "\r\ny,\r\n1/2,\r\n\r\n  -3 ,\r\n0.25\r\n1/2\r\n")
+        with pytest.raises(ValueError, match=r"crlf\.csv:2: could not parse 'y'"):
+            cli._read_values(path)
+        path = write(tmp_path / "crlf.txt", "\r\nY\r\n1/2,\r\n\r\n  -3 ,\r\n0.25\r\n1/2\r\n\r\n")
+        assert cli._read_values(path) == [F(1, 2), F(-3), F(1, 4), F(1, 2)]
+        path = write(tmp_path / "bad.txt", "1\r\n\r\n,\r\n")
+        with pytest.raises(ValueError, match=r"bad\.txt:3: could not parse ''"):
+            cli._read_values(path)
+
+    @pytest.mark.parametrize("header, status", [("Y", 0), ("y", 0), ("y,", 2)])
+    def test_header_rules(self, header, status, tmp_path, capsys):
+        path = write(tmp_path / "h.csv", f"{header}\n1\n3\n2\n")
+        assert run(["fit", "--input", path, "--tau", "1/2", "--lambda", "0"]) == status
+        captured = capsys.readouterr()
+        if status == 0:
+            assert json.loads(captured.out)["theta"] == ["1", "3", "2"]
+        else:
+            assert "h.csv:1: could not parse 'y'" in captured.err
 
     def test_missing_file_exits_2(self, tmp_path):
         assert run(["fit", "--input", str(tmp_path / "nope"), "--tau", "1/2", "--lambda", "1"]) == 2
@@ -129,6 +163,58 @@ class TestFitEnvelopeCertify:
         capsys.readouterr()
         assert run(["envelope", "--input", big, "--tau", "1/2", "--lambda", "1",
                     "--allow-large-n"]) == 0
+
+
+def _stdlib_emit(doc, path):
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+
+
+_TEXT = st.text(st.characters() | st.sampled_from('"\\/\x00\x07\b\t\n\x1f\x7f\u00e9\u2028\U0001f600'), max_size=6)
+_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats() | _TEXT
+            | st.sampled_from((math.nan, math.inf, -math.inf, -0.0, 1e300, 5e-324)))
+_DOCS = st.dictionaries(_TEXT, st.recursive(
+    _SCALARS,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.lists(_TEXT, max_size=4) | st.dictionaries(_TEXT, inner, max_size=4)),
+    max_leaves=12,
+), max_size=4)
+
+
+class TestJsonLayout:
+    """Every JSON artifact reads byte for byte as `json.dumps(doc, sort_keys=True, indent=2)` writes it."""
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(_DOCS)
+    def test_writer_matches_stdlib(self, doc):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli._emit(doc, None)
+        assert out.getvalue() == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+    @pytest.mark.parametrize("command", ["fit", "certify", "envelope", "audit", "simulate", "rate"])
+    def test_commands_write_stdlib_bytes(self, command, tmp_path, monkeypatch):
+        y_file = write(tmp_path / "y.txt", "1/2\n-3\n0.25\n2\n2\n1/3\n")
+        exact = ["--input", y_file, "--tau", "1/3", "--lambda", "1/2"]
+        theta_file = write(tmp_path / "theta.txt", "1/4\n1/4\n0.25\n1/3\n1/3\n2/6\n")  # the fit, so g and z are written
+        model = ["--reps", "3", "--seed", "5", "--lambda", "30"]
+        argv = {
+            "fit": ["fit", *exact, "--extremal", "lower"],
+            "certify": ["certify", *exact, "--theta", theta_file],
+            "envelope": ["envelope", *exact],
+            "audit": ["audit", *exact, "--tau2", "3/4", "--trials", "20"],
+            "simulate": ["simulate", "--n", "1024", *model, "--bounds"],
+            "rate": ["rate", "--n-grid", "32,64,128,256", *model],
+        }[command]
+        suffix = ".json" if command in ("simulate", "rate") else ""
+        written = {}
+        for name, emit in (("ours", cli._emit), ("stdlib", _stdlib_emit)):
+            monkeypatch.setattr(cli, "_emit", emit)
+            out = tmp_path / name
+            assert run([*argv, "--output", str(out)]) == 0
+            written[name] = Path(str(out) + suffix).read_bytes()
+        assert written["ours"] == written["stdlib"]
+        assert json.loads(written["ours"]).get("feasible", True)
 
 
 class TestAudit:

@@ -177,6 +177,8 @@ class TestNonCrossingAudit:
     def test_rejects_unordered_levels(self):
         with pytest.raises(ValueError):
             noncrossing_audit((F(1), F(2)), F(1), F(3, 4), F(1, 4))
+        with pytest.raises(ValueError, match=r"tau must be in \(0, 1\), got 3/2"):
+            noncrossing_audit((F(1), F(2)), F(1), F(3, 4), F(3, 2))
 
     def test_meet_join_transfer_across_levels(self):
         # meet of optima is optimal at the smaller level, join at the larger

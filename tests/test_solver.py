@@ -217,6 +217,58 @@ class TestCertify:
             certify((1,), Instance((1, 2), F(1, 2), F(1)))
 
 
+@st.composite
+def _mixed_instance(draw):
+    """y with mixed denominators, so y's scale s is above 1 and differs from case to case."""
+    n = draw(st.integers(1, 9))
+    y = tuple(draw(st.lists(st.builds(F, st.integers(-12, 12), st.sampled_from((1, 2, 3, 4, 6, 9))),
+                            min_size=n, max_size=n)))
+    tau = draw(st.sampled_from((F(1, 2), F(1, 3), F(3, 4), F(1, 10), F(5, 7))))
+    lam = draw(st.sampled_from((F(0), F(1, 4), F(2, 3), F(2), F(n))))
+    return Instance(y, tau, lam)
+
+
+class TestInstanceCache:
+    # An Instance keeps y's scaled ints and y's ranks once computed; fit, objective_value
+    # and certify must read the same numbers from them as from a cold instance.
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(_mixed_instance(), st.sampled_from(("lower", "upper", "any")))
+    def test_fit_objective_equals_objective_value(self, inst, extremality):
+        result = fit(inst, extremality)
+        assert result.objective == objective_value(result.theta, inst)
+        assert result.objective == naive_objective(inst.y, result.theta, inst.tau, inst.lam)
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(_mixed_instance(), st.integers(1, 6), st.integers(0, 8), st.sampled_from((5, 7, 11)))
+    def test_certify_rescaling_only_theta(self, inst, k, j, den):
+        # y's denominators are in {1, 2, 3, 4, 6, 9}, so a theta with denominator 5, 7 or 11
+        # needs a larger scale than y's: the branch that rescales y's cached ints.
+        lower, upper = fit(inst, "lower").theta, fit(inst, "upper").theta  # both caches warm
+        best = fit(inst).objective
+        mix = tuple(a + (b - a) * F(k, den) for a, b in zip(lower, upper))  # the solution set is convex
+        j %= inst.n
+        bumped = upper[:j] + (upper[j] + F(1, den),) + upper[j + 1:]
+        for theta in (mix, bumped):
+            cert = certify(theta, inst)
+            assert cert == certify(theta, Instance(inst.y, inst.tau, inst.lam))
+            # The verdict and witness depend on y and theta only through their joint order.
+            rank = {v: r for r, v in enumerate(sorted(set(inst.y) | set(theta)))}
+            ranked = Instance(tuple(rank[v] for v in inst.y), inst.tau, inst.lam)
+            assert cert == certify(tuple(rank[v] for v in theta), ranked)
+            assert (cert is not None) == (objective_value(theta, inst) == best)
+        assert certify(mix, inst) is not None
+        assert certify(bumped, inst) is None  # above the maximal solution
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(_mixed_instance())
+    def test_equality_and_hash_ignore_the_cache(self, inst):
+        cold = Instance(inst.y, inst.tau, inst.lam)
+        certify(fit(inst).theta, inst)
+        assert {"_scaled_y", "_ranked_y"} <= set(vars(inst)) and "_scaled_y" not in vars(cold)
+        assert inst == cold and hash(inst) == hash(cold) and repr(inst) == repr(cold)
+        assert len({inst, cold}) == 1
+
+
 def _assert_witness(cert, theta, inst):
     """Every box, pin and interval identity of the dual system, in exact arithmetic."""
     n, tau, lam = inst.n, inst.tau, inst.lam
