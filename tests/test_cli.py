@@ -170,7 +170,8 @@ def _stdlib_emit(doc, path):
         handle.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
-_TEXT = st.text(st.characters() | st.sampled_from('"\\/\x00\x07\b\t\n\x1f\x7f\u00e9\u2028\U0001f600'), max_size=6)
+# Quotes, backslashes, control characters, DEL and non-ASCII up to a lone surrogate and an astral character.
+_TEXT = st.text(st.sampled_from('aZ09 "\\/\x00\x07\b\t\n\x1f\x7f\u00e9\u2028\ud800\U0001f600'), max_size=6)
 _SCALARS = (st.none() | st.booleans() | st.integers() | st.floats() | _TEXT
             | st.sampled_from((math.nan, math.inf, -math.inf, -0.0, 1e300, 5e-324)))
 _DOCS = st.dictionaries(_TEXT, st.recursive(
