@@ -168,7 +168,6 @@ def _cmd_certify(args) -> int:
 
 def _cmd_audit(args) -> int:
     y, tau1, lam = _exact_inputs(args)
-    solver.Instance(tuple(y), tau1, lam)  # every check runs on a valid instance
     checks = [c.strip() for c in args.checks.split(",") if c.strip()]
     known = ("noncross", "submodular")
     if not checks:  # an audit that runs no check must not report ok
@@ -182,9 +181,11 @@ def _cmd_audit(args) -> int:
         if args.tau2 is None:
             raise ValueError("audit noncross needs --tau2")
         tau2 = _parse_rational(args.tau2, "--tau2")
-        report = penalties.noncrossing_audit(y, lam, tau1, tau2)
+        report = penalties.noncrossing_audit(y, lam, tau1, tau2)  # validates y, tau1 and lam as an Instance
         doc["noncross"] = {"ok": report.ok, "worst_gap": str(report.worst_gap)}
         ok = ok and report.ok
+    else:
+        solver.Instance(tuple(y), tau1, lam)  # every check runs on a valid instance
     if "submodular" in checks:
         n = min(len(y), 6)
         kernels = {

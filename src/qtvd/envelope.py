@@ -16,27 +16,30 @@ l_{I,J} = tau*|I| + 2*lam*C_{I,J}, where C_{I,J} in
 
 This module evaluates both formulas by full enumeration; no pruning or
 early exit is applied.  The boundary constant only depends on which
-endpoints I shares with J and on whether J touches 1 or n
-(`_c2`), so each side needs five selected-rank tables,
-one per constant, holding for every interval [a:b] the rank of its
-selected order statistic.  They are built once per call, sorting the
-windows of each length once for both sides; the selection indices are
-floor/ceil of the adjusted levels taken on the integer lattice
-`solver._lattice`, so no Fraction is floored.  Each of the four sharing
-classes of I then reads one table: that of an interior J, with the row
-of J touching 1 and the column of J touching n patched in from the
-tables `_c2` names there.  At location i, the outer intervals J form an
-i x (n-i+1) block of each class table; the inner maximum over a class
-is a running maximum along the ends I does not share (2, 1, 1 and 0
-passes), and U_i is the minimum of the four terms' elementwise maximum.
-L_i is the same kernel applied to the negated lower-side tables.  Work
-is O(n^2) per location on numpy arrays, O(n^3) for the whole envelope.
+endpoints I shares with J and on whether J touches 1 or n (`_c2`), so
+each side needs five selected-rank tables, one per constant, holding for
+every interval [a:b] the rank of its selected order statistic.  The
+selection indices (floor/ceil of the adjusted levels on the integer
+lattice `solver._lattice`) are computed for all window lengths m at
+once; per m, one sort of the windows serves both sides, and one gather
+of the selected columns is written along the tables' m-th diagonal.  A
+point query fills only the windows containing its location.  Each
+sharing class of I reads the table of an interior J, with the row of J
+touching 1 and the column of J touching n patched in from the tables
+`_c2` names there.  Both sides' classes, the lower side negated, form
+one [side, class, n-a, b-1] array with reversed rows, so at location i
+the J = [i-p : i+q] are a positive-stride i x (n-i+1) block.  The inner
+maximum over a class is a running maximum along the ends I avoids, one
+step before J; U_i and -L_i are the block's minima, about eight numpy
+calls per location for both sides.  Work is O(n^2) per location and
+O(n^3) for the envelope; memory is O(n^2) per side.
 
 Arithmetic is exact end to end.  Values are mapped to ranks in the
-sorted distinct-value list, the enumeration runs on int64 ranks, and
-ranks map back to exact data values at the end.  Infinities from the
-extended order-statistic convention are the off-range ranks -1 and
-len(uniq), so they propagate through min/max without float sentinels.
+sorted distinct-value list, the enumeration runs on int32 ranks (at
+most n), and ranks map back to exact data values at the end.
+Infinities from the extended order-statistic convention are the
+off-range ranks -1 and len(uniq), so they propagate through min/max
+without float sentinels.
 
 Calls share no mutable state.  The soft cap keeps accidental huge
 inputs out (the chain solver covers large n).
@@ -45,12 +48,11 @@ inputs out (the chain solver covers large n).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from itertools import product
 from typing import Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .intervals import ExtendedValue, NEG_INF, POS_INF, _as_rational
 from .solver import _lattice
@@ -66,9 +68,6 @@ __all__ = [
 
 #: Largest n accepted without `allow_large_n=True`.
 SOFT_CAP = 64
-
-# Identity of max: marks an empty inner class; never wins against the I = J term.
-_EMPTY = np.iinfo(np.int64).min
 
 
 @dataclass(frozen=True)
@@ -97,6 +96,13 @@ def _c2(shares_left: bool, shares_right: bool, at_first: bool, at_last: bool) ->
     return left + right
 
 
+# Sharing classes (shares_left, shares_right) of I in J; `_min_max` slices the two avoiding J's right end.
+_CLASSES = ((False, True), (False, False), (True, False), (True, True))
+
+# Per (J touches 1, J touches n): the c2 + 2 row of the rank tables that each class reads.
+_PICK = {flags: [_c2(*cls, *flags) + 2 for cls in _CLASSES] for flags in product((False, True), repeat=2)}
+
+
 class _RankTables:
     """Exact rank encoding of the data and the per-class selected-rank tables."""
 
@@ -118,33 +124,52 @@ class _RankTables:
             )
         self.uniq = sorted(set(y))
         rank_of = {v: r for r, v in enumerate(self.uniq)}
-        self.ranks = np.array([rank_of[v] for v in y], dtype=np.int64)
+        self.ranks = np.array([rank_of[v] for v in y], dtype=np.int32)
 
-    def tables(self, *sides: str) -> tuple:
-        """Per side, tables[c2 + 2][a-1, b-1]: rank of the selected order statistic of y_a..y_b.
+    def tables(self, *sides: str, at: int | None = None) -> np.ndarray:
+        """tables[s, c2 + 2, a-1, b-1]: rank of the order statistic side s selects from y_a..y_b.
 
-        c2 is twice the boundary constant.  The upper side selects index
-        floor(tau*m - lam*c2) + 1 and the lower side ceil(tau*m + lam*c2),
-        m = b - a + 1, both clipped to [0, m+1], where each sorted window
-        is padded with rank -1 (-inf) and len(uniq) (+inf).  The sides
-        share one sort per window length.
+        c2 is twice the boundary constant and m = b - a + 1.  The upper side
+        selects index floor(tau*m - lam*c2) + 1 and the lower side ceil(tau*m
+        + lam*c2), clipped to [0, m+1]: 0 is rank -1 (-inf) and m+1 is rank
+        len(uniq) (+inf).  With `at=i`, only windows containing i are filled.
         """
         n = self.n
         unit, tau, lam = _lattice(self.tau, self.lam)
-        out = tuple(np.zeros((5, n * n), dtype=np.int64) for _ in sides)
+        length, c2 = np.arange(1, n + 1, dtype=object)[:, None], np.arange(-2, 3, dtype=object)  # Python ints
+        index = {"upper": (tau * length - lam * c2) // unit + 1, "lower": -((-tau * length - lam * c2) // unit)}
+        k = np.clip(np.hstack([index[side] for side in sides]), 0, length + 1).astype(np.intp)
+        padded = np.concatenate((self.ranks, self.ranks[1:]))
+        windows = as_strided(padded, (n, n), 2 * padded.strides, writeable=False)  # [a-1, :m] is y_a..y_{a+m-1}
+        # Row a-1: sorted y_a..y_{a+m-1} between -1 and len(uniq); m ascends, so column m+1 is untouched
+        ordered = np.full((n, n + 2), len(self.uniq), dtype=np.int32)
+        ordered[:, 0] = -1
+        out = np.zeros((len(sides) * 5, n * n), dtype=np.int32)
         for m in range(1, n + 1):
-            windows = np.empty((n - m + 1, m + 2), dtype=np.int64)
-            windows[:, 0], windows[:, -1] = -1, len(self.uniq)
-            windows[:, 1:-1] = np.sort(sliding_window_view(self.ranks, m), axis=1)
-            for side, tables in zip(sides, out):
-                for c2 in range(-2, 3):
-                    if side == "upper":
-                        k = (tau * m - lam * c2) // unit + 1
-                    else:
-                        k = -((-tau * m - lam * c2) // unit)
-                    # [a-1, a+m-2] for a = 1..n-m+1 is every (n+1)-th flat entry from m-1
-                    tables[c2 + 2, m - 1 :: n + 1][: n - m + 1] = windows[:, min(max(k, 0), m + 1)]
-        return tuple(tables.reshape(5, n, n) for tables in out)
+            first, last = (1, n - m + 1) if at is None else (max(1, at - m + 1), min(at, n - m + 1))
+            block = ordered[first - 1 : last, 1 : m + 1]
+            block[...] = windows[first - 1 : last, :m]
+            block.sort(axis=1)
+            diagonal = out[:, (first - 1) * (n + 1) + m - 1 :: n + 1]  # [a-1, a+m-2] for a = first, first+1, ...
+            diagonal[:, : last - first + 1] = ordered[first - 1 : last, k[m - 1]].T
+        return out.reshape(len(sides), 5, n, n)
+
+    def classes(self, *sides: str, at: int | None = None) -> np.ndarray:
+        """table[s, k, n-a, b-1]: the rank side s selects on I = [a:b] of class _CLASSES[k].
+
+        A class that avoids J's left (right) end ignores that flag of `_c2`,
+        and for a class that shares it, J touches 1 (n) iff I does; so row
+        a = 1 and column b = n, patched in from the tables `_c2` names there,
+        make the table exact for every I of the class inside any J.  Lower
+        sides are negated, turning their max-min into a min-max.
+        """
+        tables = self.tables(*sides, at=at)
+        table = tables[:, _PICK[False, False], ::-1]
+        table[:, :, -1] = tables[:, :, 0][:, _PICK[True, False]]
+        table[..., -1] = tables[..., -1][:, _PICK[False, True], ::-1]
+        table[:, :, -1, -1] = tables[:, :, 0, -1][:, _PICK[True, True]]
+        table[[s for s, side in enumerate(sides) if side == "lower"]] *= -1
+        return table
 
     def check_location(self, i: int) -> None:
         if not 1 <= i <= self.n:
@@ -158,62 +183,36 @@ class _RankTables:
         return ExtendedValue(0, self.uniq[rank])
 
 
-def _strictly_before(x: np.ndarray, axis: int) -> np.ndarray:
-    """out[.., k, ..] = max of x over indices < k along `axis`; _EMPTY where there are none."""
-    out = np.empty_like(x)
-    head, body = out.swapaxes(0, axis), x.swapaxes(0, axis)
-    head[0] = _EMPTY
-    np.maximum.accumulate(body[:-1], axis=0, out=head[1:])
-    return out
+def _min_max(table: np.ndarray, i: int) -> list:
+    """Per side, min over J containing i of max over I <= J containing i of the class table at I.
 
-
-def _class_tables(tables: np.ndarray) -> list:
-    """(shares_left, shares_right, table) per sharing class of I in J = [a:b].
-
-    table[a-1, b-1] is tables[c2 + 2][a-1, b-1] with c2 from `_c2` for J
-    touching 1 (row 0) or n (last column).  A class that avoids J's left
-    (right) end ignores that flag, and a class that shares it inherits it
-    from J, so the table is exact for every I of the class inside any J.
+    The block puts J = [i-p : i+q] at [p, q].  Naming a class by whether I
+    shares J's left and right end (T/F), the I that avoid J's left end are
+    FT at [p', q] and FF at [p', q'] with p' < p, q' < q, and the others
+    besides J are TF at [p, q'].  So FF and TF take running maxima along q,
+    FT takes FF's one step before q and then its own running maximum along
+    p, and the I = J term TT takes FT's one step before p and TF's one step
+    before q.  A class with no I in J adds nothing.
     """
-    classes = []
-    for shares_left, shares_right in product((False, True), repeat=2):
-        c2 = partial(_c2, shares_left, shares_right)  # (at_first, at_last) -> c2
-        table = tables[c2(False, False) + 2].copy()
-        table[0] = tables[c2(True, False) + 2, 0]
-        table[:, -1] = tables[c2(False, True) + 2, :, -1]
-        table[0, -1] = tables[c2(True, True) + 2, 0, -1]
-        classes.append((shares_left, shares_right, table))
-    return classes
-
-
-def _min_max(classes: list, i: int) -> int:
-    """min over J containing i of max over I <= J containing i of the class table at I.
-
-    The block view puts J = [i-p : i+q] at [p, q], so an inner I that does
-    not share J's left (right) endpoint sits strictly before J along axis 0
-    (1): a running maximum per unshared end, 2, 1, 1 and 0 passes for the
-    four classes.
-    """
-    inner = None
-    for shares_left, shares_right, table in classes:
-        term = table[i - 1 :: -1, i - 1 :]
-        if not shares_left:
-            term = _strictly_before(term, 0)
-        if not shares_right:
-            term = _strictly_before(term, 1)
-        inner = term if inner is None else np.maximum(inner, term)
-    return int(inner.min())
+    n = table.shape[-1]
+    run = table[:, :, n - i :, i - 1 :].copy()
+    np.maximum.accumulate(run[:, 1:3], axis=3, out=run[:, 1:3])
+    ft, ff, tf, tt = run[:, 0], run[:, 1], run[:, 2], run[:, 3]
+    np.maximum(ft[..., 1:], ff[..., :-1], out=ft[..., 1:])
+    np.maximum.accumulate(ft, axis=1, out=ft)
+    np.maximum(tt[:, 1:], ft[:, :-1], out=tt[:, 1:])
+    np.maximum(tt[..., 1:], tf[..., :-1], out=tt[..., 1:])
+    return tt.min(axis=(1, 2)).tolist()
 
 
 def envelope(y: Sequence, tau, lam, *, allow_large_n: bool = False) -> Envelope:
     """Both envelope vectors, sharing one set of rank tables across locations."""
     ranked = _RankTables(y, tau, lam, allow_large_n)
-    upper, lower = ranked.tables("upper", "lower")
-    upper, neg_lower = _class_tables(upper), _class_tables(np.negative(lower, out=lower))
-    locations = range(1, ranked.n + 1)
+    table = ranked.classes("upper", "lower")
+    ends = [_min_max(table, i) for i in range(1, ranked.n + 1)]
     return Envelope(
-        lower=tuple(ranked.to_extended(-_min_max(neg_lower, i)) for i in locations),
-        upper=tuple(ranked.to_extended(_min_max(upper, i)) for i in locations),
+        lower=tuple(ranked.to_extended(-neg_lower) for _, neg_lower in ends),
+        upper=tuple(ranked.to_extended(upper) for upper, _ in ends),
     )
 
 
@@ -221,16 +220,16 @@ def upper_envelope_at(y: Sequence, tau, lam, i: int, *, allow_large_n: bool = Fa
     """Exact upper envelope value U_i; finite and a data value for tau in (0,1)."""
     ranked = _RankTables(y, tau, lam, allow_large_n)
     ranked.check_location(i)
-    (upper,) = ranked.tables("upper")
-    return ranked.to_extended(_min_max(_class_tables(upper), i))
+    (upper,) = _min_max(ranked.classes("upper", at=i), i)
+    return ranked.to_extended(upper)
 
 
 def lower_envelope_at(y: Sequence, tau, lam, i: int, *, allow_large_n: bool = False) -> ExtendedValue:
     """Exact lower envelope value L_i; mirrors `upper_envelope_at`."""
     ranked = _RankTables(y, tau, lam, allow_large_n)
     ranked.check_location(i)
-    (lower,) = ranked.tables("lower")
-    return ranked.to_extended(-_min_max(_class_tables(np.negative(lower, out=lower)), i))
+    (neg_lower,) = _min_max(ranked.classes("lower", at=i), i)
+    return ranked.to_extended(-neg_lower)
 
 
 def reflection_check(y: Sequence, tau, lam, *, allow_large_n: bool = False) -> bool:

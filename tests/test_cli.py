@@ -242,14 +242,24 @@ class TestAudit:
                     "--lambda", "1/2", "--checks", "noncross"]) == 3
         assert json.loads(capsys.readouterr().out)["ok"] is False
 
-    @pytest.mark.parametrize("check", ["noncross", "submodular"])
-    @pytest.mark.parametrize("option, value", [("--tau", "3/2"), ("--lambda", "-1")])
+    @pytest.mark.parametrize("check", ["noncross", "submodular", "noncross,submodular"])
+    @pytest.mark.parametrize("option, value", [("--tau", "3/2"), ("--tau", "0"), ("--lambda", "-1")])
     def test_invalid_level_or_penalty_exits_2_for_every_check(self, check, option, value, y_file, tmp_path, capsys):
         out = tmp_path / "audit.json"
         args = ["audit", "--input", y_file, "--tau", "1/4", "--tau2", "3/4", "--lambda", "1/2",
                 "--checks", check, "--trials", "5", "--output", str(out)]
         args[args.index(option) + 1] = value
         assert run(args) == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("check", ["noncross", "submodular", "noncross,submodular"])
+    @pytest.mark.parametrize("text", ["", "\n\n", "y\n"])
+    def test_empty_data_exits_2_for_every_check(self, check, text, tmp_path, capsys):
+        out = tmp_path / "audit.json"
+        assert run(["audit", "--input", write(tmp_path / "y.txt", text), "--tau", "1/4", "--tau2", "3/4",
+                    "--lambda", "1/2", "--checks", check, "--trials", "5", "--output", str(out)]) == 2
         captured = capsys.readouterr()
         assert "error:" in captured.err and captured.out == ""
         assert not out.exists()

@@ -4,11 +4,14 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import grid_oracle, naive_envelope, random_instance
 
 from qtvd.envelope import (
     SOFT_CAP,
+    _RankTables,
     envelope,
     lower_envelope_at,
     reflection_check,
@@ -72,6 +75,48 @@ class TestPointwiseValues:
             env = envelope(inst.y, inst.tau, inst.lam)
             assert finite(env.lower) == lower
             assert finite(env.upper) == upper
+
+
+@st.composite
+def _point_case(draw):
+    """y with n <= 40, tau in {0, 1} or non-dyadic, and lam = 0 or not."""
+    n = draw(st.integers(1, 40))
+    y = draw(st.lists(st.builds(F, st.integers(-4, 4), st.sampled_from((1, 2, 3))), min_size=n, max_size=n))
+    tau = draw(st.sampled_from((F(0), F(1), F(1, 3), F(2, 7), F(7, 10), F(5, 9))))
+    lam = draw(st.one_of(st.just(F(0)), st.builds(F, st.integers(0, 60), st.sampled_from((1, 2, 3, 4)))))
+    return tuple(y), tau, lam
+
+
+class TestPointQueries:
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(_point_case())
+    def test_point_queries_equal_the_envelope(self, case):
+        # i = 1 and i = n read the row and column that the boundary constants patch in
+        y, tau, lam = case
+        env = envelope(y, tau, lam)
+        for i in range(1, len(y) + 1):
+            assert upper_envelope_at(y, tau, lam, i) == env.upper[i - 1]
+            assert lower_envelope_at(y, tau, lam, i) == env.lower[i - 1]
+
+    def test_point_queries_beyond_soft_cap_match_the_extremal_fits(self):
+        inst = random_instance(random.Random(100), 100, n_min=100, taus=(F(1, 3), F(2, 7)), lams=(F(5, 2), F(7)))
+        lower, upper = fit(inst, "lower").theta, fit(inst, "upper").theta
+        for i in (1, 50, 100):
+            assert upper_envelope_at(inst.y, inst.tau, inst.lam, i, allow_large_n=True).finite_value() == upper[i - 1]
+            assert lower_envelope_at(inst.y, inst.tau, inst.lam, i, allow_large_n=True).finite_value() == lower[i - 1]
+
+    @pytest.mark.parametrize("side", ["upper", "lower"])
+    def test_tables_at_i_equal_the_full_tables_on_windows_containing_i(self, side):
+        rng = random.Random(127)
+        for tau in (F(0), F(1), F(1, 3), F(7, 10)):
+            for _ in range(5):
+                n = rng.randint(1, 12)
+                y = tuple(F(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(n))
+                ranked = _RankTables(y, tau, F(rng.randint(0, 12), rng.choice((1, 2, 4))), False)
+                full = ranked.tables(side)
+                for i in range(1, n + 1):
+                    # windows [a:b] with a <= i <= b sit at [a-1, b-1] with a-1 < i and b-1 >= i-1
+                    assert (ranked.tables(side, at=i)[..., :i, i - 1 :] == full[..., :i, i - 1 :]).all()
 
 
 class TestAgainstNaiveEnumeration:
