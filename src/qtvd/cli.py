@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import json
 import sys
@@ -103,7 +104,7 @@ def _strs(values) -> list[str]:
 
 def _parse_constants(pairs: Optional[Sequence[str]], noise, tau: float) -> risk.RiskConstants:
     overrides = {}
-    known = {"c", "c1", "delta", "c_tilde", "C1"}
+    known = {f.name for f in dataclasses.fields(risk.RiskConstants)}
     for pair in pairs or ():
         if "=" not in pair:
             raise ValueError(f"--constants expects k=v, got {pair!r}")
@@ -158,10 +159,7 @@ def _cmd_envelope(args) -> int:
 
 def _cmd_certify(args) -> int:
     y, tau, lam = _exact_inputs(args)
-    theta = _read_values(args.theta)
-    if len(theta) != len(y):
-        raise ValueError(f"theta has {len(theta)} values but y has {len(y)}")
-    cert = _certificate_doc(solver.certify(theta, solver.Instance(tuple(y), tau, lam)))
+    cert = _certificate_doc(solver.certify(_read_values(args.theta), solver.Instance(tuple(y), tau, lam)))
     _emit({"feasible": False} if cert is None else {"feasible": True, **cert}, args.output)
     return 0
 
@@ -287,16 +285,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qtvd", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_exact(p, with_extremal=False):
+    def add_exact(p):
         p.add_argument("--input", required=True, help="data file: one value per line or CSV with header y")
         p.add_argument("--tau", required=True, help="quantile level, exact (e.g. 1/4 or 0.25)")
         p.add_argument("--lambda", dest="lam", required=True, help="penalty, exact (e.g. 1/2)")
         p.add_argument("--output", default=None, help="JSON output path (default stdout)")
-        if with_extremal:
-            p.add_argument("--extremal", default="any", choices=("lower", "upper", "any"))
 
     p_fit = sub.add_parser("fit", help="exact minimiser with optimality certificate")
-    add_exact(p_fit, with_extremal=True)
+    add_exact(p_fit)
+    p_fit.add_argument("--extremal", default="any", choices=("lower", "upper", "any"))
     p_fit.set_defaults(handler=_cmd_fit)
 
     p_env = sub.add_parser("envelope", help="exact pointwise solution-set bounds")

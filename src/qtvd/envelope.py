@@ -37,6 +37,9 @@ O(n^3) for the envelope; memory is O(n^2) per side.
 Arithmetic is exact end to end.  Values are mapped to ranks in the
 sorted distinct-value list, the enumeration runs on int32 ranks (at
 most n), and ranks map back to exact data values at the end.
+`_RankTables.ends` is the one evaluator behind the public functions:
+`envelope` asks it for both sides at every location, a point query for
+one side at one location.
 Infinities from the extended order-statistic convention are the
 off-range ranks -1 and len(uniq), so they propagate through min/max
 without float sentinels.
@@ -55,7 +58,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .intervals import ExtendedValue, NEG_INF, POS_INF, _as_rational
-from .solver import _lattice
+from .solver import _lattice, _ranks
 
 __all__ = [
     "Envelope",
@@ -123,8 +126,7 @@ class _RankTables:
                 "pass allow_large_n=True to override"
             )
         self.uniq = sorted(set(y))
-        rank_of = {v: r for r, v in enumerate(self.uniq)}
-        self.ranks = np.array([rank_of[v] for v in y], dtype=np.int32)
+        self.ranks = np.array(_ranks(y, self.uniq), dtype=np.int32)
 
     def tables(self, *sides: str, at: int | None = None) -> np.ndarray:
         """tables[s, c2 + 2, a-1, b-1]: rank of the order statistic side s selects from y_a..y_b.
@@ -171,16 +173,15 @@ class _RankTables:
         table[[s for s, side in enumerate(sides) if side == "lower"]] *= -1
         return table
 
-    def check_location(self, i: int) -> None:
-        if not 1 <= i <= self.n:
-            raise ValueError(f"location {i} outside [1:{self.n}]")
-
-    def to_extended(self, rank: int) -> ExtendedValue:
-        if rank < 0:
-            return NEG_INF
-        if rank == len(self.uniq):
-            return POS_INF
-        return ExtendedValue(0, self.uniq[rank])
+    def ends(self, *sides: str, at: int | None = None) -> list:
+        """ends[k][s], side s at location k+1 (or `at`): `_min_max`'s rank, un-negated on the lower side,
+        as -inf (rank -1), +inf (rank len(uniq)) or the data value uniq[rank]."""
+        if at is not None and not 1 <= at <= self.n:
+            raise ValueError(f"location {at} outside [1:{self.n}]")
+        table, signs = self.classes(*sides, at=at), [-1 if side == "lower" else 1 for side in sides]
+        values = [NEG_INF, *(ExtendedValue(0, v) for v in self.uniq), POS_INF]  # at rank + 1
+        locations = range(1, self.n + 1) if at is None else (at,)
+        return [[values[s * r + 1] for s, r in zip(signs, _min_max(table, i))] for i in locations]
 
 
 def _min_max(table: np.ndarray, i: int) -> list:
@@ -207,29 +208,17 @@ def _min_max(table: np.ndarray, i: int) -> list:
 
 def envelope(y: Sequence, tau, lam, *, allow_large_n: bool = False) -> Envelope:
     """Both envelope vectors, sharing one set of rank tables across locations."""
-    ranked = _RankTables(y, tau, lam, allow_large_n)
-    table = ranked.classes("upper", "lower")
-    ends = [_min_max(table, i) for i in range(1, ranked.n + 1)]
-    return Envelope(
-        lower=tuple(ranked.to_extended(-neg_lower) for _, neg_lower in ends),
-        upper=tuple(ranked.to_extended(upper) for upper, _ in ends),
-    )
+    return Envelope(*zip(*_RankTables(y, tau, lam, allow_large_n).ends("lower", "upper")))
 
 
 def upper_envelope_at(y: Sequence, tau, lam, i: int, *, allow_large_n: bool = False) -> ExtendedValue:
     """Exact upper envelope value U_i; finite and a data value for tau in (0,1)."""
-    ranked = _RankTables(y, tau, lam, allow_large_n)
-    ranked.check_location(i)
-    (upper,) = _min_max(ranked.classes("upper", at=i), i)
-    return ranked.to_extended(upper)
+    return _RankTables(y, tau, lam, allow_large_n).ends("upper", at=i)[0][0]
 
 
 def lower_envelope_at(y: Sequence, tau, lam, i: int, *, allow_large_n: bool = False) -> ExtendedValue:
     """Exact lower envelope value L_i; mirrors `upper_envelope_at`."""
-    ranked = _RankTables(y, tau, lam, allow_large_n)
-    ranked.check_location(i)
-    (neg_lower,) = _min_max(ranked.classes("lower", at=i), i)
-    return ranked.to_extended(-neg_lower)
+    return _RankTables(y, tau, lam, allow_large_n).ends("lower", at=i)[0][0]
 
 
 def reflection_check(y: Sequence, tau, lam, *, allow_large_n: bool = False) -> bool:

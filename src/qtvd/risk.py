@@ -39,6 +39,10 @@ Monte-Carlo harness certifies every fit, evaluates the bounds when given
 constants, and regresses the log median absolute error on log n to
 check those exponents empirically.
 
+The noise families `Cauchy`, `Gaussian` and `Laplace` subclass `Noise`,
+which holds their one parameter `scale` and its check; each family
+states its own shift, density and sampler.
+
 Replications derive independent generator streams from (master seed,
 replication index) and are aggregated in index order, so reports are
 bit-for-bit reproducible regardless of any parallel scheduling.
@@ -82,11 +86,6 @@ CSV_HEADER = ("seed", "n", "tau", "lambda", "location", "error")
 _STD_NORMAL = NormalDist()
 
 
-def _check_scale(value: float, name: str) -> None:
-    if not 0 <= value < math.inf:
-        raise ValueError(f"{name} must be finite and >= 0, got {value}")
-
-
 def _check_finite(name: str, *values: float) -> None:
     if not all(map(math.isfinite, values)):
         raise ValueError(f"{name} must be finite, got {', '.join(map(str, values))}")
@@ -98,13 +97,19 @@ def _check_finite(name: str, *values: float) -> None:
 
 
 @dataclass(frozen=True)
-class Cauchy:
-    """Cauchy noise; location set to -scale*tan(pi*(tau-1/2)) so q_tau = 0."""
+class Noise:
+    """A noise family of scale `scale` (finite, >= 0); each subclass states its own
+    shift (so the tau-quantile is 0), density and sampler."""
 
     scale: float = 1.0
 
     def __post_init__(self):
-        _check_scale(self.scale, "scale")
+        if not 0 <= self.scale < math.inf:
+            raise ValueError(f"scale must be finite and >= 0, got {self.scale}")
+
+
+class Cauchy(Noise):
+    """Cauchy noise; location set to -scale*tan(pi*(tau-1/2)) so q_tau = 0."""
 
     def shift(self, tau: float) -> float:
         return -self.scale * math.tan(math.pi * (tau - 0.5))
@@ -117,33 +122,21 @@ class Cauchy:
         return rng.standard_cauchy(size) * self.scale + self.shift(tau)
 
 
-@dataclass(frozen=True)
-class Gaussian:
-    """Gaussian noise shifted by -sigma * Phi^{-1}(tau)."""
-
-    sigma: float = 1.0
-
-    def __post_init__(self):
-        _check_scale(self.sigma, "sigma")
+class Gaussian(Noise):
+    """Gaussian noise with standard deviation `scale`, shifted by -scale * Phi^{-1}(tau)."""
 
     def shift(self, tau: float) -> float:
-        return -self.sigma * _STD_NORMAL.inv_cdf(tau)
+        return -self.scale * _STD_NORMAL.inv_cdf(tau)
 
     def density(self, t: float, tau: float) -> float:
-        return _STD_NORMAL.pdf((t - self.shift(tau)) / self.sigma) / self.sigma
+        return _STD_NORMAL.pdf((t - self.shift(tau)) / self.scale) / self.scale
 
     def sample(self, rng: np.random.Generator, size: int, tau: float) -> np.ndarray:
-        return rng.normal(0.0, self.sigma, size) + self.shift(tau)
+        return rng.normal(0.0, self.scale, size) + self.shift(tau)
 
 
-@dataclass(frozen=True)
-class Laplace:
+class Laplace(Noise):
     """Laplace noise shifted by the closed-form tau-quantile."""
-
-    scale: float = 1.0
-
-    def __post_init__(self):
-        _check_scale(self.scale, "scale")
 
     def shift(self, tau: float) -> float:
         if tau < 0.5:
@@ -156,9 +149,6 @@ class Laplace:
 
     def sample(self, rng: np.random.Generator, size: int, tau: float) -> np.ndarray:
         return rng.laplace(0.0, self.scale, size) + self.shift(tau)
-
-
-Noise = Union[Cauchy, Gaussian, Laplace]
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +284,7 @@ class RiskConstants:
         """
         if delta <= 0:
             raise ValueError("delta must be > 0")
-        if (noise.sigma if isinstance(noise, Gaussian) else noise.scale) == 0:
+        if noise.scale == 0:
             raise ValueError("degenerate noise: zero scale, growth constant is zero")
         c1 = min(noise.density(-delta, tau), noise.density(delta, tau))
         if not c1 > 0:
@@ -439,7 +429,7 @@ def lambda_star(n: int, alpha: float, holder_norm: float = 1.0, r0: float = 0.5)
     """Rate-optimal penalty: sqrt(log n * B_n) for alpha <= 1, else sqrt(n*r0*log n)."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    if alpha <= 0:
+    if not alpha > 0:
         raise ValueError("alpha must be > 0")
     if not 0 < holder_norm < math.inf:
         raise ValueError(f"holder_norm must be finite and > 0, got {holder_norm}")

@@ -157,7 +157,7 @@ def noise_cdf(noise, t, tau):
     """CDF at t of a `qtvd.risk` noise family after its shift, from the closed forms."""
     family = type(noise).__name__
     if family == "Gaussian":
-        return 0.5 * math.erfc(-(t - noise.shift(tau)) / (noise.sigma * math.sqrt(2.0)))
+        return 0.5 * math.erfc(-(t - noise.shift(tau)) / (noise.scale * math.sqrt(2.0)))
     u = (t - noise.shift(tau)) / noise.scale
     if family == "Cauchy":
         return 0.5 + math.atan(u) / math.pi

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -14,6 +15,7 @@ from helpers import grid_oracle
 
 from qtvd import cli
 from qtvd.penalties import NonCrossingReport
+from qtvd.risk import RiskConstants
 from qtvd.solver import Instance
 
 F = Fraction
@@ -146,6 +148,14 @@ class TestFitEnvelopeCertify:
         assert run(["certify", "--input", y_file, "--theta", theta_file,
                     "--tau", "1/2", "--lambda", "1/4"]) == 0
         assert json.loads(capsys.readouterr().out) == {"feasible": False}
+
+    def test_certify_short_theta_exits_2(self, y_file, tmp_path, capsys):
+        theta_file = write(tmp_path / "theta.txt", "1\n3\n")
+        out = tmp_path / "cert.json"
+        assert run(["certify", "--input", y_file, "--theta", theta_file,
+                    "--tau", "1/2", "--lambda", "1/4", "--output", str(out)]) == 2
+        assert "theta" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_infinity_encoding_at_extreme_levels(self, y_file, capsys):
         assert run(["envelope", "--input", y_file, "--tau", "1", "--lambda", "2"]) == 0
@@ -374,6 +384,19 @@ class TestSimulateRate:
         assert run(["simulate", "--n", "64", "--reps", "2", "--lambda", "8", "--constants", "c1=0.2",
                     "--output", str(tmp_path / "x")]) == 2
         assert "--constants" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
+
+    @pytest.mark.parametrize("field", dataclasses.fields(RiskConstants), ids=lambda f: f.name)
+    def test_constants_accept_every_field(self, field, tmp_path, capsys):
+        value = 0.2 if field.default is dataclasses.MISSING else field.default
+        assert run(["simulate", "--n", "1024", "--reps", "2", "--lambda", "30", "--bounds",
+                    "--constants", f"{field.name}={value}", "--output", str(tmp_path / "x")]) == 0
+        assert json.loads((tmp_path / "x.json").read_text())["bound_upper"] is not None
+
+    def test_unknown_constant_exits_2_naming_the_fields(self, tmp_path, capsys):
+        assert run(["simulate", "--n", "1024", "--reps", "2", "--lambda", "30", "--bounds",
+                    "--constants", "bogus=1", "--output", str(tmp_path / "x")]) == 2
+        assert "unknown constant 'bogus' (known: ['C1', 'c', 'c1', 'c_tilde', 'delta'])" in capsys.readouterr().err
         assert not (tmp_path / "x.json").exists()
 
     def test_rate_rejects_constants(self, tmp_path):

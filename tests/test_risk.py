@@ -76,6 +76,14 @@ class TestNoise:
         with pytest.raises(ValueError):
             family(scale)
 
+    def test_families_differ_at_equal_scale_and_show_it(self):
+        families = (Cauchy(1.0), Gaussian(1.0), Laplace(1.0))
+        assert len(set(families)) == 3
+        assert Cauchy(1.0) != Laplace(1.0) and Gaussian(1.0) != Cauchy(1.0) and Laplace(1.0) != Gaussian(1.0)
+        assert Gaussian(scale=2.0) == Gaussian(2.0)
+        assert repr(Gaussian(2.0)) == "Gaussian(scale=2.0)"
+        assert [repr(noise) for noise in families] == ["Cauchy(scale=1.0)", "Gaussian(scale=1.0)", "Laplace(scale=1.0)"]
+
 
 class TestRiskConstants:
     @pytest.mark.parametrize(
@@ -338,6 +346,8 @@ class TestLambdaStar:
             lambda_star(1, 1.0)
         with pytest.raises(ValueError):
             lambda_star(16, 0.0)
+        with pytest.raises(ValueError, match="alpha"):
+            lambda_star(16, math.nan)
         for r0 in (0.0, -0.1, math.nan, math.inf):
             with pytest.raises(ValueError, match="r0"):
                 lambda_star(16, 2.0, r0=r0)

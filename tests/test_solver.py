@@ -647,3 +647,42 @@ class TestFloatExactProperty:
             theta = free
         exact = certify(tuple(F(v) for v in theta), inst) is not None
         assert certify_float(y, theta, tau, lam) == exact
+
+
+_INSIDE = st.fractions(0, 1, max_denominator=30).filter(lambda f: 0 < f < 1)
+
+
+@st.composite
+def _cell_case(draw, values, taus, first, second):
+    """(y, tau, lam1, lam2): lam1 and lam2 inside one open cell (c/(2q), (c+1)/(2q)), q = den tau.
+
+    The envelope formulas select order statistics through floor/ceil of
+    tau*m -+ lam*c2 with c2 in {-2, ..., 2}, which only change where lam*c2
+    crosses (1/q)Z, so both extremal fits are constant on each cell.
+    """
+    n = draw(st.integers(1, 12))
+    y = tuple(draw(st.lists(values, min_size=n, max_size=n)))
+    tau = draw(taus)
+    cells = 2 * tau.denominator
+    c = draw(st.integers(0, cells * (n + 2)))
+    return y, tau, (c + draw(first)) / cells, (c + draw(second)) / cells
+
+
+class TestLambdaCells:
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(_cell_case(st.integers(-4, 4).map(F), st.integers(1, 9).map(lambda k: F(k, 10)), _INSIDE, _INSIDE))
+    def test_extremal_fits_are_constant_inside_a_cell(self, case):
+        y, tau, lam1, lam2 = case
+        for extremality in ("lower", "upper"):
+            assert fit(Instance(y, tau, lam1), extremality).theta == fit(Instance(y, tau, lam2), extremality).theta
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(_cell_case(st.integers(-16, 16).map(lambda k: F(k, 4)),
+                      st.sampled_from((F(1, 4), F(1, 2), F(3, 4), F(3, 8))),
+                      st.integers(1, 63).map(lambda k: F(k, 64)), _INSIDE))
+    def test_fit_float_equals_fit_anywhere_in_the_cell(self, case):
+        # Dyadic y and tau, and a dyadic lam1, so the floats are exact; lam2 is any rational of the cell.
+        y, tau, lam1, lam2 = case
+        for extremality in ("lower", "upper"):
+            exact = [float(v) for v in fit(Instance(y, tau, lam2), extremality).theta]
+            assert fit_float([float(v) for v in y], float(tau), float(lam1), extremality) == exact

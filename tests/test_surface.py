@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from qtvd.envelope import Envelope
+from qtvd.envelope import Envelope, _RankTables
 from qtvd.intervals import ExtendedValue
 from qtvd.penalties import PairwisePenalty
 from qtvd.risk import (
@@ -23,7 +23,7 @@ REMOVED = [
     "BoundComponents", "bound_components", "bias_terms", "smallest_admissible_n",
     "ValidationError", "penalty_value", "floor_index", "ceil_index", "_trim", "_peek",
     "DiscreteInterval", "boundary_constant", "dist_boundary", "sd_bound",
-    "growth_constants", "resolve_lambda", "_check_nonempty",
+    "growth_constants", "resolve_lambda", "_check_nonempty", "_check_scale",
 ]
 
 
@@ -43,6 +43,7 @@ def test_risk_constants_dropped_as_dict():
     (RiskConstants, "lambda_coefficient"), (Cauchy, "cdf"), (Gaussian, "cdf"), (Laplace, "cdf"),
     (ConstantSignal, "holder"), (ConstantSignal, "local_radius"), (HolderCusp, "holder"),
     (PiecewiseConstantSignal, "holder"), (PiecewiseConstantSignal, "local_radius"), (PairwisePenalty, "value"),
+    (Gaussian, "sigma"), (_RankTables, "check_location"), (_RankTables, "to_extended"),
 ])
 def test_methods_without_callers_are_gone(owner, attr):
     assert not hasattr(owner, attr)
