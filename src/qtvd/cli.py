@@ -232,9 +232,7 @@ def _write_csv(path: str, reports: Sequence[risk.RiskReport]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(risk.CSV_HEADER)
-        for report in reports:
-            for row in report.csv_rows():
-                writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+        writer.writerows(row for report in reports for row in report.csv_rows())
 
 
 def _cmd_simulate(args) -> int:

@@ -58,7 +58,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .intervals import ExtendedValue, NEG_INF, POS_INF, _as_rational
-from .solver import _lattice, _ranks
+from .solver import _lattice
 
 __all__ = [
     "Envelope",
@@ -126,7 +126,8 @@ class _RankTables:
                 "pass allow_large_n=True to override"
             )
         self.uniq = sorted(set(y))
-        self.ranks = np.array(_ranks(y, self.uniq), dtype=np.int32)
+        rank = {v: r for r, v in enumerate(self.uniq)}
+        self.ranks = np.array([rank[v] for v in y], dtype=np.int32)
 
     def tables(self, *sides: str, at: int | None = None) -> np.ndarray:
         """tables[s, c2 + 2, a-1, b-1]: rank of the order statistic side s selects from y_a..y_b.

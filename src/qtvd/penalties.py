@@ -35,7 +35,7 @@ from math import lcm
 from typing import Sequence
 
 from .intervals import _as_rational
-from .solver import Instance, _fit_ranks
+from .solver import Instance, _fit_scaled
 
 __all__ = [
     "Absolute",
@@ -197,9 +197,9 @@ def noncrossing_audit(y: Sequence, lam, tau1, tau2) -> NonCrossingReport:
     Requires tau1 < tau2 and a shared lam; the claim is specific to a
     common tuning parameter.  Extremal fits realise the solution-set
     envelopes exactly, so this checks non-crossing of the full solution
-    sets, not just of one pair of minimisers.  y is checked, scaled and
-    ranked once and both levels are fitted from that ranking, so the gap
-    is a difference of scaled data values; one Fraction is built.
+    sets, not just of one pair of minimisers.  y is checked and scaled
+    once and both levels are fitted on its scaled ints, so the gap is a
+    difference of those ints; one Fraction is built.
     """
     tau1 = _as_rational(tau1, "tau1")
     tau2 = _as_rational(tau2, "tau2")
@@ -208,9 +208,8 @@ def noncrossing_audit(y: Sequence, lam, tau1, tau2) -> NonCrossingReport:
     inst = Instance(tuple(y), tau1, lam)
     if not tau2 < 1:
         raise ValueError(f"tau must be in (0, 1), got {tau2}")
-    upper1, lower2 = _fit_ranks(inst, "upper"), _fit_ranks(inst, "lower", tau2)
-    uniq = inst._ranked_y[0]
-    worst = Fraction(min(uniq[b] - uniq[a] for a, b in zip(upper1, lower2)), inst._scaled_y[0])
+    upper1, lower2 = _fit_scaled(inst, "upper"), _fit_scaled(inst, "lower", tau2)
+    worst = Fraction(min(b - a for a, b in zip(upper1, lower2)), inst._scaled_y[0])
     return NonCrossingReport(ok=worst >= 0, worst_gap=worst)
 
 

@@ -108,6 +108,7 @@ class Noise:
             raise ValueError(f"scale must be finite and >= 0, got {self.scale}")
 
 
+@dataclass(frozen=True)
 class Cauchy(Noise):
     """Cauchy noise; location set to -scale*tan(pi*(tau-1/2)) so q_tau = 0."""
 
@@ -122,6 +123,7 @@ class Cauchy(Noise):
         return rng.standard_cauchy(size) * self.scale + self.shift(tau)
 
 
+@dataclass(frozen=True)
 class Gaussian(Noise):
     """Gaussian noise with standard deviation `scale`, shifted by -scale * Phi^{-1}(tau)."""
 
@@ -135,6 +137,7 @@ class Gaussian(Noise):
         return rng.normal(0.0, self.scale, size) + self.shift(tau)
 
 
+@dataclass(frozen=True)
 class Laplace(Noise):
     """Laplace noise shifted by the closed-form tau-quantile."""
 

@@ -36,18 +36,16 @@ The pass only compares data values with each other and only returns
 breakpoints, so it is invariant under any increasing relabelling of y;
 and every derivative value is a sum of -tau, +-lam and unit jumps, so it
 lies on the lattice (1/D)Z with D = lcm(den tau, den lam).  The exact
-`fit` therefore runs the same `_fit_core` on the ranks of y among its
-distinct values, with tau*D, lam*D and the unit jump D as integers, and
-maps the returned ranks back to data values.  Ranks come from y scaled
-by the lcm of its denominators, so no Fraction is hashed or compared.
-An `Instance` keeps y's scaled ints and, apart, y's ranks from their
-first use, so a fit, its objective and its certificate scale y once.
-`_fit_ranks` stops at the ranks, which `qtvd.penalties` audits directly,
-at two levels of one ranking.
-`fit_float` needs no ranks: float comparisons are exact and every finite
-float is a dyadic rational, so it runs `_fit_core` on the floats with
-the integer levels of Fraction(tau) and Fraction(lam), and returns the
-floats of the Fractions `fit` returns.
+`fit` therefore runs the same `_fit_core` on y scaled by the lcm of its
+denominators, with tau*D, lam*D and the unit jump D as integers, and
+maps the returned ints back to data values, so no Fraction is hashed or
+compared.  An `Instance` keeps y's scaled ints from their first use, so
+a fit, its objective and its certificate scale y once.  `_fit_scaled`
+stops at the scaled ints, which `qtvd.penalties` audits directly.
+`fit_float` runs `_fit_core` the same way on the floats themselves:
+float comparisons are exact and every finite float is a dyadic rational,
+so with the integer levels of Fraction(tau) and Fraction(lam) it returns
+the floats of the Fractions `fit` returns.
 
 Optimality is certified independently of the solver: theta minimises F
 iff there are vectors g (quantile-loss subgradients) and z (edge duals
@@ -60,10 +58,11 @@ box ends (`_dual_system`); the system is feasible iff lo <= hi
 everywhere, and a witness takes the smallest admissible z from z_n = 0
 backwards, again a suffix maximum.  The boxes depend on theta and y only
 through the signs of theta - y and of theta's steps, so `certify` runs
-the kernel on the joint ranks of y and theta, with box ends -tau*D,
-D - tau*D and +-lam*D, on int64.  Every stored quantity is bounded by
-2*n*D + lam*D in absolute value; when that bound does not fit in int64,
-the same kernel runs on object arrays of Python ints.  The witness
+the kernel on y and theta scaled to one common denominator, as object
+arrays of Python ints that are only compared.  The box ends -tau*D,
+D - tau*D and +-lam*D are int64: every stored quantity is bounded by
+2*n*D + lam*D in absolute value, and when that bound does not fit in
+int64 the boxes are object arrays of Python ints too.  The witness
 becomes Fractions only at the end, one Fraction v/D per distinct level v
 of g and z.  `certify_float` runs the kernel on the float y and theta
 themselves, again only compared, so its verdict is that of `certify` on
@@ -132,19 +131,12 @@ class Instance:
     def n(self) -> int:
         return len(self.y)
 
-    # Computed on first use and not fields, so equality and hashing ignore them; apart, as `certify` never ranks y.
+    # Computed on first use and not a field, so equality and hashing ignore it.
     @cached_property
     def _scaled_y(self) -> tuple:
         """(s, y times s as ints), s the lcm of y's denominators."""
         scale = lcm(*(v.denominator for v in self.y))
         return scale, [v.numerator * (scale // v.denominator) for v in self.y]
-
-    @cached_property
-    def _ranked_y(self) -> tuple:
-        """(uniq, ranks): y's sorted distinct scaled ints, and the index of each y_i in uniq."""
-        ys = self._scaled_y[1]
-        uniq = sorted(set(ys))
-        return uniq, _ranks(ys, uniq)
 
 
 @dataclass(frozen=True)
@@ -184,12 +176,6 @@ def _scaled_with(inst: Instance, theta: Sequence) -> tuple:
     if common != scale:
         ys = [v * (common // scale) for v in ys]
     return common, ys, [v.numerator * (common // v.denominator) for v in theta]
-
-
-def _ranks(values: Sequence, uniq: list) -> list:
-    """Index of each value in the sorted list `uniq` of distinct values."""
-    rank = {v: r for r, v in enumerate(uniq)}
-    return [rank[v] for v in values]
 
 
 def objective_value(theta: Sequence, inst: Instance) -> Fraction:
@@ -301,17 +287,17 @@ def _prefer_high(extremality: Extremality) -> bool:
     return extremality != "lower"
 
 
-def _fit_ranks(inst: Instance, extremality: Extremality, tau: Optional[Fraction] = None) -> list:
-    """The fit's index in `inst._ranked_y` uniq at each position; `tau` in (0, 1) replaces inst.tau."""
+def _fit_scaled(inst: Instance, extremality: Extremality, tau: Optional[Fraction] = None) -> list:
+    """The fit as y's scaled ints from `inst._scaled_y`; `tau` in (0, 1) replaces inst.tau."""
     prefer_high = _prefer_high(extremality)
     unit, tau, lam = _lattice(inst.tau if tau is None else tau, inst.lam)
-    return _fit_core(inst._ranked_y[1], tau, lam, prefer_high, unit)
+    return _fit_core(inst._scaled_y[1], tau, lam, prefer_high, unit)
 
 
 def fit(inst: Instance, extremality: Extremality = "any") -> Fit:
     """Exact global minimiser; "upper"/"lower" return the extremal solutions."""
-    value = dict(zip(inst._ranked_y[1], inst.y))
-    theta = tuple(value[r] for r in _fit_ranks(inst, extremality))
+    value = dict(zip(inst._scaled_y[1], inst.y))
+    theta = tuple(value[v] for v in _fit_scaled(inst, extremality))
     return Fit(theta=theta, objective=objective_value(theta, inst), extremality=extremality)
 
 
@@ -352,7 +338,7 @@ def _pick(cond, a, b, dtype):
 def _dual_system(y, theta, tau, lam, one):
     """Boxes and forward reach of the dual system, or None if it is infeasible.
 
-    y and theta are only compared (integer ranks from `certify`, floats
+    y and theta are only compared (scaled ints from `certify`, floats
     from `certify_float`); the boxes are integers in units where a data
     point's g box has length `one`.  g_j is the subgradient of
     rho_tau(y_j - .) at theta_j: {-tau} below the data value, [-tau,
@@ -386,9 +372,9 @@ def _dual_system(y, theta, tau, lam, one):
 def certify(theta: Sequence, inst: Instance) -> Optional[DualCertificate]:
     """Exact optimality decision: a witness (g, z) if theta minimises F, else None."""
     _, ys, ts = _scaled_with(inst, theta)
-    uniq = sorted(set(ys).union(ts))
     one, tau, lam = _lattice(inst.tau, inst.lam)
-    system = _dual_system(_ranks(ys, uniq), _ranks(ts, uniq), tau, lam, one)
+    # dtype=object: np.asarray would turn ints past int64 into uint64 or float64, which rounds them.
+    system = _dual_system(np.array(ys, dtype=object), np.array(ts, dtype=object), tau, lam, one)
     if system is None:
         return None
     g_hi, lo, hi, b = system

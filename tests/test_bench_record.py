@@ -92,3 +92,27 @@ def test_metric_that_is_not_always_positive_reports_differences():
     lines, out = bench_record.compare_pairs(pairs, AB_METRICS[:1])
     assert out["job_s"]["median_diff"] == 1.0 and "median_ratio" not in out["job_s"]
     assert lines[1] == "  pair diffs: s0 3, s1 -1"
+
+
+@pytest.mark.parametrize("fails", [False, True])
+def test_against_removes_its_export(tmp_path, monkeypatch, fails):
+    tree = tmp_path / "against-base"
+
+    def export(rev):
+        (tree / ".bench_work").mkdir(parents=True)
+        return tree
+
+    def run_bench(workload, seed, seconds, tree, trace):
+        if fails:
+            raise RuntimeError("bench crashed")
+        return {}, _run(job_s=1.0)
+
+    monkeypatch.setattr(bench_record, "export", export)
+    monkeypatch.setattr(bench_record, "run_bench", run_bench)
+    spec = {"run_seconds": 1, "end_to_end": AB_METRICS[:1]}
+    if fails:
+        with pytest.raises(RuntimeError):
+            bench_record.against("HEAD", 2, ["exact_chain"], spec, 0)
+    else:
+        assert bench_record.against("HEAD", 2, ["exact_chain"], spec, 0) == 0
+    assert not tree.exists()

@@ -1,4 +1,5 @@
 import math
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -75,6 +76,15 @@ class TestNoise:
     def test_non_finite_or_negative_scale_rejected(self, family, scale):
         with pytest.raises(ValueError):
             family(scale)
+
+    @pytest.mark.parametrize("family", [Cauchy, Gaussian, Laplace])
+    def test_families_are_frozen(self, family):
+        noise = family(1.0)
+        with pytest.raises(FrozenInstanceError):
+            noise.extra = 1
+        with pytest.raises(FrozenInstanceError):
+            noise.scale = 2.0
+        assert noise == family(1.0) and not hasattr(noise, "extra")
 
     def test_families_differ_at_equal_scale_and_show_it(self):
         families = (Cauchy(1.0), Gaussian(1.0), Laplace(1.0))

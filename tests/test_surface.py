@@ -13,6 +13,7 @@ from qtvd.penalties import PairwisePenalty
 from qtvd.risk import (
     Cauchy, ConstantSignal, Gaussian, HolderCusp, Laplace, PiecewiseConstantSignal, RiskConstants, simulate,
 )
+from qtvd.solver import Instance
 
 MODULES = ["qtvd", "qtvd.cli", "qtvd.envelope", "qtvd.intervals", "qtvd.penalties", "qtvd.risk", "qtvd.solver"]
 
@@ -23,7 +24,7 @@ REMOVED = [
     "BoundComponents", "bound_components", "bias_terms", "smallest_admissible_n",
     "ValidationError", "penalty_value", "floor_index", "ceil_index", "_trim", "_peek",
     "DiscreteInterval", "boundary_constant", "dist_boundary", "sd_bound",
-    "growth_constants", "resolve_lambda", "_check_nonempty", "_check_scale",
+    "growth_constants", "resolve_lambda", "_check_nonempty", "_check_scale", "_ranks", "_fit_ranks",
 ]
 
 
@@ -43,7 +44,7 @@ def test_risk_constants_dropped_as_dict():
     (RiskConstants, "lambda_coefficient"), (Cauchy, "cdf"), (Gaussian, "cdf"), (Laplace, "cdf"),
     (ConstantSignal, "holder"), (ConstantSignal, "local_radius"), (HolderCusp, "holder"),
     (PiecewiseConstantSignal, "holder"), (PiecewiseConstantSignal, "local_radius"), (PairwisePenalty, "value"),
-    (Gaussian, "sigma"), (_RankTables, "check_location"), (_RankTables, "to_extended"),
+    (Gaussian, "sigma"), (_RankTables, "check_location"), (_RankTables, "to_extended"), (Instance, "_ranked_y"),
 ])
 def test_methods_without_callers_are_gone(owner, attr):
     assert not hasattr(owner, attr)

@@ -36,8 +36,8 @@ for neither side).  A metric is marked as a gain when there are at
 least MIN_PAIRS pairs, this checkout wins at least 9/10 of them and its
 median is better than REV's by more than REV's IQR.  --trace 1 compares
 the per-layer metrics of traced runs instead.  The report adds evidence:
-it writes no record and flags nothing.  The exit status is 1 when a run
-failed or was incorrect, else 0.
+it writes no record and flags nothing, and it removes the export when it
+ends.  The exit status is 1 when a run failed or was incorrect, else 0.
 
 Standard library only.  The tool reads bench/ and BENCHMARK.json and
 changes neither; bench/run.py writes its scratch files to .bench_work/.
@@ -251,23 +251,26 @@ def against(rev: str, n_pairs: int, workloads: list, spec: dict, trace: int) -> 
     base_tree = export(rev)
     metrics = spec["per_layer" if trace else "end_to_end"]
     bad = 0
-    for workload in workloads:
-        pairs = []
-        for seed in range(n_pairs):
-            sides = [("base", base_tree), ("change", ROOT)]
-            results = {}
-            for label, tree in (sides if seed % 2 == 0 else sides[::-1]):
-                _, results[label] = run_bench(workload, seed, spec["run_seconds"], tree, trace)
-                result = results[label]
-                ok = result is not None and result["correct"] and not result["failed"]
-                bad += not ok
-                status = "no result" if result is None else f"correct={result['correct']} failed={result['failed']}"
-                print(f"# {workload} seed {seed} {label}: {status}", file=sys.stderr)
-            if results["base"] is not None and results["change"] is not None:
-                pairs.append((seed, results["base"], results["change"]))
-        lines, _ = compare_pairs(pairs, metrics)
-        print(f"{workload}: {len(pairs)} pairs, base {rev} vs this checkout, run_seconds {spec['run_seconds']}")
-        print("\n".join(lines))
+    try:
+        for workload in workloads:
+            pairs = []
+            for seed in range(n_pairs):
+                sides = [("base", base_tree), ("change", ROOT)]
+                results = {}
+                for label, tree in (sides if seed % 2 == 0 else sides[::-1]):
+                    _, results[label] = run_bench(workload, seed, spec["run_seconds"], tree, trace)
+                    result = results[label]
+                    ok = result is not None and result["correct"] and not result["failed"]
+                    bad += not ok
+                    status = "no result" if result is None else f"correct={result['correct']} failed={result['failed']}"
+                    print(f"# {workload} seed {seed} {label}: {status}", file=sys.stderr)
+                if results["base"] is not None and results["change"] is not None:
+                    pairs.append((seed, results["base"], results["change"]))
+            lines, _ = compare_pairs(pairs, metrics)
+            print(f"{workload}: {len(pairs)} pairs, base {rev} vs this checkout, run_seconds {spec['run_seconds']}")
+            print("\n".join(lines))
+    finally:
+        shutil.rmtree(base_tree, ignore_errors=True)
     return 1 if bad else 0
 
 
