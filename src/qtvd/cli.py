@@ -46,7 +46,7 @@ def _parse_rational(text: str, what: str) -> Fraction:
 
 def _read_values(path: str) -> list[Fraction]:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:  # a leading byte-order mark is not data
             texts = [line.strip() for line in handle.read().splitlines()]
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
@@ -210,9 +210,14 @@ def _build_signal(args) -> risk.Signal:
         return risk.HolderCusp(args.alpha, args.L0, args.x0)
     if not args.breaks or not args.levels:  # "pwc"
         raise ValueError("signal pwc needs --breaks and --levels")
-    breaks = tuple(float(b) for b in args.breaks.split(","))
-    levels = tuple(float(v) for v in args.levels.split(","))
-    return risk.PiecewiseConstantSignal(breaks, levels)
+    return risk.PiecewiseConstantSignal(_floats(args.breaks, "--breaks"), _floats(args.levels, "--levels"))
+
+
+def _floats(text: str, option: str) -> tuple:
+    try:
+        return tuple(float(v) for v in text.split(","))
+    except ValueError as exc:
+        raise ValueError(f"{option}: bad value {text!r}") from exc
 
 
 def _model_inputs(args) -> tuple[risk.Signal, risk.Noise, float | str]:

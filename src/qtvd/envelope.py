@@ -123,7 +123,7 @@ class _RankTables:
         if self.n > SOFT_CAP and not allow_large_n:
             raise ValueError(
                 f"n={self.n} exceeds the envelope enumeration cap {SOFT_CAP}; "
-                "pass allow_large_n=True to override"
+                "override with --allow-large-n (allow_large_n=True in Python)"
             )
         self.uniq = sorted(set(y))
         rank = {v: r for r, v in enumerate(self.uniq)}

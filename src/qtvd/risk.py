@@ -368,8 +368,7 @@ def pointwise_bounds(
     floor_lam = constants.lambda_floor(n, tau)
     if lam < floor_lam and not allow_small_lambda:
         raise ValueError(
-            f"lam={lam:.6g} is below the bound threshold {floor_lam:.6g}; "
-            "pass allow_small_lambda=True for exploratory use"
+            f"lam={lam:.6g} is below {floor_lam:.6g}, the threshold the pointwise bounds need"
         )
     if not lam > 0:
         raise ValueError("lam must be > 0")

@@ -1,6 +1,7 @@
-"""The benchmark trajectory recorder's statistics and diff rule, on synthetic records."""
+"""The paired benchmark recorder's statistics, bound rule, exit status and record, on synthetic runs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -10,41 +11,12 @@ _SPEC = importlib.util.spec_from_file_location("bench_record", _PATH)
 bench_record = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(bench_record)
 
-SPEC = {"end_to_end": [{"name": "job_s", "unit": "s", "better": "lower", "bound": 0.2}]}
-
-
-def _record(job_s, wall_s, correct=True, failed_frac=0.0):
-    stat = bench_record.summarise
-    return {
-        "machine": {"cpu": "x", "nproc": 2},
-        "python": "3",
-        "numpy": "2",
-        "cases": {
-            "exact_chain": {"correct": correct, "failed_frac": failed_frac,
-                            "metrics": {"job_s": {"unit": "s", **stat(job_s)}}},
-            "tier1": {"correct": True, "failed_frac": 0.0, "metrics": {"wall_s": {"unit": "s", **stat(wall_s)}}},
-        },
-    }
-
 
 def test_summarise_median_and_quartiles():
     s = bench_record.summarise([5.0, 1.0, 4.0, 2.0, 3.0])
     assert (s["median"], s["q1"], s["q3"], s["iqr"]) == (3.0, 2.0, 4.0, 2.0)
     assert s["values"] == [1.0, 2.0, 3.0, 4.0, 5.0]
     assert bench_record.summarise([7.0])["iqr"] == 0.0
-
-
-@pytest.mark.parametrize("new_job, flagged", [(1.19, 0), (0.5, 0), (1.21, 1)])
-def test_flags_only_moves_past_the_bound(new_job, flagged):
-    lines, count = bench_record.diff(_record([1.0] * 5, [40.0] * 3), _record([new_job] * 5, [80.0] * 3), SPEC)
-    assert count == flagged
-    assert any(line.startswith("tier1.wall_s") and "no bound" in line for line in lines)  # reported, never flagged
-
-
-def test_flags_incorrect_or_more_failed_runs():
-    old = _record([1.0] * 5, [40.0] * 3)
-    assert bench_record.diff(old, _record([1.0] * 5, [40.0] * 3, correct=False), SPEC)[1] == 1
-    assert bench_record.diff(old, _record([1.0] * 5, [40.0] * 3, failed_frac=0.01), SPEC)[1] == 1
 
 
 def _run(**values):
@@ -94,13 +66,93 @@ def test_metric_that_is_not_always_positive_reports_differences():
     assert lines[1] == "  pair diffs: s0 3, s1 -1"
 
 
+@pytest.mark.parametrize("new_job, flagged", [(1.19, 0), (0.5, 0), (1.21, 1)])
+def test_flags_only_moves_past_the_bound(new_job, flagged):
+    # hits (higher is better) moves by the same fraction in its own worse direction
+    pairs = [(s, _run(job_s=1.0, hits=1.0, calls=1.0), _run(job_s=new_job, hits=2 - new_job, calls=10.0))
+             for s in range(3)]
+    unbounded = {"name": "calls", "unit": "count", "better": "lower"}  # a per-layer metric has no bound
+    lines, out = bench_record.compare_pairs(pairs, [*AB_METRICS, unbounded])
+    assert out["job_s"]["worse"] == out["hits"]["worse"] == bool(flagged) and not out["calls"]["worse"]
+    assert sum(line.endswith("; WORSE") for line in lines) == 2 * flagged
+
+
+SPEC = {"run_seconds": 1, "workloads": [{"name": "exact_chain"}, {"name": "mc_rate"}], "end_to_end": AB_METRICS[:1]}
+TIER1 = {"wall_s": {"unit": "s", **bench_record.summarise([60.0, 61.0, 62.0])}, "summary": "3 passed in 1s",
+         "failed_runs": 0}
+
+
+@pytest.fixture
+def fake_bench(tmp_path, monkeypatch):
+    """`main` on a checkout at tmp_path whose bench reads job_s 1.0 on REV and `change[seed]` (default 0.9) here."""
+    monkeypatch.setattr(bench_record, "ROOT", tmp_path)
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(SPEC), encoding="utf-8")
+    monkeypatch.setattr(bench_record, "export", lambda rev: ("c0ffee" * 6 + "c0ff", tmp_path / "base"))
+    monkeypatch.setattr(bench_record, "run_tier1", lambda: TIER1)
+    change = {}
+
+    def run_bench(workload, seed, seconds, tree, trace):
+        if tree != tmp_path:
+            return {"git_commit": "base"}, _run(job_s=1.0)
+        return {"git_commit": "head", "python": "3"}, change.get(seed, _run(job_s=0.9))
+
+    monkeypatch.setattr(bench_record, "run_bench", run_bench)
+    return change
+
+
+def test_record_holds_both_sides_against_and_tier1(fake_bench, tmp_path):
+    assert bench_record.main(["--against", "HEAD~1", "--pairs", "2", "--pr", "99"]) == 0
+    record = json.loads((tmp_path / "BENCH_99.json").read_text(encoding="utf-8"))
+    assert record["schema"] == "qtvd.bench-record/2" and record["pr"] == 99 and record["pairs"] == 2
+    assert record["against"] == "c0ffee" * 6 + "c0ff"  # the resolved commit, not the REV text
+    assert (record["git_commit"], record["python"]) == ("head", "3")  # from this checkout's runs
+    assert record["tier1"] == TIER1
+    assert set(record["cases"]) == {"exact_chain", "mc_rate"}
+    case = record["cases"]["mc_rate"]
+    job = case["metrics"]["job_s"]
+    assert case["correct"] and (job["pairs"], job["wins"], job["worse"]) == (2, 2, False)
+    assert job["base"]["values"] == [1.0, 1.0] and job["change"]["values"] == [0.9, 0.9]
+
+
+def test_flags_incorrect_or_more_failed_runs(fake_bench, tmp_path):
+    fake_bench[1] = {**_run(job_s=0.9), "correct": False}
+    assert bench_record.main(["--against", "HEAD~1", "--pairs", "2", "--pr", "99"]) == 1
+    record = json.loads((tmp_path / "BENCH_99.json").read_text(encoding="utf-8"))
+    assert not any(case["correct"] for case in record["cases"].values())
+    fake_bench[1] = {**_run(job_s=0.9), "failed": 1}
+    assert bench_record.main(["--against", "HEAD~1", "--pairs", "2"]) == 1
+    fake_bench[1] = None  # the run printed no result line
+    assert bench_record.main(["--against", "HEAD~1", "--pairs", "2"]) == 1
+
+
+@pytest.mark.parametrize("change, status", [(1.19, 0), (1.21, 1)])
+def test_main_exits_1_when_a_metric_is_worse(fake_bench, change, status, capsys):
+    fake_bench.update({seed: _run(job_s=change) for seed in range(2)})
+    assert bench_record.main(["--against", "HEAD~1", "--pairs", "2", "--workload", "mc_rate"]) == status
+    assert ("; WORSE" in capsys.readouterr().out) == bool(status)
+
+
+def test_main_exits_1_when_a_tier1_run_fails(fake_bench, monkeypatch):
+    monkeypatch.setattr(bench_record, "run_tier1", lambda: {**TIER1, "failed_runs": 1})
+    assert bench_record.main(["--against", "HEAD~1", "--pairs", "2", "--pr", "99"]) == 1
+
+
+@pytest.mark.parametrize("argv", [["--pr", "99"], ["--against", "HEAD", "--pr", "99", "--workload", "mc_rate"],
+                                  ["--against", "HEAD", "--pr", "99", "--trace", "1"]])
+def test_pr_records_one_untraced_run_over_every_workload(fake_bench, argv, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        bench_record.main(argv)
+    assert exc.value.code == 2
+    assert not (tmp_path / "BENCH_99.json").exists()
+
+
 @pytest.mark.parametrize("fails", [False, True])
 def test_against_removes_its_export(tmp_path, monkeypatch, fails):
     tree = tmp_path / "against-base"
 
     def export(rev):
         (tree / ".bench_work").mkdir(parents=True)
-        return tree
+        return "c" * 40, tree
 
     def run_bench(workload, seed, seconds, tree, trace):
         if fails:
@@ -114,5 +166,6 @@ def test_against_removes_its_export(tmp_path, monkeypatch, fails):
         with pytest.raises(RuntimeError):
             bench_record.against("HEAD", 2, ["exact_chain"], spec, 0)
     else:
-        assert bench_record.against("HEAD", 2, ["exact_chain"], spec, 0) == 0
+        commit, _, cases = bench_record.against("HEAD", 2, ["exact_chain"], spec, 0)
+        assert commit == "c" * 40 and cases["exact_chain"]["correct"]
     assert not tree.exists()

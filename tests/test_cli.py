@@ -89,6 +89,15 @@ class TestInput:
         with pytest.raises(ValueError, match=r"bad\.txt:3: could not parse ''"):
             cli._read_values(path)
 
+    def test_byte_order_mark_is_not_data(self, tmp_path, capsys):
+        plain = write(tmp_path / "plain.txt", "1\n2\n3\n")
+        assert run(["fit", "--input", plain, "--tau", "1/2", "--lambda", "1"]) == 0
+        want = capsys.readouterr().out
+        for name, text in (("header.csv", "y\r\n1\r\n2\r\n3\r\n"), ("data.csv", "1\r\n2\r\n3\r\n")):
+            (tmp_path / name).write_bytes(b"\xef\xbb\xbf" + text.encode())  # as Excel's "CSV UTF-8" writes
+            assert run(["fit", "--input", str(tmp_path / name), "--tau", "1/2", "--lambda", "1"]) == 0
+            assert capsys.readouterr().out == want
+
     @pytest.mark.parametrize("header, status", [("Y", 0), ("y", 0), ("y,", 2)])
     def test_header_rules(self, header, status, tmp_path, capsys):
         path = write(tmp_path / "h.csv", f"{header}\n1\n3\n2\n")
@@ -170,7 +179,7 @@ class TestFitEnvelopeCertify:
     def test_envelope_cap_and_override(self, tmp_path, capsys):
         big = write(tmp_path / "big.txt", "\n".join(str(k % 7) for k in range(70)) + "\n")
         assert run(["envelope", "--input", big, "--tau", "1/2", "--lambda", "1"]) == 2
-        capsys.readouterr()
+        assert "--allow-large-n" in capsys.readouterr().err
         assert run(["envelope", "--input", big, "--tau", "1/2", "--lambda", "1",
                     "--allow-large-n"]) == 0
 
@@ -332,6 +341,21 @@ class TestSimulateRate:
         assert isinstance(doc["slope"], float)
         csv_lines = (tmp_path / "rate.csv").read_text().splitlines()
         assert len(csv_lines) == 1 + 4 * 8
+
+    def test_lambda_below_the_bound_threshold_exits_2_naming_it(self, tmp_path, capsys):
+        assert run(["simulate", "--n", "1024", "--lambda", "2", "--bounds", "--output", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        floor = RiskConstants.for_noise(cli._NOISES["cauchy"](1.0), 0.5).lambda_floor(1024, 0.5)
+        assert f"{floor:.6g}" in err and "allow_small_lambda" not in err
+        assert not (tmp_path / "x.json").exists()
+
+    @pytest.mark.parametrize("option, value", [("--breaks", "0.5,"), ("--levels", "1,x")])
+    def test_bad_pwc_value_exits_2_naming_the_option(self, option, value, tmp_path, capsys):
+        args = {"--breaks": "0.5", "--levels": "1,0", option: value}
+        assert run(["simulate", "--n", "64", "--reps", "2", "--lambda", "8", "--signal", "pwc",
+                    *(t for item in args.items() for t in item), "--output", str(tmp_path / "x")]) == 2
+        assert f"error: {option}: bad value '{value}'" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
 
     def test_star_needs_valid_signal_params(self, tmp_path):
         assert run(["simulate", "--n", "64", "--reps", "2", "--signal", "pwc",
