@@ -23,7 +23,9 @@ with probability >= 1 - 4*n^{-(c-1)}; near the global boundary the same
 holds over one-sided interval families.  Locations with an empty
 admissible family are flagged rather than bounded.  `pointwise_bounds`
 is the one evaluation of this minimum: Bias comes from running extrema
-of theta* outward from i, Dist and SD from `_dist` and `_sd`.
+of theta* outward from i, Dist and SD from `_dist` and `_sd`, evaluated
+over blocks of at most 2**14 intervals J, so each location costs
+O(i*(n-i)) work and O(n + 2**14) memory.
 
 Balancing bias against the stochastic term gives the optimal penalty:
 for alpha-smooth signals (alpha <= 1, local Hoelder norm L0)
@@ -330,6 +332,9 @@ def _sd(c_tilde: float, logn: float, dist, length, lam: float, level: float):
     return c_tilde * (np.sqrt(logn / dist) + level * logn / lam + lam / length)
 
 
+_BLOCK = 1 << 14  # intervals per block of `pointwise_bounds`: 128 KiB per float temporary
+
+
 @dataclass(frozen=True)
 class PointwiseBounds:
     """Error bounds per requested location; None where no interval is admissible."""
@@ -357,14 +362,17 @@ def pointwise_bounds(
     bound minimises Bias+ + SD^tau over the family; the lower bound
     maximises Bias- - SD^{1-tau}.
 
-    The family is walked as rows of one fixed end against a numpy array of
-    the other (the shorter side is looped), with Bias from running extrema
-    of theta* outward from i: O(i*(n-i)) numpy work and O(n) memory per
-    location.
+    The left ends j1 and right ends j2 that no admissible J uses are dropped
+    first; the rest is evaluated in 2-D blocks of at most `_BLOCK` = 2**14
+    intervals, j1 down the rows and j2 across, with Bias from running
+    extrema of theta* outward from i: O(i*(n-i)) numpy work and
+    O(n + 2**14) memory per location.
     """
     n = len(theta_star)
     if n < 2:
         raise ValueError("need n >= 2")
+    if not 0 < tau < 1:
+        raise ValueError(f"tau must be in (0, 1), got {tau}")
     floor_lam = constants.lambda_floor(n, tau)
     if lam < floor_lam and not allow_small_lambda:
         raise ValueError(
@@ -385,39 +393,50 @@ def pointwise_bounds(
         if not 1 <= i <= n:
             raise ValueError(f"location {i} outside [1:{n}]")
         t, near_left, near_right = _boundary_regime(i, n, constants.C1)
-        if near_left and near_right:
-            rows = []  # both boundary regimes apply: no bound is claimed here
+        if near_left and near_right:  # both boundary regimes apply: no bound is claimed here
+            j1s = j2s = np.arange(0)
         elif near_left:
-            rows = [(1, np.arange(i, n + 1))]
+            j1s, j2s = np.arange(1, 2), np.arange(i, n + 1)
         elif near_right:
-            rows = [(np.arange(1, i + 1), n)]
+            j1s, j2s = np.arange(1, i + 1), np.arange(n, n + 1)
         else:
             j1s, j2s = np.arange(2, i + 1), np.arange(i, n)
-            if j1s.size <= j2s.size:
-                rows = [(j1, j2s) for j1 in j1s.tolist()]
-            else:
-                rows = [(j1s, j2) for j2 in j2s.tolist()]
+
+        def admissible(j1, j2):
+            """(keep, |J|, Dist) for J = [j1:j2], broadcast over arrays of ends."""
+            length, dist = j2 - j1 + 1, _dist(i, j1, j2, near_left, near_right)
+            return ~((length <= min_len) | (dist < t)), length, dist
+
+        # |J| and Dist grow with j2 and fall with j1: a row keeps some J iff it
+        # keeps J = [j1:last j2], a column iff it keeps J = [first j1:j2]
+        if j1s.size and j2s.size:
+            j1s = j1s[admissible(j1s, j2s[-1])[0]]
+            if j1s.size:
+                j2s = j2s[admissible(j1s[0], j2s)[0]]
         # max / min of theta[j1-1 : i] at index i - j1, of theta[i-1 : j2] at j2 - i
         head, tail = theta[i - 1 :: -1], theta[i - 1 :]
         head_max, head_min = np.maximum.accumulate(head), np.minimum.accumulate(head)
         tail_max, tail_min = np.maximum.accumulate(tail), np.minimum.accumulate(tail)
         ref = theta[i - 1]
         best_u = best_l = None
-        for j1, j2 in rows:  # one end fixed, the other an array
-            length = j2 - j1 + 1
-            dist = _dist(i, j1, j2, near_left, near_right)
-            keep = ~((length <= min_len) | (dist < t))
-            if not keep.any():
-                continue
-            length, dist = length[keep], dist[keep]
-            run_max = np.maximum(head_max[i - j1], tail_max[j2 - i])[keep]
-            run_min = np.minimum(head_min[i - j1], tail_min[j2 - i])[keep]
-            u = float(((run_max - ref) + _sd(ct, logn, dist, length, lam, tau)).min())
-            l = float(((run_min - ref) - _sd(ct, logn, dist, length, lam, 1.0 - tau)).max())
-            if best_u is None or u < best_u:
-                best_u = u
-            if best_l is None or l > best_l:
-                best_l = l
+        cols = max(1, min(j2s.size, _BLOCK))
+        rows = _BLOCK // cols
+        for r in range(0, j1s.size, rows):
+            j1 = j1s[r : r + rows, None]
+            for c in range(0, j2s.size, cols):
+                j2 = j2s[None, c : c + cols]
+                keep, length, dist = admissible(j1, j2)
+                if not keep.any():
+                    continue
+                length, dist = length[keep], dist[keep]
+                run_max = np.maximum(head_max[i - j1], tail_max[j2 - i])[keep]
+                run_min = np.minimum(head_min[i - j1], tail_min[j2 - i])[keep]
+                u = float(((run_max - ref) + _sd(ct, logn, dist, length, lam, tau)).min())
+                l = float(((run_min - ref) - _sd(ct, logn, dist, length, lam, 1.0 - tau)).max())
+                if best_u is None or u < best_u:
+                    best_u = u
+                if best_l is None or l > best_l:
+                    best_l = l
         if best_u is None:
             flagged.append(i)
         lowers.append(best_l)

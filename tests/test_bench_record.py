@@ -77,6 +77,24 @@ def test_flags_only_moves_past_the_bound(new_job, flagged):
     assert sum(line.endswith("; WORSE") for line in lines) == 2 * flagged
 
 
+WIDE = [0.7, 1.3] * 5  # median 1.0, IQR 0.6: three times job_s's 20 % bound
+
+
+@pytest.mark.parametrize("base, change, unresolved", [
+    (WIDE, WIDE[::-1], True),  # no move, but a spread wider than the bound cannot show that
+    (WIDE, [0.69] * 10, False),  # every change run beats every base run (no GAIN: 0.31 < IQR)
+    ([1.0, 1.01] * 5, [1.01, 1.0] * 5, False),  # a spread inside the bound resolves "unchanged"
+    (WIDE, [1.3] * 10, False),  # WORSE, not unresolved
+])
+def test_unresolved_when_the_base_spread_exceeds_the_bound(base, change, unresolved):
+    unbounded = {"name": "calls", "unit": "count", "better": "lower"}
+    pairs = [(s, _run(job_s=b, calls=b), _run(job_s=c, calls=c)) for s, (b, c) in enumerate(zip(base, change))]
+    lines, out = bench_record.compare_pairs(pairs, [AB_METRICS[0], unbounded])
+    assert out["job_s"]["unresolved"] == unresolved and not out["job_s"]["gain"]
+    assert not out["calls"]["unresolved"]  # a metric without a bound is never unresolved
+    assert lines[0].endswith("; UNRESOLVED") == unresolved
+
+
 SPEC = {"run_seconds": 1, "workloads": [{"name": "exact_chain"}, {"name": "mc_rate"}], "end_to_end": AB_METRICS[:1]}
 TIER1 = {"wall_s": {"unit": "s", **bench_record.summarise([60.0, 61.0, 62.0])}, "summary": "3 passed in 1s",
          "failed_runs": 0}
@@ -110,7 +128,7 @@ def test_record_holds_both_sides_against_and_tier1(fake_bench, tmp_path):
     assert set(record["cases"]) == {"exact_chain", "mc_rate"}
     case = record["cases"]["mc_rate"]
     job = case["metrics"]["job_s"]
-    assert case["correct"] and (job["pairs"], job["wins"], job["worse"]) == (2, 2, False)
+    assert case["correct"] and (job["pairs"], job["wins"], job["worse"], job["unresolved"]) == (2, 2, False, False)
     assert job["base"]["values"] == [1.0, 1.0] and job["change"]["values"] == [0.9, 0.9]
 
 

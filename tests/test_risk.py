@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -277,6 +278,8 @@ class TestPointwiseBounds:
         const = RiskConstants(c1=1.0, C1=3.0 / math.log(20))
         assert const.C1 * math.log(20) == 3.0
         cases.append(([0.0] * 9 + [5.0, 0.0, 4.0] + [0.0] * 8, 0.5, 0.1, const, list(range(1, 21))))
+        # 197 x 198 intervals survive the row and column cuts: several blocks
+        cases.append((HolderCusp(0.5, 1.0, 0.3).values(400), 0.3, 0.5, RiskConstants(c1=4.0, C1=0.5), [200]))
         # C1 = 0 empties the family at i = 1 and i = n
         cases.append(([0.0, 1.0, 0.0, 1.0, 0.0], 0.5, 0.1, RiskConstants(c1=1.0, C1=0.0), [1, 2, 3, 4, 5]))
         # C1*log n beyond n/2 puts the middle in both one-sided regimes
@@ -290,8 +293,7 @@ class TestPointwiseBounds:
                 if ref_u is None:
                     assert lo is None and up is None
                 else:
-                    assert up == pytest.approx(ref_u, rel=1e-12)
-                    assert lo == pytest.approx(ref_l, rel=1e-12)
+                    assert (lo, up) == (ref_l, ref_u)  # the same float expressions: equal bit for bit
             flagged.append(got.flagged)
         assert flagged[-2:] == [(1, 5), (3, 4, 5, 6)]
 
@@ -306,6 +308,21 @@ class TestPointwiseBounds:
             pointwise_bounds([0.0] * 63 + [bad], 0.5, 1.0, self.const, allow_small_lambda=True)
         with pytest.raises(ValueError):
             pointwise_bounds([0.0] * 64, 0.5, math.nan, self.const, allow_small_lambda=True)
+
+    @pytest.mark.parametrize("tau", [0.0, 1.0, 1.5, -0.2, math.nan])
+    def test_tau_outside_the_open_unit_interval_rejected(self, tau):
+        with pytest.raises(ValueError, match=r"tau must be in \(0, 1\)"):
+            pointwise_bounds([0.0] * 64, tau, 4.0, self.const, allow_small_lambda=True)
+
+    def test_memory_is_bounded_by_the_block(self):
+        # 2039 x 2040 intervals survive the row and column cuts: one unblocked float temporary takes 32 MiB
+        tracemalloc.start()
+        try:
+            b = pointwise_bounds(np.zeros(4096), 0.5, 30.0, self.const, locations=[2048])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not b.flagged and peak < 4 << 20
 
     def test_empty_family_is_flagged(self):
         # lam so large that no interval satisfies the length constraint

@@ -16,7 +16,10 @@ GAIN when there are at least MIN_PAIRS pairs, this checkout wins at least
 9/10 of them and its median is better than REV's by more than REV's IQR.
 It is marked WORSE when its median is worse than REV's by more than the
 metric's `bound` in BENCHMARK.json, a fraction of REV's median; per-layer
-metrics (--trace 1) have no bound.  The export is removed at the end.
+metrics (--trace 1) have no bound.  A bounded metric that is neither is
+marked UNRESOLVED when REV's IQR exceeds that bound, unless every run of
+this checkout beats every run of REV: the spread is too wide to call it
+unchanged.  The export is removed at the end.
 
 --pr N also times the Tier-1 suite (`python -m pytest -q
 --continue-on-collection-errors`, src on the path) TIER1_RUNS times and
@@ -128,12 +131,16 @@ def compare_pairs(pairs: list, metrics: list) -> tuple:
         better_by = base["median"] - change["median"] if lower else change["median"] - base["median"]
         gain = len(rows) >= MIN_PAIRS and 10 * wins >= 9 * len(rows) and better_by > base["iqr"]
         worse = "bound" in m and -better_by > m["bound"] * abs(base["median"])
+        all_beat = (max(change["values"]) < min(base["values"]) if lower
+                    else min(change["values"]) > max(base["values"]))
+        unresolved = (not gain and not worse and "bound" in m and not all_beat
+                      and base["iqr"] > m["bound"] * abs(base["median"]))
         out[name] = {"pairs": len(rows), "wins": wins, f"median_{kind}": statistics.median(moves),
-                     "base": base, "change": change, "gain": gain, "worse": worse}
+                     "base": base, "change": change, "gain": gain, "worse": worse, "unresolved": unresolved}
         lines.append(f"{name} [{m['unit']}]: base {base['median']:.4g} (q1 {base['q1']:.4g}, q3 {base['q3']:.4g}) -> "
                      f"change {change['median']:.4g} (q1 {change['q1']:.4g}, q3 {change['q3']:.4g}); "
                      f"median {kind} {statistics.median(moves):.4g}, change wins {wins}/{len(rows)}"
-                     f"{'; GAIN' if gain else ''}{'; WORSE' if worse else ''}")
+                     f"{'; GAIN' if gain else ''}{'; WORSE' if worse else ''}{'; UNRESOLVED' if unresolved else ''}")
         lines.append(f"  pair {kind}s: " + ", ".join(f"s{seed} {v:.4g}" for (seed, _, _), v in zip(rows, moves)))
     return lines, out
 
