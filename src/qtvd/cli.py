@@ -47,7 +47,7 @@ def _parse_rational(text: str, what: str) -> Fraction:
 def _read_values(path: str) -> list[Fraction]:
     try:
         with open(path, "r", encoding="utf-8-sig") as handle:  # a leading byte-order mark is not data
-            texts = [line.strip() for line in handle.read().splitlines()]
+            texts = list(map(str.strip, handle.read().splitlines()))
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
     rows = [text for text in texts if text]
@@ -79,7 +79,7 @@ def _json(value, indent: str) -> str:
     inner = indent + "  "
     if isinstance(value, dict):
         ends, items = "{}", (f"{_json_str(k)}: {_json(v, inner)}" for k, v in sorted(value.items()))
-    elif all(type(v) is str for v in value):  # theta, g and z: no call per item
+    elif set(map(type, value)) == {str}:  # theta, g and z: no call per item
         ends, items = "[]", map(_json_str, value)
     else:
         ends, items = "[]", (_json(v, inner) for v in value)

@@ -57,7 +57,7 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .intervals import ExtendedValue, NEG_INF, POS_INF, _as_rational
+from .intervals import ExtendedValue, NEG_INF, POS_INF, _as_rational, _as_rationals
 from .solver import _lattice
 
 __all__ = [
@@ -110,7 +110,7 @@ class _RankTables:
     """Exact rank encoding of the data and the per-class selected-rank tables."""
 
     def __init__(self, y: Sequence, tau, lam, allow_large_n: bool):
-        y = tuple(_as_rational(v, "data value") for v in y)
+        y = _as_rationals(y, "data value")
         self.tau = _as_rational(tau, "tau")
         self.lam = _as_rational(lam, "lam")
         if not 0 <= self.tau <= 1:
@@ -164,9 +164,12 @@ class _RankTables:
         and for a class that shares it, J touches 1 (n) iff I does; so row
         a = 1 and column b = n, patched in from the tables `_c2` names there,
         make the table exact for every I of the class inside any J.  Lower
-        sides are negated, turning their max-min into a min-max.
+        sides are negated, turning their max-min into a min-max.  With
+        `at=i`, only the windows a <= i <= b are kept: table[s, k, i-a, b-i].
         """
         tables = self.tables(*sides, at=at)
+        if at is not None:
+            tables = tables[:, :, :at, at - 1 :]
         table = tables[:, _PICK[False, False], ::-1]
         table[:, :, -1] = tables[:, :, 0][:, _PICK[True, False]]
         table[..., -1] = tables[..., -1][:, _PICK[False, True], ::-1]
@@ -181,23 +184,23 @@ class _RankTables:
             raise ValueError(f"location {at} outside [1:{self.n}]")
         table, signs = self.classes(*sides, at=at), [-1 if side == "lower" else 1 for side in sides]
         values = [NEG_INF, *(ExtendedValue(0, v) for v in self.uniq), POS_INF]  # at rank + 1
-        locations = range(1, self.n + 1) if at is None else (at,)
-        return [[values[s * r + 1] for s, r in zip(signs, _min_max(table, i))] for i in locations]
+        n = self.n  # `_min_max` overwrites its block, so the envelope's blocks are copies
+        blocks = [table] if at else (table[:, :, n - i :, i - 1 :].copy() for i in range(1, n + 1))
+        return [[values[s * r + 1] for s, r in zip(signs, _min_max(block))] for block in blocks]
 
 
-def _min_max(table: np.ndarray, i: int) -> list:
+def _min_max(run: np.ndarray) -> list:
     """Per side, min over J containing i of max over I <= J containing i of the class table at I.
 
-    The block puts J = [i-p : i+q] at [p, q].  Naming a class by whether I
-    shares J's left and right end (T/F), the I that avoid J's left end are
-    FT at [p', q] and FF at [p', q'] with p' < p, q' < q, and the others
-    besides J are TF at [p, q'].  So FF and TF take running maxima along q,
-    FT takes FF's one step before q and then its own running maximum along
-    p, and the I = J term TT takes FT's one step before p and TF's one step
-    before q.  A class with no I in J adds nothing.
+    `run` is the classes' block at i, J = [i-p : i+q] at [p, q]; it is
+    overwritten.  Naming a class by whether I shares J's left and right end
+    (T/F), the I that avoid J's left end are FT at [p', q] and FF at
+    [p', q'] with p' < p, q' < q, and the others besides J are TF at
+    [p, q'].  So FF and TF take running maxima along q, FT takes FF's one
+    step before q and then its own running maximum along p, and the I = J
+    term TT takes FT's one step before p and TF's one step before q.  A
+    class with no I in J adds nothing.
     """
-    n = table.shape[-1]
-    run = table[:, :, n - i :, i - 1 :].copy()
     np.maximum.accumulate(run[:, 1:3], axis=3, out=run[:, 1:3])
     ft, ff, tf, tt = run[:, 0], run[:, 1], run[:, 2], run[:, 3]
     np.maximum(ft[..., 1:], ff[..., :-1], out=ft[..., 1:])

@@ -36,6 +36,14 @@ def _as_rational(x, what: str) -> Fraction:
     return Fraction(x)
 
 
+def _as_rationals(values, what: str) -> tuple:
+    """`_as_rational` of each value, as a tuple; one type check covers a sequence of Fractions."""
+    values = tuple(values)
+    if set(map(type, values)) <= {Fraction}:
+        return values
+    return tuple(_as_rational(v, what) for v in values)
+
+
 @dataclass(frozen=True, order=True, slots=True)
 class ExtendedValue:
     """A rational extended with -inf / +inf endpoints, totally ordered.

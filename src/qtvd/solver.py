@@ -40,7 +40,11 @@ lies on the lattice (1/D)Z with D = lcm(den tau, den lam).  The exact
 denominators, with tau*D, lam*D and the unit jump D as integers, and
 maps the returned ints back to data values, so no Fraction is hashed or
 compared.  An `Instance` keeps y's scaled ints from their first use, so
-a fit, its objective and its certificate scale y once.  `_fit_scaled`
+a fit, its objective and its certificate scale y once.  `_scaled` reads
+numerators and denominators through C-level maps, divides once per
+distinct denominator and multiplies with `map`; a vector of Fractions is
+validated by one type-set test, and only a vector holding something else
+is coerced value by value (floats still raise TypeError).  `_fit_scaled`
 stops at the scaled ints, which `qtvd.penalties` audits directly.
 `fit_float` runs `_fit_core` the same way on the floats themselves:
 float comparisons are exact and every finite float is a dyadic rational,
@@ -58,19 +62,22 @@ box ends (`_dual_system`); the system is feasible iff lo <= hi
 everywhere, and a witness takes the smallest admissible z from z_n = 0
 backwards, again a suffix maximum.  The boxes depend on theta and y only
 through the signs of theta - y and of theta's steps, so `certify` runs
-the kernel on y and theta scaled to one common denominator, as object
-arrays of Python ints that are only compared.  The box ends -tau*D,
-D - tau*D and +-lam*D are int64: every stored quantity is bounded by
-2*n*D + lam*D in absolute value, and when that bound does not fit in
-int64 the boxes are object arrays of Python ints too.  The witness
+the kernel on y and theta scaled to one common denominator, which it
+only compares: as int64 arrays when all those ints fit in int64, else as
+object arrays of Python ints (np.array raises OverflowError, never
+rounds, on an int past int64).  The box ends -tau*D, D - tau*D and
++-lam*D are int64: every stored quantity is bounded by 2*n*D + lam*D in
+absolute value, and when that bound does not fit in int64 the boxes are
+object arrays of Python ints too.  The witness
 becomes Fractions only at the end, one Fraction v/D per distinct level v
 of g and z.  `certify_float` runs the kernel on the float y and theta
 themselves, again only compared, so its verdict is that of `certify` on
 their Fractions, with no tolerance.
-`objective_value` sums the loss and the total variation as Python ints,
-y and theta scaled by the lcm of their denominators, and builds one
-Fraction.  It and `certify` scale theta alone; y's cached ints are
-rescaled only when theta's denominators need a larger scale.
+`objective_value` sums the loss and the total variation as Python ints
+with C-level maps, y and theta scaled by the lcm of their denominators,
+and builds one Fraction.  It and `certify` scale theta alone; y's
+cached ints are rescaled only when theta's denominators need a larger
+scale.
 
 All functions are pure and instances immutable, so batch fits over
 independent instances can run concurrently.  The exhaustive grid
@@ -86,11 +93,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import inf, lcm
+from operator import attrgetter, mul, sub
 from typing import Literal, Optional, Sequence
 
 import numpy as np
 
-from .intervals import _as_rational
+from .intervals import _as_rational, _as_rationals
 
 __all__ = [
     "Instance",
@@ -107,6 +115,8 @@ __all__ = [
 
 Extremality = Literal["lower", "upper", "any"]
 
+_numerator, _denominator = attrgetter("numerator"), attrgetter("denominator")
+
 
 @dataclass(frozen=True)
 class Instance:
@@ -117,7 +127,7 @@ class Instance:
     lam: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "y", tuple(_as_rational(v, "data value") for v in self.y))
+        object.__setattr__(self, "y", _as_rationals(self.y, "data value"))
         object.__setattr__(self, "tau", _as_rational(self.tau, "tau"))
         object.__setattr__(self, "lam", _as_rational(self.lam, "lam"))
         if len(self.y) == 0:
@@ -135,8 +145,7 @@ class Instance:
     @cached_property
     def _scaled_y(self) -> tuple:
         """(s, y times s as ints), s the lcm of y's denominators."""
-        scale = lcm(*(v.denominator for v in self.y))
-        return scale, [v.numerator * (scale // v.denominator) for v in self.y]
+        return _scaled(self.y)
 
 
 @dataclass(frozen=True)
@@ -162,29 +171,42 @@ def _lattice(tau: Fraction, lam: Fraction) -> tuple:
     return unit, tau.numerator * (unit // tau.denominator), lam.numerator * (unit // lam.denominator)
 
 
+def _scaled(values: Sequence, scale: int = 1) -> tuple:
+    """(s, values times s as ints) for Fractions, s the lcm of `scale` and their denominators.
+
+    One division per distinct denominator; the rest are C-level maps.
+    """
+    dens = list(map(_denominator, values))
+    distinct = set(dens)
+    common = lcm(scale, *distinct)
+    factor = {d: common // d for d in distinct}
+    return common, list(map(mul, map(_numerator, values), map(factor.__getitem__, dens)))
+
+
 def _scaled_with(inst: Instance, theta: Sequence) -> tuple:
     """(s, y times s, theta times s), as ints; s is the lcm of all denominators.
 
     Exact values then compare, hash and add as ints, never as Fractions.
     y's cached ints are rescaled only when theta needs a larger s.
     """
-    theta = tuple(_as_rational(v, "theta value") for v in theta)
+    theta = _as_rationals(theta, "theta value")
     if len(theta) != inst.n:
         raise ValueError(f"theta has length {len(theta)}, expected {inst.n}")
     scale, ys = inst._scaled_y
-    common = lcm(scale, *(v.denominator for v in theta))
+    common, ts = _scaled(theta, scale)
     if common != scale:
-        ys = [v * (common // scale) for v in ys]
-    return common, ys, [v.numerator * (common // v.denominator) for v in theta]
+        ys = list(map((common // scale).__mul__, ys))
+    return common, ys, ts
 
 
 def objective_value(theta: Sequence, inst: Instance) -> Fraction:
     """Exact objective at theta for the given instance."""
     scale, ys, ts = _scaled_with(inst, theta)
-    diffs = [a - b for a, b in zip(ys, ts)]
-    above = sum(d for d in diffs if d > 0)
-    below = -sum(d for d in diffs if d < 0)
-    tv = sum(abs(b - a) for a, b in zip(ts, ts[1:]))
+    diffs = list(map(sub, ys, ts))
+    # The positive diffs sum to `above` and the negative ones to -`below`.
+    total, size = sum(diffs), sum(map(abs, diffs))
+    above, below = (size + total) // 2, (size - total) // 2
+    tv = sum(map(abs, map(sub, ts[1:], ts)))
     unit, tau, lam = _lattice(inst.tau, inst.lam)
     return Fraction(tau * above + (unit - tau) * below + lam * tv, unit * scale)
 
@@ -297,7 +319,7 @@ def _fit_scaled(inst: Instance, extremality: Extremality, tau: Optional[Fraction
 def fit(inst: Instance, extremality: Extremality = "any") -> Fit:
     """Exact global minimiser; "upper"/"lower" return the extremal solutions."""
     value = dict(zip(inst._scaled_y[1], inst.y))
-    theta = tuple(value[v] for v in _fit_scaled(inst, extremality))
+    theta = tuple(map(value.__getitem__, _fit_scaled(inst, extremality)))
     return Fit(theta=theta, objective=objective_value(theta, inst), extremality=extremality)
 
 
@@ -373,8 +395,12 @@ def certify(theta: Sequence, inst: Instance) -> Optional[DualCertificate]:
     """Exact optimality decision: a witness (g, z) if theta minimises F, else None."""
     _, ys, ts = _scaled_with(inst, theta)
     one, tau, lam = _lattice(inst.tau, inst.lam)
-    # dtype=object: np.asarray would turn ints past int64 into uint64 or float64, which rounds them.
-    system = _dual_system(np.array(ys, dtype=object), np.array(ts, dtype=object), tau, lam, one)
+    # Not np.asarray: it would turn ints past int64 into uint64 or float64, which rounds them.
+    try:
+        ys, ts = np.array(ys, dtype=np.int64), np.array(ts, dtype=np.int64)
+    except OverflowError:
+        ys, ts = np.array(ys, dtype=object), np.array(ts, dtype=object)
+    system = _dual_system(ys, ts, tau, lam, one)
     if system is None:
         return None
     g_hi, lo, hi, b = system
@@ -386,7 +412,7 @@ def certify(theta: Sequence, inst: Instance) -> Optional[DualCertificate]:
         raise AssertionError("backward selection left an empty interval")
     g, z = g.tolist(), z.tolist()
     level = {v: Fraction(v, one) for v in {*g, *z}}
-    return DualCertificate(g=tuple(level[v] for v in g), z=tuple(level[v] for v in z))
+    return DualCertificate(g=tuple(map(level.__getitem__, g)), z=tuple(map(level.__getitem__, z)))
 
 
 def certify_float(y: Sequence, theta: Sequence, tau: float, lam: float) -> bool:

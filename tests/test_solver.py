@@ -20,6 +20,7 @@ from helpers import (
 )
 
 from qtvd.envelope import envelope
+from qtvd import solver
 from qtvd.solver import (
     DualCertificate,
     Instance,
@@ -30,11 +31,16 @@ from qtvd.solver import (
     lattice_join,
     lattice_meet,
     objective_value,
+    _dual_system,
     _fit_core,
     _lattice,
 )
 
 F = Fraction
+
+
+class _FractionSubclass(Fraction):
+    """Not exactly a Fraction, so it takes the per-value coercion."""
 
 
 class TestObjective:
@@ -90,6 +96,26 @@ class TestInstance:
     def test_rejects_floats(self):
         with pytest.raises(TypeError):
             Instance((0.5,), F(1, 2), F(1))
+        # A float among Fractions fails the one type check for all, then the per-value check names it.
+        with pytest.raises(TypeError, match="data value"):
+            Instance((F(1, 2), 0.5, F(3)), F(1, 2), F(1))
+
+    def test_float_theta_rejected(self):
+        inst = Instance((F(1, 2), F(1, 3), F(3)), F(1, 2), F(1))
+        for call in (certify, objective_value):
+            with pytest.raises(TypeError, match="theta value"):
+                call((F(1, 2), 0.5, F(3)), inst)
+
+    @pytest.mark.parametrize("middle", [1, "1/3", _FractionSubclass(1, 3)], ids=["int", "str", "subclass"])
+    def test_mixed_values_coerce(self, middle):
+        # Anything but a Fraction among Fractions is coerced value by value, as y and as theta.
+        y = (F(1, 2), middle, F(-7, 4), F(5, 6))
+        exact = (F(1, 2), F(middle), F(-7, 4), F(5, 6))
+        inst = Instance(y, F(1, 3), F(1, 4))
+        assert inst.y == exact and all(type(v) is F for v in inst.y)
+        assert fit(inst, "upper") == fit(Instance(exact, F(1, 3), F(1, 4)), "upper")
+        assert certify(y, inst) == certify(exact, inst)
+        assert objective_value(y, inst) == objective_value(exact, inst) == naive_objective(exact, exact, inst.tau, inst.lam)
 
     def test_parses_strings_exactly(self):
         inst = Instance(("0.25", "1/3"), "0.1", "1/7")
@@ -216,13 +242,31 @@ class TestCertify:
         with pytest.raises(ValueError):
             certify((1,), Instance((1, 2), F(1, 2), F(1)))
 
-    @pytest.mark.parametrize("lam", [F(0), F(1, 4)])
-    def test_data_past_int64_compare_exactly(self, lam):
-        # 2**63 + 1 and 2**63 + 2 are distinct, but one float64; the swap is optimal only if they are not told apart.
-        inst = Instance((2**63 + 1, 2**63 + 2, -1), F(1, 2), lam)
+    @pytest.mark.parametrize(
+        "lam, y, dtype",
+        [
+            pytest.param(lam, y, dtype, id=f"{prefix}lam{k}")
+            for prefix, y, dtype in (
+                ("", (2**63 + 1, 2**63 + 2, -1), object),  # past int64: object ints
+                ("int64-", (2**63 - 2, 2**63 - 1, -(2**63)), np.int64),  # both ends of int64
+            )
+            for k, lam in enumerate((F(0), F(1, 4)))
+        ],
+    )
+    def test_data_past_int64_compare_exactly(self, lam, y, dtype, monkeypatch):
+        # y[0] and y[1] are distinct, but one float64; the swap is optimal only if they are not told apart.
+        dtypes = []
+
+        def spy(ys, ts, *levels):
+            dtypes.append((ys.dtype, ts.dtype))
+            return _dual_system(ys, ts, *levels)
+
+        monkeypatch.setattr(solver, "_dual_system", spy)
+        inst = Instance(y, F(1, 2), lam)
         best = fit(inst).objective
-        for theta in (fit(inst, "lower").theta, fit(inst, "upper").theta, (2**63 + 2, 2**63 + 1, -1)):
+        for theta in (fit(inst, "lower").theta, fit(inst, "upper").theta, (y[1], y[0], y[2])):
             assert (certify(theta, inst) is not None) == (objective_value(theta, inst) == best)
+        assert dtypes == [(np.dtype(dtype),) * 2] * 3
 
 
 @st.composite
