@@ -22,21 +22,32 @@ consuming breakpoints from that end: the lower clip walks from the left,
 the upper clip from the right on the mirror image (x -> -x, values
 negated), and the final argmin is the lower walk once more with bound 0.
 Both walks are written out in the loop body, with no call per step: on
-the `mc_rate` benchmark's fits they take 0.75-0.8x the time of one walk
+the `mc_rate` benchmark's fits they take about 0.7x the time of one walk
 helper called for each clip, and one written-out walk looped over both
-ends took 1.0x.  The clips record per-position clamp thresholds
-[lo_k, hi_k]; the backward pass sets theta_n to an extremal minimiser
-of the final Bellman function and theta_k = median(theta_{k+1}, lo_k,
-hi_k).  Where the derivative sits exactly at a bound over a flat
-stretch, the minimiser is not unique; thresholds are taken at the far or
-near end of the stretch so ties resolve toward the requested extreme.
+ends took 1.0x.  The clips record per-position clamp thresholds lo_k
+and hi_k in two lists; the backward pass sets theta_n to an extremal
+minimiser of the final Bellman function and theta_k =
+median(theta_{k+1}, lo_k, hi_k).  Where the derivative sits exactly at
+a bound over a flat stretch, the minimiser is not unique; thresholds are
+taken at the far or near end of the stretch so ties resolve toward the
+requested extreme.
 At lam = 0 the positions decouple and theta = y is the unique minimiser.
 
 The pass only compares data values with each other and only returns
 breakpoints, so it is invariant under any increasing relabelling of y;
 and every derivative value is a sum of -tau, +-lam and unit jumps, so it
-lies on the lattice (1/D)Z with D = lcm(den tau, den lam).  The exact
-`fit` therefore runs the same `_fit_core` on y scaled by the lcm of its
+lies on the lattice (1/D)Z with D = lcm(den tau, den lam).  The fit may
+take a smaller D.  With tau = p/q, the envelope formulas of
+`qtvd.envelope` read lam only through floor/ceil of tau*m -+ lam*c2 with
+c2 in {-2, ..., 2}, which change only where lam crosses a multiple of
+1/(2q); so L and U, which the lower and upper fits equal (criterion 2),
+are constant on each open cell between consecutive multiples.
+`_fit_lattice` fits on the cell's representative (2c+1)/(4q), with
+D = 4q, when lam is inside a cell and its own D is larger: the float
+lam* of `qtvd.risk.simulate`, with D near 2^47, fits on D = 8 at tau 1/2.
+`certify`, `certify_float`, `objective_value` and `envelope` keep the
+caller's lam, so each fit is still certified against the problem as
+posed.  The exact `fit` runs `_fit_core` on y scaled by the lcm of its
 denominators, with tau*D, lam*D and the unit jump D as integers, and
 maps the returned ints back to data values, so no Fraction is hashed or
 compared.  An `Instance` keeps y's scaled ints from their first use, so
@@ -48,8 +59,8 @@ is coerced value by value (floats still raise TypeError).  `_fit_scaled`
 stops at the scaled ints, which `qtvd.penalties` audits directly.
 `fit_float` runs `_fit_core` the same way on the floats themselves:
 float comparisons are exact and every finite float is a dyadic rational,
-so with the integer levels of Fraction(tau) and Fraction(lam) it returns
-the floats of the Fractions `fit` returns.
+so with the `_fit_lattice` levels of Fraction(tau) and Fraction(lam) it
+returns the floats of the Fractions `fit` returns.
 
 Optimality is certified independently of the solver: theta minimises F
 iff there are vectors g (quantile-loss subgradients) and z (edge duals
@@ -171,6 +182,19 @@ def _lattice(tau: Fraction, lam: Fraction) -> tuple:
     return unit, tau.numerator * (unit // tau.denominator), lam.numerator * (unit // lam.denominator)
 
 
+def _fit_lattice(tau: Fraction, lam: Fraction) -> tuple:
+    """The `_lattice` the fit runs on: lam's open cell's representative where that makes D smaller.
+
+    With tau = p/q, both extremal fits are constant on each open cell
+    (c/(2q), (c+1)/(2q)); the representative (2c+1)/(4q) has D = 4q.  lam
+    on the lattice, or with D <= 4q already, is kept.
+    """
+    q = tau.denominator
+    if lcm(q, lam.denominator) <= 4 * q:
+        return _lattice(tau, lam)
+    return 4 * q, 4 * tau.numerator, 2 * (2 * q * lam.numerator // lam.denominator) + 1
+
+
 def _scaled(values: Sequence, scale: int = 1) -> tuple:
     """(s, values times s as ints) for Fractions, s the lcm of `scale` and their denominators.
 
@@ -212,7 +236,7 @@ def objective_value(theta: Sequence, inst: Instance) -> Fraction:
 
 
 def _fit_core(y: Sequence, tau, lam, prefer_high: bool, unit=1) -> list:
-    """Forward/backward pass: data values are only compared and negated; tau, lam, unit come from `_lattice`.
+    """Forward/backward pass: data values are only compared and negated; tau, lam, unit come from `_fit_lattice`.
 
     Derivative values are in units where one data point's jump is `unit`.
     State: `base` (value at -inf), `neg_top` (minus the value at +inf),
@@ -221,12 +245,12 @@ def _fit_core(y: Sequence, tau, lam, prefer_high: bool, unit=1) -> list:
     """
     if lam == 0:
         return list(y)
-    n, neg_lam = len(y), -lam
+    n, neg_lam, step = len(y), -lam, tau - unit
     jumps = {y[0]: unit}
     lo_heap, hi_heap = [y[0]], [-y[0]]
-    base, neg_top = -tau, tau - unit
-    clamps = []
-    pop, push = heapq.heappop, heapq.heappush
+    base, neg_top = -tau, step
+    los, his = [], []
+    pop, push, get = heapq.heappop, heapq.heappush, jumps.get
     try:
         for k in range(1, n + 1):
             # Lower clip (the argmin at k = n): raise the value at -inf to `bound`
@@ -236,13 +260,15 @@ def _fit_core(y: Sequence, tau, lam, prefer_high: bool, unit=1) -> list:
             if base < bound or (prefer_high and base == bound):
                 while True:
                     x = lo_heap[0]
-                    while x not in jumps:
+                    jump = get(x)
+                    while jump is None:
                         pop(lo_heap)
                         x = lo_heap[0]
+                        jump = get(x)
                     if base == bound:
                         lo = x
                         break
-                    s = base + jumps[x]
+                    s = base + jump
                     if s > bound:
                         jumps[x] = s - bound
                         base, lo = bound, x
@@ -260,13 +286,15 @@ def _fit_core(y: Sequence, tau, lam, prefer_high: bool, unit=1) -> list:
             if neg_top < neg_lam or (not prefer_high and neg_top == neg_lam):
                 while True:
                     x = -hi_heap[0]
-                    while x not in jumps:
+                    jump = get(x)
+                    while jump is None:
                         pop(hi_heap)
                         x = -hi_heap[0]
+                        jump = get(x)
                     if neg_top == neg_lam:
                         hi = x
                         break
-                    s = neg_top + jumps[x]
+                    s = neg_top + jump
                     if s > neg_lam:
                         jumps[x] = s - neg_lam
                         neg_top, hi = neg_lam, x
@@ -277,22 +305,23 @@ def _fit_core(y: Sequence, tau, lam, prefer_high: bool, unit=1) -> list:
                     if s == neg_lam and prefer_high:
                         hi = x
                         break
-            clamps.append((lo, hi))
-            base = base - tau
-            neg_top = neg_top + tau - unit
+            los.append(lo)
+            his.append(hi)
+            base -= tau
+            neg_top += step
             x = y[k]
-            cur = jumps.get(x)
-            if cur is None:
+            jump = get(x)
+            if jump is None:
                 jumps[x] = unit
                 push(lo_heap, x)
                 push(hi_heap, -x)
             else:
-                jumps[x] = cur + unit
+                jumps[x] = jump + unit
     except IndexError:  # the value at each end lies beyond both bounds for 0 < tau < unit, lam > 0
         raise AssertionError("derivative exhausted during a clip") from None
     t = lo
     theta = [t]
-    for lo, hi in reversed(clamps):
+    for lo, hi in zip(reversed(los), reversed(his)):
         if lo is not None and t < lo:
             t = lo
         elif hi is not None and t > hi:
@@ -312,7 +341,7 @@ def _prefer_high(extremality: Extremality) -> bool:
 def _fit_scaled(inst: Instance, extremality: Extremality, tau: Optional[Fraction] = None) -> list:
     """The fit as y's scaled ints from `inst._scaled_y`; `tau` in (0, 1) replaces inst.tau."""
     prefer_high = _prefer_high(extremality)
-    unit, tau, lam = _lattice(inst.tau if tau is None else tau, inst.lam)
+    unit, tau, lam = _fit_lattice(inst.tau if tau is None else tau, inst.lam)
     return _fit_core(inst._scaled_y[1], tau, lam, prefer_high, unit)
 
 
@@ -332,7 +361,7 @@ def _finite_floats(values: Sequence, what: str) -> np.ndarray:
 
 
 def _float_inputs(y: Sequence, tau: float, lam: float) -> tuple:
-    """(y as float64, D, tau*D, lam*D): the checked data and the `_lattice` of the float levels.
+    """(y as float64, Fraction(tau), Fraction(lam)): the checked data and levels.
 
     Every finite float is a dyadic rational, so Fraction is exact.
     """
@@ -342,13 +371,14 @@ def _float_inputs(y: Sequence, tau: float, lam: float) -> tuple:
         raise ValueError(f"lam must be finite and >= 0, got {lam}")
     if len(y) == 0:
         raise ValueError("data vector must be non-empty")
-    return (_finite_floats(y, "data"), *_lattice(Fraction(float(tau)), Fraction(float(lam))))
+    return _finite_floats(y, "data"), Fraction(float(tau)), Fraction(float(lam))
 
 
 def fit_float(y: Sequence, tau: float, lam: float, extremality: Extremality = "any") -> list:
     """`fit` for float data and levels, returning theta only: the same floats `fit` gives on their Fractions."""
     prefer_high = _prefer_high(extremality)
-    y, unit, tau, lam = _float_inputs(y, tau, lam)
+    y, tau, lam = _float_inputs(y, tau, lam)
+    unit, tau, lam = _fit_lattice(tau, lam)
     return _fit_core(y.tolist(), tau, lam, prefer_high, unit)
 
 
@@ -419,7 +449,8 @@ def certify_float(y: Sequence, theta: Sequence, tau: float, lam: float) -> bool:
     """Exact optimality decision for float data and theta: whether `certify` accepts their Fractions."""
     if len(theta) != len(y):
         raise ValueError("length mismatch")
-    y, one, tau, lam = _float_inputs(y, tau, lam)
+    y, tau, lam = _float_inputs(y, tau, lam)
+    one, tau, lam = _lattice(tau, lam)
     return _dual_system(y, _finite_floats(theta, "theta"), tau, lam, one) is not None
 
 

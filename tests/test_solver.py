@@ -33,6 +33,7 @@ from qtvd.solver import (
     objective_value,
     _dual_system,
     _fit_core,
+    _fit_lattice,
     _lattice,
 )
 
@@ -474,9 +475,10 @@ class TestFitCoreAgainstHelperWalk:
         rng = random.Random(47)
         for n, lam in ((256, 20.0), (2048, 68.4), (4096, 101.1)):
             y = [abs(2 * i / n - 1) + 0.1 * math.tan(math.pi * (rng.random() - 0.5)) for i in range(n)]
-            unit, t, l = _lattice(F(0.5), F(lam))
-            for prefer_high in (False, True):
-                assert _fit_core(y, t, l, prefer_high, unit) == reference_fit_core(y, t, l, prefer_high, unit)
+            for levels in (_lattice(F(0.5), F(lam)), _fit_lattice(F(0.5), F(lam))):  # raw, and what fit_float passes
+                unit, t, l = levels
+                for prefer_high in (False, True):
+                    assert _fit_core(y, t, l, prefer_high, unit) == reference_fit_core(y, t, l, prefer_high, unit)
 
     def test_exhausted_derivative_raises(self):
         # tau above the unit jump makes the value at +inf negative, so a clip walk runs out of breakpoints.
@@ -721,13 +723,29 @@ def _cell_case(draw, values, taus, first, second):
     return y, tau, (c + draw(first)) / cells, (c + draw(second)) / cells
 
 
+def _core_on_own_lattice(inst, extremality):
+    """`_fit_core` on `_lattice(inst.tau, inst.lam)`, the caller's own lam rather than its cell's representative."""
+    unit, tau, lam = _lattice(inst.tau, inst.lam)
+    value = dict(zip(inst._scaled_y[1], inst.y))
+    return tuple(map(value.__getitem__, _fit_core(inst._scaled_y[1], tau, lam, extremality != "lower", unit)))
+
+
 class TestLambdaCells:
+    # The public fits run on one representative per cell, so each lam is also fitted on its own
+    # lattice and evaluated by the envelope formula, which share nothing with that representative.
     @settings(derandomize=True, database=None, max_examples=300, deadline=None)
     @given(_cell_case(st.integers(-4, 4).map(F), st.integers(1, 9).map(lambda k: F(k, 10)), _INSIDE, _INSIDE))
     def test_extremal_fits_are_constant_inside_a_cell(self, case):
         y, tau, lam1, lam2 = case
         for extremality in ("lower", "upper"):
-            assert fit(Instance(y, tau, lam1), extremality).theta == fit(Instance(y, tau, lam2), extremality).theta
+            thetas = set()
+            for lam in (lam1, lam2):
+                inst = Instance(y, tau, lam)
+                side = getattr(envelope(y, tau, lam), extremality)
+                theta = fit(inst, extremality).theta
+                assert theta == _core_on_own_lattice(inst, extremality) == tuple(v.finite_value() for v in side)
+                thetas.add(theta)
+            assert len(thetas) == 1
 
     @settings(derandomize=True, database=None, max_examples=300, deadline=None)
     @given(_cell_case(st.integers(-16, 16).map(lambda k: F(k, 4)),
@@ -739,3 +757,45 @@ class TestLambdaCells:
         for extremality in ("lower", "upper"):
             exact = [float(v) for v in fit(Instance(y, tau, lam2), extremality).theta]
             assert fit_float([float(v) for v in y], float(tau), float(lam1), extremality) == exact
+            for lam in (lam1, lam2):
+                assert [float(v) for v in _core_on_own_lattice(Instance(y, tau, lam), extremality)] == exact
+
+
+class TestFitLattice:
+    """`_fit_lattice`: the levels of lam's open cell's representative, never a larger D than lam's own."""
+
+    def test_lam_on_the_lattice_is_kept(self):
+        for tau in (F(1, 2), F(1, 3), F(3, 10), F(7, 9), F(0.3)):
+            q = tau.denominator
+            for lam in (F(0), F(1, 2 * q), F(1, q), F(5, 2 * q), F(1), F(7), F(64), F(65, 2), F(10**6)):
+                assert _fit_lattice(tau, lam) == _lattice(tau, lam), (tau, lam)
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(st.fractions(0, 1, max_denominator=40).filter(lambda f: 0 < f < 1),
+           st.one_of(st.fractions(0, 200, max_denominator=10**6), st.floats(0, 1e4).map(F)))
+    def test_representative_lies_in_the_same_open_cell(self, tau, lam):
+        unit, t, l = _fit_lattice(tau, lam)
+        assert F(t, unit) == tau
+        assert unit <= _lattice(tau, lam)[0]
+        cells = 2 * tau.denominator
+        if (lam * cells).denominator == 1:
+            assert (unit, t, l) == _lattice(tau, lam)
+        else:
+            rep = F(l, unit)
+            assert (rep * cells).denominator != 1
+            assert math.floor(rep * cells) == math.floor(lam * cells)
+
+    def test_float_tau_0_3_keeps_the_callers_lam(self):
+        # Fraction(0.3) has denominator 2**54, which already holds any float lam from about 1/4 up.
+        for lam in (0.3, 0.7, 87.3, 1e6 + 0.1):
+            assert _fit_lattice(F(0.3), F(lam)) == _lattice(F(0.3), F(lam))
+
+    @pytest.mark.parametrize("lam", [5e-324, 1e-9])
+    def test_tiny_lam_at_tau_half_fits_on_eighths(self, lam):
+        # The raw lattice of a subnormal lam has D = 2**1075; its cell (0, 1/4) gives D = 8.
+        assert _fit_lattice(F(0.5), F(lam)) == (8, 4, 1)
+        rng = random.Random(61)
+        y = [round(rng.gauss(0, 1), 2) for _ in range(1000)]
+        unit, t, l = _lattice(F(0.5), F(lam))
+        for extremality in ("lower", "upper", "any"):
+            assert fit_float(y, 0.5, lam, extremality) == _fit_core(y, t, l, extremality != "lower", unit)
