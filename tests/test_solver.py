@@ -792,7 +792,7 @@ class TestFitLattice:
 
     @pytest.mark.parametrize("lam", [5e-324, 1e-9])
     def test_tiny_lam_at_tau_half_fits_on_eighths(self, lam):
-        # The raw lattice of a subnormal lam has D = 2**1075; its cell (0, 1/4) gives D = 8.
+        # The raw lattice of lam = 2**-1074 has D = 2**1074 (1075-bit levels); its cell (0, 1/4) gives D = 8.
         assert _fit_lattice(F(0.5), F(lam)) == (8, 4, 1)
         rng = random.Random(61)
         y = [round(rng.gauss(0, 1), 2) for _ in range(1000)]
