@@ -378,8 +378,8 @@ def pointwise_bounds(
         raise ValueError(
             f"lam={lam:.6g} is below {floor_lam:.6g}, the threshold the pointwise bounds need"
         )
-    if not lam > 0:
-        raise ValueError("lam must be > 0")
+    if not 0 < lam < math.inf:
+        raise ValueError(f"lam must be > 0 and finite, got {lam}")
     theta = np.asarray(theta_star, dtype=float)
     if not np.isfinite(theta).all():
         raise ValueError("theta_star must be finite")
@@ -589,8 +589,8 @@ def rate_regress(ns: Sequence[int], medians: Sequence[float]) -> RateRegression:
         raise ValueError("need at least 4 grid points")
     if len(set(ns)) < 2:
         raise ValueError("degenerate grid: all n equal")
-    if any(m <= 0 for m in medians):
-        raise ValueError("medians must be positive to take logs")
+    if not all(0 < m < math.inf for m in medians):
+        raise ValueError("medians must be positive and finite to take logs")
     x = np.log(np.asarray(ns, dtype=float))
     z = np.log(np.asarray(medians, dtype=float))
     slope, intercept = np.polyfit(x, z, 1)

@@ -23,14 +23,16 @@ the upper clip from the right on the mirror image (x -> -x, values
 negated), and the final argmin is the lower walk once more with bound 0.
 Both walks are written out in the loop body, with no call per step: on
 the `mc_rate` benchmark's fits they take about 0.7x the time of one walk
-helper called for each clip, and one written-out walk looped over both
-ends took 1.0x.  The clips record per-position clamp thresholds lo_k
-and hi_k in two lists; the backward pass sets theta_n to an extremal
-minimiser of the final Bellman function and theta_k =
+helper called for each clip.  The clips record per-position clamp
+thresholds lo_k and hi_k in two lists; the backward pass sets theta_n
+to the largest minimiser of the final Bellman function and theta_k =
 median(theta_{k+1}, lo_k, hi_k).  Where the derivative sits exactly at
-a bound over a flat stretch, the minimiser is not unique; thresholds are
-taken at the far or near end of the stretch so ties resolve toward the
-requested extreme.
+a bound over a flat stretch, the minimiser is not unique; every
+threshold is the stretch's right end, so the pass gives the upper fit.
+The lower fit is minus the upper fit of (-y, 1-tau): rho_tau(-x) =
+rho_{1-tau}(x) makes the solution set of (-y, 1-tau, lam) minus that of
+(y, tau, lam), negation is exact on ints and floats, and 1-tau keeps
+tau's denominator, so the levels carry over.
 At lam = 0 the positions decouple and theta = y is the unique minimiser.
 
 The pass only compares data values with each other and only returns
@@ -104,7 +106,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import inf, lcm
-from operator import attrgetter, mul, sub
+from operator import attrgetter, mul, neg, sub
 from typing import Literal, Optional, Sequence
 
 import numpy as np
@@ -235,10 +237,10 @@ def objective_value(theta: Sequence, inst: Instance) -> Fraction:
     return Fraction(tau * above + (unit - tau) * below + lam * tv, unit * scale)
 
 
-def _fit_core(y: Sequence, tau, lam, prefer_high: bool, unit=1) -> list:
-    """Forward/backward pass: data values are only compared and negated; tau, lam, unit come from `_fit_lattice`.
+def _fit_core(y: Sequence, tau, lam, unit=1) -> list:
+    """Upper extremal fit by a forward/backward pass: data values are only compared and negated.
 
-    Derivative values are in units where one data point's jump is `unit`.
+    tau, lam, unit come from `_fit_lattice`: derivative values are in units where one data point's jump is `unit`.
     State: `base` (value at -inf), `neg_top` (minus the value at +inf),
     `jumps` by breakpoint, `lo_heap` (keys x) and `hi_heap` (keys -x);
     a heap key whose breakpoint the other walk consumed is stale and skipped.
@@ -254,10 +256,10 @@ def _fit_core(y: Sequence, tau, lam, prefer_high: bool, unit=1) -> list:
     try:
         for k in range(1, n + 1):
             # Lower clip (the argmin at k = n): raise the value at -inf to `bound`
-            # from the left.  A crossing jump keeps its excess; on a flat stretch
-            # at the bound, prefer_high takes the stretch's far end.
+            # from the left.  A crossing jump keeps its excess; a flat stretch at
+            # the bound is walked past, so ties resolve to its right end.
             bound, lo = (neg_lam if k < n else 0), None
-            if base < bound or (prefer_high and base == bound):
+            if base <= bound:
                 while True:
                     x = lo_heap[0]
                     jump = get(x)
@@ -276,14 +278,11 @@ def _fit_core(y: Sequence, tau, lam, prefer_high: bool, unit=1) -> list:
                     del jumps[x]
                     pop(lo_heap)
                     base = s
-                    if s == bound and not prefer_high:
-                        lo = x
-                        break
             if k == n:
                 break
-            # Upper clip: the same walk from the right on the mirror image, with neg_top.
+            # Upper clip: the same walk from the right on the mirror image, stopping at the stretch's right end.
             hi = None
-            if neg_top < neg_lam or (not prefer_high and neg_top == neg_lam):
+            if neg_top < neg_lam:
                 while True:
                     x = -hi_heap[0]
                     jump = get(x)
@@ -291,9 +290,6 @@ def _fit_core(y: Sequence, tau, lam, prefer_high: bool, unit=1) -> list:
                         pop(hi_heap)
                         x = -hi_heap[0]
                         jump = get(x)
-                    if neg_top == neg_lam:
-                        hi = x
-                        break
                     s = neg_top + jump
                     if s > neg_lam:
                         jumps[x] = s - neg_lam
@@ -302,7 +298,7 @@ def _fit_core(y: Sequence, tau, lam, prefer_high: bool, unit=1) -> list:
                     del jumps[x]
                     pop(hi_heap)
                     neg_top = s
-                    if s == neg_lam and prefer_high:
+                    if s == neg_lam:
                         hi = x
                         break
             los.append(lo)
@@ -331,18 +327,19 @@ def _fit_core(y: Sequence, tau, lam, prefer_high: bool, unit=1) -> list:
     return theta
 
 
-def _prefer_high(extremality: Extremality) -> bool:
-    """Whether ties resolve upward ("upper", "any") or downward ("lower")."""
-    if extremality not in ("lower", "upper", "any"):
+def _fit_extremal(y: Sequence, tau, lam, unit, extremality: Extremality) -> list:
+    """`_fit_core` for "upper" and "any"; for "lower", minus the upper fit of (-y, unit - tau): the reflection."""
+    if extremality == "lower":
+        return list(map(neg, _fit_core(list(map(neg, y)), unit - tau, lam, unit)))
+    if extremality not in ("upper", "any"):
         raise ValueError(f"unknown extremality {extremality!r}")
-    return extremality != "lower"
+    return _fit_core(y, tau, lam, unit)
 
 
 def _fit_scaled(inst: Instance, extremality: Extremality, tau: Optional[Fraction] = None) -> list:
     """The fit as y's scaled ints from `inst._scaled_y`; `tau` in (0, 1) replaces inst.tau."""
-    prefer_high = _prefer_high(extremality)
     unit, tau, lam = _fit_lattice(inst.tau if tau is None else tau, inst.lam)
-    return _fit_core(inst._scaled_y[1], tau, lam, prefer_high, unit)
+    return _fit_extremal(inst._scaled_y[1], tau, lam, unit, extremality)
 
 
 def fit(inst: Instance, extremality: Extremality = "any") -> Fit:
@@ -375,11 +372,13 @@ def _float_inputs(y: Sequence, tau: float, lam: float) -> tuple:
 
 
 def fit_float(y: Sequence, tau: float, lam: float, extremality: Extremality = "any") -> list:
-    """`fit` for float data and levels, returning theta only: the same floats `fit` gives on their Fractions."""
-    prefer_high = _prefer_high(extremality)
+    """`fit` for float data and levels, returning theta only: the same floats `fit` gives on their Fractions.
+
+    Equal by `==`: where y holds both 0.0 and -0.0, the sign of a zero fitted value is not specified.
+    """
     y, tau, lam = _float_inputs(y, tau, lam)
     unit, tau, lam = _fit_lattice(tau, lam)
-    return _fit_core(y.tolist(), tau, lam, prefer_high, unit)
+    return _fit_extremal(y.tolist(), tau, lam, unit, extremality)
 
 
 def _pick(cond, a, b, dtype):

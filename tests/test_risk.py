@@ -306,8 +306,8 @@ class TestPointwiseBounds:
     def test_non_finite_input_rejected(self, bad):
         with pytest.raises(ValueError):
             pointwise_bounds([0.0] * 63 + [bad], 0.5, 1.0, self.const, allow_small_lambda=True)
-        with pytest.raises(ValueError):
-            pointwise_bounds([0.0] * 64, 0.5, math.nan, self.const, allow_small_lambda=True)
+        with pytest.raises(ValueError, match="lam must be > 0 and finite"):
+            pointwise_bounds([0.0] * 64, 0.5, bad, self.const, allow_small_lambda=True)
 
     @pytest.mark.parametrize("tau", [0.0, 1.0, 1.5, -0.2, math.nan])
     def test_tau_outside_the_open_unit_interval_rejected(self, tau):
@@ -493,3 +493,6 @@ class TestRateRegress:
             rate_regress([256] * 4, [1, 1, 1, 1])
         with pytest.raises(ValueError):
             rate_regress([256, 512, 1024, 2048], [1, 1, 0, 1])
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="positive and finite"):
+                rate_regress([256, 512, 1024, 2048], [1, 1, bad, 1])

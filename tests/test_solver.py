@@ -33,6 +33,7 @@ from qtvd.solver import (
     objective_value,
     _dual_system,
     _fit_core,
+    _fit_extremal,
     _fit_lattice,
     _lattice,
 )
@@ -442,8 +443,18 @@ class TestTrim:
                     jumps[x] = jumps.get(x, 0) + 1
 
 
+def _against_reference_walk(y, tau, lam, unit):
+    """`_fit_core` against the helper walk's upper tie rule, and the reflected lower fit against its lower one."""
+    args = (y, tau, lam, unit)
+    assert _fit_core(*args) == reference_fit_core(y, tau, lam, True, unit), args
+    assert _fit_extremal(*args, "lower") == reference_fit_core(y, tau, lam, False, unit), args
+
+
 class TestFitCoreAgainstHelperWalk:
-    """The written-out walks of `_fit_core` against `reference_fit_core`, which calls `trim` per clip."""
+    """The written-out walks of `_fit_core` against `reference_fit_core`, which calls `trim` per clip.
+
+    The library has one tie rule and reflects for the lower fit; the helper walk keeps both tie rules.
+    """
 
     def test_tie_heavy_integer_ranks_with_lattice_units(self):
         rng = random.Random(41)
@@ -453,9 +464,7 @@ class TestFitCoreAgainstHelperWalk:
             y = [rng.randint(0, rng.choice((1, 2, 4))) for _ in range(n)]
             tau = rng.randrange(1, unit)
             for lam in (unit // 4 or 1, 3 * unit // 2 + 1, n * unit, 2 * n * unit + 1):  # 1/4, moderate, >= n
-                for prefer_high in (False, True):
-                    args = (y, tau, lam, prefer_high, unit)
-                    assert _fit_core(*args) == reference_fit_core(*args), args
+                _against_reference_walk(y, tau, lam, unit)
 
     def test_floats_with_repeated_values(self):
         rng = random.Random(43)
@@ -466,9 +475,7 @@ class TestFitCoreAgainstHelperWalk:
             tau = rng.choice((0.5, 0.25, 0.3, 0.9))
             for lam in (0.25, rng.uniform(0.5, 3.0), float(n), 2.0 * n):
                 unit, t, l = _lattice(F(tau), F(lam))  # the integer levels fit_float passes
-                for prefer_high in (False, True):
-                    args = (y, t, l, prefer_high, unit)
-                    assert _fit_core(*args) == reference_fit_core(*args)
+                _against_reference_walk(y, t, l, unit)
 
     def test_mc_rate_shaped_floats(self):
         # Large n with lam near its rate-optimal size; dyadic tau makes the walks hit the bound exactly.
@@ -477,18 +484,36 @@ class TestFitCoreAgainstHelperWalk:
             y = [abs(2 * i / n - 1) + 0.1 * math.tan(math.pi * (rng.random() - 0.5)) for i in range(n)]
             for levels in (_lattice(F(0.5), F(lam)), _fit_lattice(F(0.5), F(lam))):  # raw, and what fit_float passes
                 unit, t, l = levels
-                for prefer_high in (False, True):
-                    assert _fit_core(y, t, l, prefer_high, unit) == reference_fit_core(y, t, l, prefer_high, unit)
+                _against_reference_walk(y, t, l, unit)
 
     def test_exhausted_derivative_raises(self):
-        # tau above the unit jump makes the value at +inf negative, so a clip walk runs out of breakpoints.
-        for core in (_fit_core, reference_fit_core):
-            for prefer_high in (False, True):
-                with pytest.raises(AssertionError):
-                    core([0, 1, 2], 5, 1, prefer_high)
+        # tau above the unit jump makes the value at +inf negative (and unit - tau, reflected, the value
+        # at -inf positive), so a clip walk runs out of breakpoints.
+        y, tau, lam, unit = [0, 1, 2], 5, 1, 1
+        calls = [lambda: _fit_core(y, tau, lam, unit)]
+        calls += [lambda e=e: _fit_extremal(y, tau, lam, unit, e) for e in ("lower", "upper", "any")]
+        calls += [lambda p=p: reference_fit_core(y, tau, lam, p, unit) for p in (False, True)]
+        for call in calls:
+            with pytest.raises(AssertionError):
+                call()
 
 
 class TestFloatPath:
+    def test_signed_zeros_equal_the_exact_fit(self):
+        # 0.0 == -0.0 is one breakpoint to the pass, so only the sign of a zero fitted value may differ.
+        rng = random.Random(67)
+        zeros = 0
+        for trial in range(300):
+            y = [0.0, -0.0] + [rng.choice((0.0, -0.0, 0.5, -1.0, 2.0)) for _ in range(trial % 30)]
+            rng.shuffle(y)
+            tau, lam = rng.choice((0.25, 0.5, 0.3, 0.75)), rng.choice((0.25, 0.7, 1.0, 2.0 * len(y)))
+            inst = Instance(tuple(map(F, y)), F(tau), F(lam))
+            for extremality in ("lower", "upper", "any"):
+                theta = fit_float(y, tau, lam, extremality)
+                assert theta == [float(v) for v in fit(inst, extremality).theta], (y, tau, lam, extremality)
+                zeros += theta.count(0.0)
+        assert zeros > 0
+
     def test_matches_exact_on_generic_data(self):
         rng = random.Random(20)
         for _ in range(30):
@@ -724,10 +749,10 @@ def _cell_case(draw, values, taus, first, second):
 
 
 def _core_on_own_lattice(inst, extremality):
-    """`_fit_core` on `_lattice(inst.tau, inst.lam)`, the caller's own lam rather than its cell's representative."""
+    """`_fit_extremal` on `_lattice(inst.tau, inst.lam)`, the caller's own lam rather than its cell's representative."""
     unit, tau, lam = _lattice(inst.tau, inst.lam)
     value = dict(zip(inst._scaled_y[1], inst.y))
-    return tuple(map(value.__getitem__, _fit_core(inst._scaled_y[1], tau, lam, extremality != "lower", unit)))
+    return tuple(map(value.__getitem__, _fit_extremal(inst._scaled_y[1], tau, lam, unit, extremality)))
 
 
 class TestLambdaCells:
@@ -798,4 +823,4 @@ class TestFitLattice:
         y = [round(rng.gauss(0, 1), 2) for _ in range(1000)]
         unit, t, l = _lattice(F(0.5), F(lam))
         for extremality in ("lower", "upper", "any"):
-            assert fit_float(y, 0.5, lam, extremality) == _fit_core(y, t, l, extremality != "lower", unit)
+            assert fit_float(y, 0.5, lam, extremality) == _fit_extremal(y, t, l, unit, extremality)

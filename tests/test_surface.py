@@ -25,6 +25,7 @@ REMOVED = [
     "ValidationError", "penalty_value", "floor_index", "ceil_index", "_trim", "_peek",
     "DiscreteInterval", "boundary_constant", "dist_boundary", "sd_bound",
     "growth_constants", "resolve_lambda", "_check_nonempty", "_check_scale", "_ranks", "_fit_ranks",
+    "_prefer_high",
 ]
 
 
