@@ -7,6 +7,13 @@ exactly.  Envelope output encodes infinities as the strings "-inf" and
 "+inf" since JSON numbers cannot carry them; rationals are emitted as
 fraction strings so exactness survives the file boundary.
 
+`fit` and `certify` stay on exact integers from file to output: the
+reader also returns the data scaled by the lcm of their denominators,
+computed once per distinct text; the instance is built holding those
+ints, `fit` certifies the scaled theta the solver returns, and `certify`
+the scaled candidate the reader returns.  theta, g and z are written from
+their ints, one str(Fraction) per distinct value.
+
 Exit status: 0 on success, 2 on validation failure (with a line
 diagnostic for malformed input), 3 when an audit finds a violation, so
 CI pipelines can gate on structural properties.
@@ -26,6 +33,7 @@ import json
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
+from math import lcm
 from typing import Optional, Sequence
 
 from . import penalties, risk, solver
@@ -44,7 +52,8 @@ def _parse_rational(text: str, what: str) -> Fraction:
         raise ValueError(f"{what}: could not parse {text.strip()!r} as a rational") from exc
 
 
-def _read_values(path: str) -> list[Fraction]:
+def _read_values(path: str) -> tuple[list[Fraction], tuple]:
+    """(values, (s, values times s as ints)) of a data file, s the lcm of their denominators: `solver._scaled`."""
     try:
         with open(path, "r", encoding="utf-8-sig") as handle:  # a leading byte-order mark is not data
             texts = list(map(str.strip, handle.read().splitlines()))
@@ -66,7 +75,11 @@ def _read_values(path: str) -> list[Fraction]:
             parsed[text] = Fraction(number)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"{path}:{texts.index(text, start) + 1}: could not parse {number!r}") from exc
-    return [parsed[text] for text in rows]
+    dens = {v.denominator for v in parsed.values()}
+    scale = lcm(*dens)
+    factor = {d: scale // d for d in dens}
+    ints = {text: v.numerator * factor[v.denominator] for text, v in parsed.items()}
+    return list(map(parsed.__getitem__, rows)), (scale, list(map(ints.__getitem__, rows)))
 
 
 def _json(value, indent: str) -> str:
@@ -95,11 +108,10 @@ def _emit(doc: dict, path: Optional[str]) -> None:
             handle.write(text)
 
 
-def _strs(values) -> list[str]:
-    """str of each value, once per distinct object (fitted vectors repeat a few); a Fraction hashes slower than str."""
-    ids = list(map(id, values))
-    text = {key: str(v) for key, v in dict(zip(ids, values)).items()}
-    return list(map(text.__getitem__, ids))
+def _fraction_strs(ints: list, scale: int) -> list[str]:
+    """str(Fraction(v, scale)) of each int, once per distinct int: fitted vectors and witnesses repeat a few."""
+    text = {v: str(Fraction(v, scale)) for v in set(ints)}
+    return list(map(text.__getitem__, ints))
 
 
 def _parse_constants(pairs: Optional[Sequence[str]], noise, tau: float) -> risk.RiskConstants:
@@ -126,46 +138,53 @@ def _parse_constants(pairs: Optional[Sequence[str]], noise, tau: float) -> risk.
 # ---------------------------------------------------------------------------
 
 
-def _exact_inputs(args) -> tuple[list[Fraction], Fraction, Fraction]:
-    """--input, --tau and --lambda of fit/envelope/certify/audit, parsed exactly."""
-    y = _read_values(args.input)
-    return y, _parse_rational(args.tau, "--tau"), _parse_rational(args.lam, "--lambda")
+def _exact_inputs(args) -> tuple[list[Fraction], Fraction, Fraction, tuple]:
+    """--input, --tau and --lambda of fit/envelope/certify/audit, parsed exactly, and y's scaled ints."""
+    y, scaled = _read_values(args.input)
+    return y, _parse_rational(args.tau, "--tau"), _parse_rational(args.lam, "--lambda"), scaled
 
 
-def _certificate_doc(cert) -> Optional[dict]:
-    return None if cert is None else {"g": _strs(cert.g), "z": _strs(cert.z)}
+def _witness_doc(inst: solver.Instance, theta: tuple) -> Optional[dict]:
+    """`certify`'s g and z for theta's (scale, ints), as the strs of their Fractions."""
+    witness = solver._witness(inst, *solver._one_scale(inst, theta)[1:])
+    if witness is None:
+        return None
+    g, z, one = witness
+    return {"g": _fraction_strs(g, one), "z": _fraction_strs(z, one)}
 
 
 def _cmd_fit(args) -> int:
-    y, tau, lam = _exact_inputs(args)
-    inst = solver.Instance(tuple(y), tau, lam)
+    inst = solver._instance(*_exact_inputs(args))
     result = solver.fit(inst, args.extremal)
+    scale, theta = result._scaled_theta
     doc = {
-        "theta": _strs(result.theta),
+        "theta": _fraction_strs(theta, scale),
         "objective": str(result.objective),
         "extremality": result.extremality,
-        "certificate": _certificate_doc(solver.certify(result.theta, inst)),
+        "certificate": _witness_doc(inst, result._scaled_theta),
     }
     _emit(doc, args.output)
     return 0
 
 
 def _cmd_envelope(args) -> int:
-    env = _envelope(*_exact_inputs(args), allow_large_n=args.allow_large_n)
+    y, tau, lam, _ = _exact_inputs(args)
+    env = _envelope(y, tau, lam, allow_large_n=args.allow_large_n)
     doc = {"L": [repr(v) for v in env.lower], "U": [repr(v) for v in env.upper]}
     _emit(doc, args.output)
     return 0
 
 
 def _cmd_certify(args) -> int:
-    y, tau, lam = _exact_inputs(args)
-    cert = _certificate_doc(solver.certify(_read_values(args.theta), solver.Instance(tuple(y), tau, lam)))
+    inputs = _exact_inputs(args)
+    _, theta = _read_values(args.theta)
+    cert = _witness_doc(solver._instance(*inputs), theta)
     _emit({"feasible": False} if cert is None else {"feasible": True, **cert}, args.output)
     return 0
 
 
 def _cmd_audit(args) -> int:
-    y, tau1, lam = _exact_inputs(args)
+    y, tau1, lam, _ = _exact_inputs(args)
     checks = [c.strip() for c in args.checks.split(",") if c.strip()]
     known = ("noncross", "submodular")
     if not checks:  # an audit that runs no check must not report ok

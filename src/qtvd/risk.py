@@ -589,6 +589,8 @@ def rate_regress(ns: Sequence[int], medians: Sequence[float]) -> RateRegression:
         raise ValueError("need at least 4 grid points")
     if len(set(ns)) < 2:
         raise ValueError("degenerate grid: all n equal")
+    if not all(n >= 1 for n in ns):
+        raise ValueError(f"grid sizes must be >= 1 to take logs, got grid {list(ns)}")
     if not all(0 < m < math.inf for m in medians):
         raise ValueError("medians must be positive and finite to take logs")
     x = np.log(np.asarray(ns, dtype=float))

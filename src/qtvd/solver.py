@@ -53,7 +53,10 @@ posed.  The exact `fit` runs `_fit_core` on y scaled by the lcm of its
 denominators, with tau*D, lam*D and the unit jump D as integers, and
 maps the returned ints back to data values, so no Fraction is hashed or
 compared.  An `Instance` keeps y's scaled ints from their first use, so
-a fit, its objective and its certificate scale y once.  `_scaled` reads
+a fit, its objective and its certificate scale y once; `_instance`
+builds one whose ints are already known, as the CLI reader computes them
+once per distinct text.  `fit` leaves theta's ints, at y's scale, on the
+returned `Fit` as `_scaled_theta`, which is not a field.  `_scaled` reads
 numerators and denominators through C-level maps, divides once per
 distinct denominator and multiplies with `map`; a vector of Fractions is
 validated by one type-set test, and only a vector holding something else
@@ -74,16 +77,21 @@ and z_k lies in a box, so the z_k reachable from z_0 = 0 form an interval
 box ends (`_dual_system`); the system is feasible iff lo <= hi
 everywhere, and a witness takes the smallest admissible z from z_n = 0
 backwards, again a suffix maximum.  The boxes depend on theta and y only
-through the signs of theta - y and of theta's steps, so `certify` runs
-the kernel on y and theta scaled to one common denominator, which it
+through the signs of theta - y and of theta's steps, so the kernel
+`_witness` takes y and theta as ints at one common scale, which it
 only compares: as int64 arrays when all those ints fit in int64, else as
 object arrays of Python ints (np.array raises OverflowError, never
 rounds, on an int past int64).  The box ends -tau*D, D - tau*D and
 +-lam*D are int64: every stored quantity is bounded by 2*n*D + lam*D in
 absolute value, and when that bound does not fit in int64 the boxes are
-object arrays of Python ints too.  The witness
-becomes Fractions only at the end, one Fraction v/D per distinct level v
-of g and z.  `certify_float` runs the kernel on the float y and theta
+object arrays of Python ints too.  It returns the witness as ints
+(g*D, z*D, D), or None.  `_one_scale` brings theta's (scale, ints) and
+y's cached ints to the lcm of the two scales, rescaling either only when
+the other needs a larger one; `certify` reaches it through `_scaled_with`
+and builds one Fraction v/D per distinct level v of g and z, while
+`qtvd fit` and `qtvd certify` pass it the ints they hold (the fit's
+`_scaled_theta`, the reader's ints) and print str(v/D) once per level.
+`certify_float` runs the kernel on the float y and theta
 themselves, again only compared, so its verdict is that of `certify` on
 their Fractions, with no tolerance.
 `objective_value` sums the loss and the total variation as Python ints
@@ -154,16 +162,27 @@ class Instance:
     def n(self) -> int:
         return len(self.y)
 
-    # Computed on first use and not a field, so equality and hashing ignore it.
+    # Computed on first use (or given by `_instance`) and not a field, so equality and hashing ignore it.
     @cached_property
     def _scaled_y(self) -> tuple:
         """(s, y times s as ints), s the lcm of y's denominators."""
         return _scaled(self.y)
 
 
+def _instance(y: Sequence, tau, lam, scaled_y: tuple) -> Instance:
+    """`Instance(y, tau, lam)` holding `scaled_y`, which must equal `_scaled` of y's Fractions, as its `_scaled_y`."""
+    inst = Instance(y, tau, lam)
+    inst.__dict__["_scaled_y"] = scaled_y  # where the cached_property keeps its value
+    return inst
+
+
 @dataclass(frozen=True)
 class Fit:
-    """An optimal solution with its exact objective and the extremality it realises."""
+    """An optimal solution with its exact objective and the extremality it realises.
+
+    `fit` also sets `_scaled_theta`, (s, theta times s as ints) at y's
+    scale s; it is not a field, so equality, hashing and repr ignore it.
+    """
 
     theta: tuple
     objective: Fraction
@@ -213,15 +232,24 @@ def _scaled_with(inst: Instance, theta: Sequence) -> tuple:
     """(s, y times s, theta times s), as ints; s is the lcm of all denominators.
 
     Exact values then compare, hash and add as ints, never as Fractions.
-    y's cached ints are rescaled only when theta needs a larger s.
     """
-    theta = _as_rationals(theta, "theta value")
-    if len(theta) != inst.n:
-        raise ValueError(f"theta has length {len(theta)}, expected {inst.n}")
-    scale, ys = inst._scaled_y
-    common, ts = _scaled(theta, scale)
+    return _one_scale(inst, _scaled(_as_rationals(theta, "theta value"), inst._scaled_y[0]))
+
+
+def _one_scale(inst: Instance, theta: tuple) -> tuple:
+    """(s, y times s, theta times s) from theta's (scale, ints), s the lcm of both scales.
+
+    y's cached ints, and theta's, are rescaled only when the other needs a larger s.
+    """
+    scale, ts = theta
+    if len(ts) != inst.n:
+        raise ValueError(f"theta has length {len(ts)}, expected {inst.n}")
+    y_scale, ys = inst._scaled_y
+    common = lcm(scale, y_scale)
+    if common != y_scale:
+        ys = list(map((common // y_scale).__mul__, ys))
     if common != scale:
-        ys = list(map((common // scale).__mul__, ys))
+        ts = list(map((common // scale).__mul__, ts))
     return common, ys, ts
 
 
@@ -344,9 +372,13 @@ def _fit_scaled(inst: Instance, extremality: Extremality, tau: Optional[Fraction
 
 def fit(inst: Instance, extremality: Extremality = "any") -> Fit:
     """Exact global minimiser; "upper"/"lower" return the extremal solutions."""
-    value = dict(zip(inst._scaled_y[1], inst.y))
-    theta = tuple(map(value.__getitem__, _fit_scaled(inst, extremality)))
-    return Fit(theta=theta, objective=objective_value(theta, inst), extremality=extremality)
+    scale, ys = inst._scaled_y
+    value = dict(zip(ys, inst.y))
+    ts = _fit_scaled(inst, extremality)
+    theta = tuple(map(value.__getitem__, ts))
+    result = Fit(theta=theta, objective=objective_value(theta, inst), extremality=extremality)
+    object.__setattr__(result, "_scaled_theta", (scale, ts))
+    return result
 
 
 def _finite_floats(values: Sequence, what: str) -> np.ndarray:
@@ -420,9 +452,11 @@ def _dual_system(y, theta, tau, lam, one):
     return g_hi, lo, hi, b
 
 
-def certify(theta: Sequence, inst: Instance) -> Optional[DualCertificate]:
-    """Exact optimality decision: a witness (g, z) if theta minimises F, else None."""
-    _, ys, ts = _scaled_with(inst, theta)
+def _witness(inst: Instance, ys: list, ts: list) -> Optional[tuple]:
+    """`certify`'s witness (g, z) as ints in units of 1/D, with D: (g*D, z*D, D); None if theta is not optimal.
+
+    ys and theta's ts are ints at one common scale, as `_one_scale` gives them.
+    """
     one, tau, lam = _lattice(inst.tau, inst.lam)
     # Not np.asarray: it would turn ints past int64 into uint64 or float64, which rounds them.
     try:
@@ -439,7 +473,15 @@ def certify(theta: Sequence, inst: Instance) -> Optional[DualCertificate]:
     g = z[:-1] - z[1:]
     if (z > hi).any() or (g > g_hi).any():
         raise AssertionError("backward selection left an empty interval")
-    g, z = g.tolist(), z.tolist()
+    return g.tolist(), z.tolist(), one
+
+
+def certify(theta: Sequence, inst: Instance) -> Optional[DualCertificate]:
+    """Exact optimality decision: a witness (g, z) if theta minimises F, else None."""
+    witness = _witness(inst, *_scaled_with(inst, theta)[1:])
+    if witness is None:
+        return None
+    g, z, one = witness
     level = {v: Fraction(v, one) for v in {*g, *z}}
     return DualCertificate(g=tuple(map(level.__getitem__, g)), z=tuple(map(level.__getitem__, z)))
 

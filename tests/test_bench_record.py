@@ -52,6 +52,18 @@ def test_gain_needs_nine_tenths_of_pairs_and_more_than_the_base_iqr(change, wins
     assert (out["wins"], out["gain"]) == (wins, gain)
 
 
+def test_gain_needs_a_tenth_of_the_bound():
+    # 10/10 wins by 0.3 % of a tight peak_rss_mb, whose bound is 10 %: past the IQR, short of a tenth of the bound
+    rss = {"name": "peak_rss_mb", "unit": "MiB", "better": "lower", "bound": 0.1}
+    base = [37.40, 37.41, 37.40, 37.39, 37.40, 37.41, 37.40, 37.39, 37.40, 37.40]
+    for ratio, gain in ((0.997, False), (0.98, True)):
+        pairs = [(s, _run(peak_rss_mb=b), _run(peak_rss_mb=ratio * b)) for s, b in enumerate(base)]
+        lines, out = bench_record.compare_pairs(pairs, [rss])
+        rec = out["peak_rss_mb"]
+        assert rec["wins"] == 10 and rec["base"]["median"] - rec["change"]["median"] > rec["base"]["iqr"]
+        assert rec["gain"] == gain and lines[0].endswith("; GAIN") == gain
+
+
 def test_higher_is_better_and_too_few_pairs_claim_nothing():
     pairs = [(s, _run(job_s=1.0, hits=10), _run(job_s=0.5, hits=20)) for s in range(3)]
     out = bench_record.compare_pairs(pairs, AB_METRICS)[1]

@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 
 from helpers import grid_oracle
 
-from qtvd import cli
+from qtvd import cli, solver
 from qtvd.penalties import NonCrossingReport
 from qtvd.risk import RiskConstants
-from qtvd.solver import Instance
+from qtvd.solver import Instance, certify, fit
 
 F = Fraction
 
@@ -53,11 +53,20 @@ class TestInput:
 
     def test_repeated_texts_parse_like_fresh_ones(self, tmp_path):
         lines = ["1/2", "2/4", "0.5", "-3", "1/2", "3/4", "-3", "0.5", "2/4", "3/4", "1/2"]
-        values = cli._read_values(write(tmp_path / "rep.txt", "\n".join(lines) + "\n"))
+        values, _ = cli._read_values(write(tmp_path / "rep.txt", "\n".join(lines) + "\n"))
         expected = [F(t) for t in lines]
         assert len(values) == len(expected)
         for got, want in zip(values, expected):
             assert type(got) is Fraction and got == want
+
+    @pytest.mark.parametrize("text", [
+        "1/2\n-3\n0.25\n2/4\n5/7\n-3\n1e-3\n",
+        "y\r\n%d\r\n-%d\r\n1/3\r\n0\r\n" % (2**64 + 1, 2**63),
+        "7\n7\n-2\n",
+    ], ids=["mixed", "past-int64-csv", "integers"])
+    def test_reader_ints_equal_solver_scaled(self, text, tmp_path):
+        values, scaled = cli._read_values(write(tmp_path / "y.csv", text))
+        assert scaled == solver._scaled(values)
 
     def test_malformed_line_after_repeats_names_its_line(self, tmp_path, capsys):
         bad = write(tmp_path / "bad.txt", "1/2\n1/2\n3\n1/2\n3\n1/x\n1/2\n")
@@ -84,7 +93,7 @@ class TestInput:
         with pytest.raises(ValueError, match=r"crlf\.csv:2: could not parse 'y'"):
             cli._read_values(path)
         path = write(tmp_path / "crlf.txt", "\r\nY\r\n1/2,\r\n\r\n  -3 ,\r\n0.25\r\n1/2\r\n\r\n")
-        assert cli._read_values(path) == [F(1, 2), F(-3), F(1, 4), F(1, 2)]
+        assert cli._read_values(path)[0] == [F(1, 2), F(-3), F(1, 4), F(1, 2)]
         path = write(tmp_path / "bad.txt", "1\r\n\r\n,\r\n")
         with pytest.raises(ValueError, match=r"bad\.txt:3: could not parse ''"):
             cli._read_values(path)
@@ -182,6 +191,91 @@ class TestFitEnvelopeCertify:
         assert "--allow-large-n" in capsys.readouterr().err
         assert run(["envelope", "--input", big, "--tau", "1/2", "--lambda", "1",
                     "--allow-large-n"]) == 0
+
+
+# (y, tau, lam).  "mixed" and "int64" (y scaled past int64, so the certificate compares Python ints) have
+# lower fit != upper fit.  "off-cell": lam = 1/7 lies inside a cell of tau = 1/3, so the fit's D (12)
+# differs from the certificate's (21).
+_MIXED = ["1/2", "-3", "0.25", "2/3", "5/7", "2", "1/6", "-4/9", "0.25", "2/3", "1/2", "7"]
+_EXACT_CASES = {
+    "mixed": (_MIXED, "1/3", "1/3"),
+    "off-cell": (_MIXED, "1/3", "1/7"),
+    "int64": ([str(2**63 + 1), str(2**63 + 5), str(2**63 - 2), str(-(2**63) - 1), "0", str(2**64), "3/2"],
+              "1/2", "1/4"),
+}
+
+
+def _write_layout(path, texts, layout):
+    """texts as a plain file, or as a CSV with header, CRLF and the byte-order mark Excel writes."""
+    if layout == "plain":
+        path.write_text("\n".join(texts) + "\n", encoding="utf-8")
+    else:
+        path.write_bytes(b"\xef\xbb\xbf" + ("y\r\n" + "\r\n".join(texts) + "\r\n").encode())
+    return str(path)
+
+
+def _doc_bytes(doc):
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def _witness_doc(cert):
+    return None if cert is None else {"g": [str(v) for v in cert.g], "z": [str(v) for v in cert.z]}
+
+
+class TestExactCommandsMatchTheLibrary:
+    """`qtvd fit` and `qtvd certify` write the document built from `fit` and `certify(theta, inst)`."""
+
+    @staticmethod
+    def _case(name, layout, tmp_path):
+        texts, tau, lam = _EXACT_CASES[name]
+        path = _write_layout(tmp_path / f"y-{layout}.txt", texts, layout)
+        return path, tau, lam, Instance(tuple(F(t) for t in texts), F(tau), F(lam))
+
+    @pytest.mark.parametrize("layout", ["plain", "csv-bom"])
+    @pytest.mark.parametrize("name", sorted(_EXACT_CASES))
+    @pytest.mark.parametrize("extremality", ["lower", "upper", "any"])
+    def test_fit(self, extremality, name, layout, tmp_path, capsys):
+        path, tau, lam, inst = self._case(name, layout, tmp_path)
+        assert run(["fit", "--input", path, "--tau", tau, "--lambda", lam, "--extremal", extremality]) == 0
+        result = fit(inst, extremality)
+        cert = certify(result.theta, inst)
+        assert cert is not None
+        want = {"theta": [str(v) for v in result.theta], "objective": str(result.objective),
+                "extremality": extremality, "certificate": _witness_doc(cert)}
+        assert capsys.readouterr() == (_doc_bytes(want), "")
+
+    @staticmethod
+    def _thetas(inst):
+        """(kind, theta, feasible): both extremal fits, a mix needing a larger scale than y, a bumped fit."""
+        lower, upper = fit(inst, "lower").theta, fit(inst, "upper").theta
+        mix = tuple(a + (b - a) * F(1, 11) for a, b in zip(lower, upper))  # the solution set is convex
+        bumped = (upper[0] + F(1, 11),) + upper[1:]  # above the maximal solution
+        return [("lower", lower, True), ("upper", upper, True), ("mix", mix, True), ("bumped", bumped, False)]
+
+    @pytest.mark.parametrize("layout", ["plain", "csv-bom"])
+    @pytest.mark.parametrize("name", sorted(_EXACT_CASES))
+    def test_certify(self, name, layout, tmp_path, capsys):
+        path, tau, lam, inst = self._case(name, layout, tmp_path)
+        for kind, theta, feasible in self._thetas(inst):
+            theta_path = _write_layout(tmp_path / f"theta-{kind}.txt", [str(v) for v in theta], layout)
+            assert run(["certify", "--input", path, "--tau", tau, "--lambda", lam, "--theta", theta_path]) == 0
+            cert = certify(theta, inst)
+            assert (cert is not None) == feasible, kind
+            want = {"feasible": False} if cert is None else {"feasible": True, **_witness_doc(cert)}
+            assert capsys.readouterr() == (_doc_bytes(want), ""), kind
+            if kind == "mix" and name != "off-cell":  # y's ints must be rescaled to theta's larger scale
+                assert solver._scaled(inst.y)[0] % solver._scaled(theta)[0] != 0
+
+    @pytest.mark.parametrize("name", sorted(_EXACT_CASES))
+    def test_wrong_length_theta(self, name, tmp_path, capsys):
+        path, tau, lam, inst = self._case(name, "plain", tmp_path)
+        upper = fit(inst, "upper").theta
+        for theta in (upper[:-1], upper + (F(1, 3),)):
+            with pytest.raises(ValueError) as exc:
+                certify(theta, inst)
+            theta_path = _write_layout(tmp_path / "theta.txt", [str(v) for v in theta], "plain")
+            assert run(["certify", "--input", path, "--tau", tau, "--lambda", lam, "--theta", theta_path]) == 2
+            assert capsys.readouterr() == ("", f"error: {exc.value}\n")
 
 
 def _stdlib_emit(doc, path):

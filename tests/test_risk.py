@@ -496,3 +496,6 @@ class TestRateRegress:
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError, match="positive and finite"):
                 rate_regress([256, 512, 1024, 2048], [1, 1, bad, 1])
+        for n in (0, -256):
+            with pytest.raises(ValueError, match=rf"grid \[{n}, 256, 512, 1024\]"):
+                rate_regress([n, 256, 512, 1024], [1, 0.5, 0.4, 0.3])

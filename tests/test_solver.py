@@ -1,3 +1,4 @@
+import dataclasses
 import heapq
 import math
 import random
@@ -23,6 +24,7 @@ from qtvd.envelope import envelope
 from qtvd import solver
 from qtvd.solver import (
     DualCertificate,
+    Fit,
     Instance,
     certify,
     certify_float,
@@ -322,6 +324,29 @@ class TestInstanceCache:
         assert "_scaled_y" in vars(inst) and "_scaled_y" not in vars(cold)
         assert inst == cold and hash(inst) == hash(cold) and repr(inst) == repr(cold)
         assert len({inst, cold}) == 1
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(_mixed_instance(), st.sampled_from(("lower", "upper", "any")))
+    def test_fit_keeps_theta_ints_off_its_fields(self, inst, extremality):
+        result = fit(inst, extremality)
+        assert result._scaled_theta == solver._scaled(result.theta, inst._scaled_y[0]) == (
+            inst._scaled_y[0], [t * inst._scaled_y[0] for t in result.theta])
+        plain = Fit(result.theta, result.objective, result.extremality)
+        assert "_scaled_theta" not in vars(plain)
+        assert result == plain and hash(result) == hash(plain) and repr(result) == repr(plain)
+        assert [f.name for f in dataclasses.fields(result)] == ["theta", "objective", "extremality"]
+        assert dataclasses.astuple(result) == dataclasses.astuple(plain)
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(_mixed_instance())
+    def test_instance_given_its_scaled_ints(self, inst):
+        scaled = solver._scaled(inst.y)
+        given_ints = solver._instance(list(inst.y), inst.tau, inst.lam, scaled)
+        assert given_ints == inst and hash(given_ints) == hash(inst) and given_ints.y == inst.y
+        assert given_ints._scaled_y is scaled and scaled == inst._scaled_y
+        assert fit(given_ints, "lower") == fit(inst, "lower")
+        with pytest.raises(ValueError, match="tau must be in"):
+            solver._instance(list(inst.y), F(3, 2), inst.lam, scaled)  # the constructor validates
 
 
 def _assert_witness(cert, theta, inst):

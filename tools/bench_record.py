@@ -13,7 +13,10 @@ checkout over REV; the difference for a metric that is not always
 positive), each side's median and quartiles, the median ratio and how many
 pairs this checkout wins (ties count for neither side).  A metric is marked
 GAIN when there are at least MIN_PAIRS pairs, this checkout wins at least
-9/10 of them and its median is better than REV's by more than REV's IQR.
+9/10 of them and its median is better than REV's by more than REV's IQR
+and, for a metric with a `bound` in BENCHMARK.json, by at least a tenth
+of that bound (a fraction of REV's median): a tight spread alone does not
+make a move too small to matter a gain.
 It is marked WORSE when its median is worse than REV's by more than the
 metric's `bound` in BENCHMARK.json, a fraction of REV's median; per-layer
 metrics (--trace 1) have no bound.  A bounded metric that is neither is
@@ -129,7 +132,8 @@ def compare_pairs(pairs: list, metrics: list) -> tuple:
         moves = [b / a if kind == "ratio" else b - a for _, a, b in rows]
         base, change = summarise([a for _, a, _ in rows]), summarise([b for _, _, b in rows])
         better_by = base["median"] - change["median"] if lower else change["median"] - base["median"]
-        gain = len(rows) >= MIN_PAIRS and 10 * wins >= 9 * len(rows) and better_by > base["iqr"]
+        gain = (len(rows) >= MIN_PAIRS and 10 * wins >= 9 * len(rows) and better_by > base["iqr"]
+                and better_by >= m.get("bound", 0) / 10 * abs(base["median"]))
         worse = "bound" in m and -better_by > m["bound"] * abs(base["median"])
         all_beat = (max(change["values"]) < min(base["values"]) if lower
                     else min(change["values"]) > max(base["values"]))
