@@ -30,9 +30,19 @@ touching 1 and the column of J touching n patched in from the tables
 one [side, class, n-a, b-1] array with reversed rows, so at location i
 the J = [i-p : i+q] are a positive-stride i x (n-i+1) block.  The inner
 maximum over a class is a running maximum along the ends I avoids, one
-step before J; U_i and -L_i are the block's minima, about eight numpy
-calls per location for both sides.  Work is O(n^2) per location and
-O(n^3) for the envelope; memory is O(n^2) per side.
+step before J; U_i and -L_i are the block's minima.  The classes that
+avoid J's right end take theirs along b, and the row maximum over
+b' in [i, b] is the one over [i+1, b] with column i folded in.  So the
+envelope sweeps i = n, ..., 1 over the class table in place: step i
+folds column b = i of the class avoiding both ends into the one sharing
+only J's right end, and of the class sharing only J's left end into
+I = J, at rows a <= i and columns b > i.  The block at i then needs one
+running maximum along p, one more maximum and its minimum: about five
+numpy calls per location for both sides.  A point query folds its one
+block with a running maximum along q instead.  Each step and each
+block still touch O(n^2) entries, because the minimum over J reads every
+J containing i: work is O(n^2) per location and O(n^3) for the envelope,
+and memory is O(n^2) per side.
 
 Arithmetic is exact end to end.  Values are mapped to ranks in the
 sorted distinct-value list, the enumeration runs on int32 ranks (at
@@ -57,7 +67,7 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .intervals import ExtendedValue, NEG_INF, POS_INF, _as_rational, _as_rationals
+from .intervals import ExtendedValue, NEG_INF, POS_INF, _as_location, _as_rational, _as_rationals
 from .solver import _lattice
 
 __all__ = [
@@ -99,7 +109,7 @@ def _c2(shares_left: bool, shares_right: bool, at_first: bool, at_last: bool) ->
     return left + right
 
 
-# Sharing classes (shares_left, shares_right) of I in J; `_min_max` slices the two avoiding J's right end.
+# Sharing classes (shares_left, shares_right) of I in J; `ends` folds FF into FT and TF into TT as [::3] <- [1:3].
 _CLASSES = ((False, True), (False, False), (True, False), (True, True))
 
 # Per (J touches 1, J touches n): the c2 + 2 row of the rank tables that each class reads.
@@ -179,34 +189,46 @@ class _RankTables:
 
     def ends(self, *sides: str, at: int | None = None) -> list:
         """ends[k][s], side s at location k+1 (or `at`): `_min_max`'s rank, un-negated on the lower side,
-        as -inf (rank -1), +inf (rank len(uniq)) or the data value uniq[rank]."""
-        if at is not None and not 1 <= at <= self.n:
-            raise ValueError(f"location {at} outside [1:{self.n}]")
+        as -inf (rank -1), +inf (rank len(uniq)) or the data value uniq[rank].
+
+        `_min_max` reads FT with FF's running maximum along q folded in one
+        step before q, and TT with TF's.  The envelope sweeps i = n, ..., 1,
+        step i folding column b = i of FF into FT (of TF into TT) at rows
+        a <= i and columns b > i; the block at i is then ready.
+        """
+        if at is not None:
+            at = _as_location(at, self.n)
         table, signs = self.classes(*sides, at=at), [-1 if side == "lower" else 1 for side in sides]
         values = [NEG_INF, *(ExtendedValue(0, v) for v in self.uniq), POS_INF]  # at rank + 1
-        n = self.n  # `_min_max` overwrites its block, so the envelope's blocks are copies
-        blocks = [table] if at else (table[:, :, n - i :, i - 1 :].copy() for i in range(1, n + 1))
-        return [[values[s * r + 1] for s, r in zip(signs, _min_max(block))] for block in blocks]
+        ft_tt, ff_tf = table[:, ::3], table[:, 1:3]
+        if at:
+            np.maximum.accumulate(ff_tf, axis=3, out=ff_tf)
+            np.maximum(ft_tt[..., 1:], ff_tf[..., :-1], out=ft_tt[..., 1:])
+            ranks = [_min_max(ft_tt)]
+        else:
+            n, ranks = self.n, []
+            for i in range(n, 0, -1):
+                fold = ft_tt[..., n - i :, i:]
+                np.maximum(fold, ff_tf[..., n - i :, i - 1 : i], out=fold)
+                ranks.append(_min_max(ft_tt[..., n - i :, i - 1 :]))
+            ranks.reverse()
+        return [[values[s * r + 1] for s, r in zip(signs, rs)] for rs in ranks]
 
 
 def _min_max(run: np.ndarray) -> list:
     """Per side, min over J containing i of max over I <= J containing i of the class table at I.
 
-    `run` is the classes' block at i, J = [i-p : i+q] at [p, q]; it is
-    overwritten.  Naming a class by whether I shares J's left and right end
-    (T/F), the I that avoid J's left end are FT at [p', q] and FF at
-    [p', q'] with p' < p, q' < q, and the others besides J are TF at
-    [p, q'].  So FF and TF take running maxima along q, FT takes FF's one
-    step before q and then its own running maximum along p, and the I = J
-    term TT takes FT's one step before p and TF's one step before q.  A
-    class with no I in J adds nothing.
+    `run` is the block at i of FT and TT as `ends` folds them, J = [i-p :
+    i+q] at [p, q]; it is only read.  Naming a class by whether I shares
+    J's left and right end (T/F), the I that avoid J's left end are FT at
+    [p', q] and FF at [p', q'] with p' < p, q' < q, and the others besides
+    J are TF at [p, q'].  FT holds FF's running maximum along q one step
+    before q and TT holds TF's, so FT takes its own running maximum along
+    p, and the I = J term TT takes FT's one step before p.  A class with no
+    I in J adds nothing.
     """
-    np.maximum.accumulate(run[:, 1:3], axis=3, out=run[:, 1:3])
-    ft, ff, tf, tt = run[:, 0], run[:, 1], run[:, 2], run[:, 3]
-    np.maximum(ft[..., 1:], ff[..., :-1], out=ft[..., 1:])
-    np.maximum.accumulate(ft, axis=1, out=ft)
+    ft, tt = np.maximum.accumulate(run[:, 0], axis=1), run[:, 1].copy()
     np.maximum(tt[:, 1:], ft[:, :-1], out=tt[:, 1:])
-    np.maximum(tt[..., 1:], tf[..., :-1], out=tt[..., 1:])
     return tt.min(axis=(1, 2)).tolist()
 
 

@@ -15,12 +15,13 @@ The formulas select extended order statistics
 
 which `qtvd.envelope` evaluates, together with the boundary constant
 and the adjusted levels.  This module supplies the coercion that admits
-only exact inputs and `ExtendedValue` for the +-inf results.  All values
-are immutable.
+only exact inputs, the check that a location is an integer in [1:n], and
+`ExtendedValue` for the +-inf results.  All values are immutable.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -34,6 +35,17 @@ def _as_rational(x, what: str) -> Fraction:
     if isinstance(x, float):
         raise TypeError(f"{what} must be an exact rational (int, Fraction or str), got float")
     return Fraction(x)
+
+
+def _as_location(i, n: int) -> int:
+    """Location i as an int in [1:n]; Python and numpy ints pass, anything else is a ValueError."""
+    try:
+        at = operator.index(i)
+    except TypeError:
+        raise ValueError(f"location {i!r} is not an integer") from None
+    if not 1 <= at <= n:
+        raise ValueError(f"location {i} outside [1:{n}]")
+    return at
 
 
 def _as_rationals(values, what: str) -> tuple:

@@ -60,6 +60,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from .intervals import _as_location
 from .solver import certify_float, fit_float
 
 __all__ = [
@@ -390,8 +391,7 @@ def pointwise_bounds(
 
     lowers, uppers, flagged = [], [], []
     for i in locations:
-        if not 1 <= i <= n:
-            raise ValueError(f"location {i} outside [1:{n}]")
+        _as_location(i, n)
         t, near_left, near_right = _boundary_regime(i, n, constants.C1)
         if near_left and near_right:  # both boundary regimes apply: no bound is claimed here
             j1s = j2s = np.arange(0)

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -118,6 +119,21 @@ class TestPointQueries:
                     # windows [a:b] with a <= i <= b sit at [a-1, b-1] with a-1 < i and b-1 >= i-1
                     assert (ranked.tables(side, at=i)[..., :i, i - 1 :] == full[..., :i, i - 1 :]).all()
 
+    @pytest.mark.parametrize("sides", [("upper",), ("lower",), ("lower", "upper")])
+    def test_classes_avoiding_the_right_end_lie_below_their_sharing_twins(self, sides):
+        # FF <= FT and TF <= TT, the lower side negated: the selected index is monotone in c2,
+        # and avoiding J's right end raises c2.  The last row (a = 1) and column (b = n) are patched.
+        rng = random.Random(128)
+        for tau in (F(0), F(1), F(1, 3), F(7, 10)):
+            for lam in (F(0), F(rng.randint(1, 12), rng.choice((1, 2, 4)))):
+                for _ in range(4):
+                    n = rng.randint(1, 12)
+                    y = tuple(F(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(n))
+                    ranked = _RankTables(y, tau, lam, False)
+                    for at in (None, *range(1, n + 1)):
+                        table = ranked.classes(*sides, at=at)
+                        assert (table[:, 1:3] <= table[:, ::3]).all()
+
 
 class TestAgainstNaiveEnumeration:
     def test_matches_literal_formula(self):
@@ -178,12 +194,16 @@ class TestStructure:
             assert finite(env.upper) == up
             assert all(a <= b <= c for a, b, c in zip(lo, anyf, up))
 
-    @pytest.mark.parametrize("n", [65, 100])
+    @pytest.mark.parametrize("n", [65, 100, 200])
     def test_extremal_fits_beyond_soft_cap(self, n):
         inst = random_instance(random.Random(n), n, n_min=n)
         env = envelope(inst.y, inst.tau, inst.lam, allow_large_n=True)
-        assert finite(env.lower) == fit(inst, "lower").theta
-        assert finite(env.upper) == fit(inst, "upper").theta
+        lower, upper = fit(inst, "lower").theta, fit(inst, "upper").theta
+        assert finite(env.lower) == lower
+        assert finite(env.upper) == upper
+        for i in (1, n // 2, n):
+            assert upper_envelope_at(inst.y, inst.tau, inst.lam, i, allow_large_n=True).finite_value() == upper[i - 1]
+            assert lower_envelope_at(inst.y, inst.tau, inst.lam, i, allow_large_n=True).finite_value() == lower[i - 1]
 
     def test_one_side_queries_match_the_two_side_build(self):
         rng = random.Random(126)
@@ -251,6 +271,14 @@ class TestValidation:
                 upper_envelope_at((F(1), F(2)), F(1, 2), F(1), i)
             with pytest.raises(ValueError):
                 lower_envelope_at((F(1), F(2)), F(1, 2), F(1), i)
+
+    @pytest.mark.parametrize("query", [upper_envelope_at, lower_envelope_at])
+    def test_location_must_be_an_integer(self, query):
+        y = (F(1), F(3), F(2))
+        for bad in (2.5, 3.0):
+            with pytest.raises(ValueError, match=f"location {bad} is not an integer"):
+                query(y, F(1, 2), F(1), bad)
+        assert query(y, F(1, 2), F(1), np.int64(2)) == query(y, F(1, 2), F(1), 2)
 
     def test_rejects_float_data(self):
         with pytest.raises(TypeError):

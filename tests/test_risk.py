@@ -302,6 +302,15 @@ class TestPointwiseBounds:
             pointwise_bounds([0.0] * 64, 0.5, 1.0, self.const, locations=[32])
         pointwise_bounds([0.0] * 64, 0.5, 1.0, self.const, locations=[32], allow_small_lambda=True)
 
+    def test_location_must_be_an_integer(self):
+        theta = [k / 64 for k in range(64)]
+        for bad in (2.5, 32.0):
+            with pytest.raises(ValueError, match=f"location {bad} is not an integer"):
+                pointwise_bounds(theta, 0.5, 1.0, self.const, locations=[bad], allow_small_lambda=True)
+        as_numpy, as_int = (pointwise_bounds(theta, 0.5, 1.0, self.const, locations=[i, 60], allow_small_lambda=True)
+                            for i in (np.int64(32), 32))
+        assert (as_numpy.lower, as_numpy.upper, as_numpy.flagged) == (as_int.lower, as_int.upper, as_int.flagged)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_input_rejected(self, bad):
         with pytest.raises(ValueError):
