@@ -46,7 +46,10 @@ and memory is O(n^2) per side.
 
 Arithmetic is exact end to end.  Values are mapped to ranks in the
 sorted distinct-value list, the enumeration runs on int32 ranks (at
-most n), and ranks map back to exact data values at the end.
+most n), and ranks map back to exact data values at the end.  The ranks
+are those of the data's scaled ints (`solver._scaled`), which hash and
+sort faster than Fractions and in the same order, since the scale is
+positive; each rank maps back to the data's own Fraction, as in `fit`.
 `_RankTables.ends` is the one evaluator behind the public functions:
 `envelope` asks it for both sides at every location, a point query for
 one side at one location.
@@ -68,7 +71,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .intervals import ExtendedValue, NEG_INF, POS_INF, _as_location, _as_rational, _as_rationals
-from .solver import _lattice
+from .solver import _lattice, _scaled
 
 __all__ = [
     "Envelope",
@@ -135,9 +138,12 @@ class _RankTables:
                 f"n={self.n} exceeds the envelope enumeration cap {SOFT_CAP}; "
                 "override with --allow-large-n (allow_large_n=True in Python)"
             )
-        self.uniq = sorted(set(y))
-        rank = {v: r for r, v in enumerate(self.uniq)}
-        self.ranks = np.array([rank[v] for v in y], dtype=np.int32)
+        ints = _scaled(y)[1]  # the scale is positive, so the ints sort as y does
+        value = dict(zip(ints, y))
+        distinct = sorted(value)
+        rank = dict(zip(distinct, range(len(distinct))))
+        self.uniq = list(map(value.__getitem__, distinct))
+        self.ranks = np.array(list(map(rank.__getitem__, ints)), dtype=np.int32)
 
     def tables(self, *sides: str, at: int | None = None) -> np.ndarray:
         """tables[s, c2 + 2, a-1, b-1]: rank of the order statistic side s selects from y_a..y_b.

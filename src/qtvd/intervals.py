@@ -15,8 +15,9 @@ The formulas select extended order statistics
 
 which `qtvd.envelope` evaluates, together with the boundary constant
 and the adjusted levels.  This module supplies the coercion that admits
-only exact inputs, the check that a location is an integer in [1:n], and
-`ExtendedValue` for the +-inf results.  All values are immutable.
+only exact inputs, the checks that a value is an integer and a location
+one in [1:n], and `ExtendedValue` for the +-inf results.  All values are
+immutable.
 """
 
 from __future__ import annotations
@@ -37,12 +38,17 @@ def _as_rational(x, what: str) -> Fraction:
     return Fraction(x)
 
 
+def _as_int(value, what: str) -> int:
+    """`value` as an int; Python and numpy ints pass, anything else is a ValueError naming `what`."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} {value!r} is not an integer") from None
+
+
 def _as_location(i, n: int) -> int:
     """Location i as an int in [1:n]; Python and numpy ints pass, anything else is a ValueError."""
-    try:
-        at = operator.index(i)
-    except TypeError:
-        raise ValueError(f"location {i!r} is not an integer") from None
+    at = _as_int(i, "location")
     if not 1 <= at <= n:
         raise ValueError(f"location {i} outside [1:{n}]")
     return at

@@ -19,22 +19,30 @@ the exact linear dependence of the quantile loss on its level:
 
 The audit runs on chain penalties, where the exact solver applies; for
 non-chain graphs only the submodularity test is exposed.  All functions
-are pure; fuzz trials use one seeded generator and are reported
-deterministically.  Both audits run on integers: the fuzzer's gap is one
-integer ratio, with one kernel memo per distinct (weight, kernel), and the
-non-crossing gap is a difference of the two fits' scaled data values.
+are pure; fuzz trials use one generator, seeded by an integer, and are
+reported deterministically.  Both audits run on integers.  The fuzzer
+runs its trials in blocks of arrays, whose size does not grow with the
+trial count.  It reads each block's integers from the generator's raw
+bits by the acceptance rule `randint` applies, so the stream, and every
+report, is that of one `randint` call per draw.  Each distinct (weight,
+kernel) keeps one memo, so its kernel is called once per distinct
+argument, and a block sums every trial's gap over one common denominator
+as Python ints.  The non-crossing gap is a difference of the two fits'
+scaled data values.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from math import lcm
 from typing import Sequence
 
-from .intervals import _as_rational
+import numpy as np
+
+from .intervals import _as_int, _as_rational
 from .solver import Instance, _fit_scaled
 
 __all__ = [
@@ -96,6 +104,8 @@ class Edge:
     kernel: object
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "i", _as_int(self.i, "edge endpoint i"))
+        object.__setattr__(self, "j", _as_int(self.j, "edge endpoint j"))
         object.__setattr__(self, "weight", _as_rational(self.weight, "weight"))
         if self.i == self.j:
             raise ValueError("edge endpoints must differ")
@@ -132,6 +142,49 @@ class FuzzReport:
     first_violation: tuple | None  # (x, y) witnessing the first failure, if any
 
 
+#: Trials per block are about this many drawn integers over 2n + 2, so a block's arrays do not grow with `trials`.
+_BLOCK_DRAWS = 1 << 12
+
+#: A fuzz kernel argument m*p/q, |m| <= 6 and p, q <= 5, in lowest terms num/den is the key (num + 30) * 8 + den.
+_KEYS = 61 * 8
+
+
+def _draws(seed: int, n: int, trials: int, size: int):
+    """Yield (p, q, k) per block of at most `size` trials, the integers `random.Random(seed).randint` would draw.
+
+    Per trial that stream is randint(1, 5) twice, for p and q, then
+    randint(-3, 3) 2n times, for row k[t]: kx, then ky.  randint(a, b) takes
+    getrandbits(3) until it is below b - a + 1, and getrandbits(3) is the
+    top 3 bits of the next 32-bit Mersenne Twister word.  getrandbits(32 * w)
+    returns the next w words, the first least significant, so one call
+    draws a run of values; a 7 is rejected by every draw and dropped at
+    once, a 5 or 6 only by the draws of p and q.  Values a block leaves
+    unused start the next one.
+    """
+    rng = random.Random(seed)
+    width = 2 * n
+    values = np.empty(0, dtype=np.int8)  # drawn, not yet used, without 7s
+    for done in range(0, trials, size):
+        count = min(size, trials - done)
+        p_at, q_at, s = [], [], 0
+        while len(q_at) < count:
+            # A trial takes 16/5 + 16n/7 words on average; what is left over counts, so `values` stays block-sized.
+            words = max((count - len(q_at)) * (4 + 3 * n) - (len(values) - s), 2 * n + 4)
+            drawn = np.frombuffer(rng.getrandbits(32 * words).to_bytes(4 * words, "little"), dtype="<u4") >> 29
+            values = np.concatenate((values, drawn[drawn != 7].astype(np.int8)))
+            end, small = len(values), np.flatnonzero(values < 5).tolist()  # where p and q may be drawn
+            # A trial is p and q at the first two of those at or after s, then the 2n values after q.
+            while len(q_at) < count and (j := bisect_left(small, s) + 1) < len(small) and small[j] + width < end:
+                p_at.append(small[j - 1])
+                q_at.append(small[j])
+                s = small[j] + 1 + width
+        q_at = np.array(q_at)
+        p, q = values[p_at].astype(np.int64) + 1, values[q_at].astype(np.int64) + 1
+        k = values[q_at[:, None] + np.arange(1, width + 1)].astype(np.int64) - 3
+        values = values[s:]
+        yield p, q, k
+
+
 def submodularity_fuzz(penalty: PairwisePenalty, trials: int, seed: int) -> FuzzReport:
     """Sample pairs (x, y) and count failures of P(x)+P(y) >= P(x v y)+P(x ^ y).
 
@@ -140,12 +193,21 @@ def submodularity_fuzz(penalty: PairwisePenalty, trials: int, seed: int) -> Fuzz
     so every evaluation and comparison is exact.  Expected zero violations
     for nonnegative-weight convex-kernel penalties.  The gap is summed edge
     by edge: an edge (i, j) with (x_i - y_i) * (x_j - y_j) >= 0 has x v y and
-    x ^ y equal to x and y on its ends and adds 0; any other edge has join
-    and meet differences x_i - y_j and y_i - x_j.  Each difference is m*p/q,
-    so the edges sharing a weight w and a kernel object share one memo of
-    w*phi by (p*m, q), held as ints (numerator, denominator); a trial sums
-    its terms as one integer ratio over the lcm of their denominators.
+    x ^ y equal to x and y on its ends and adds 0; any other edge adds w*phi
+    at its x and y differences x_i - x_j and y_i - y_j minus w*phi at its
+    join and meet differences x_i - y_j and y_i - x_j.
+
+    Trials run in blocks of arrays whose size does not grow with `trials`.
+    `_draws` reads the integers `randint` would from the same seed, so the
+    stream, and every report, is that of a loop of randint calls.  Per
+    distinct (weight, kernel), numpy finds the crossing edges and their
+    four differences m*p/q, each keyed by its value in lowest terms
+    (`_KEYS`).  Each distinct key is looked up in that pair's memo of w*phi
+    as ints (numerator, denominator), so the kernel is called once per
+    distinct value.  A block brings its values to one common denominator
+    as Python ints and sums each trial's gap with one scatter-add.
     """
+    trials, seed = _as_int(trials, "trials"), _as_int(seed, "seed")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if not penalty.edges:
@@ -154,34 +216,39 @@ def submodularity_fuzz(penalty: PairwisePenalty, trials: int, seed: int) -> Fuzz
     for e in penalty.edges:  # n is the largest index, so only an index below 1 is out of range
         if min(e.i, e.j) < 1:
             raise IndexError(f"edge ({e.i},{e.j}) out of range for length {n}")
-    memo = {}  # one per distinct (weight, kernel), keyed by id() because a kernel need not hash
+    pairs = {}  # per distinct (weight, kernel), keyed by id() because a kernel need not hash
     for e in penalty.edges:
-        if (e.weight, id(e.kernel)) not in memo:
-            memo[e.weight, id(e.kernel)] = cache(
-                lambda num, den, w=e.weight, phi=e.kernel: (w * phi(Fraction(num, den))).as_integer_ratio())
-    terms = [(e.i - 1, e.j - 1, memo[e.weight, id(e.kernel)]) for e in penalty.edges]
-    rng = random.Random(seed)
+        pairs.setdefault((e.weight, id(e.kernel)), (e.weight, e.kernel, []))[2].append((e.i - 1, e.j - 1))
+    groups = [(w, phi, {}, *np.array(ends).T) for w, phi, ends in pairs.values()]  # {} memoises w*phi
     violations = 0
     first = None
-    for _ in range(trials):
-        p, q = rng.randint(1, 5), rng.randint(1, 5)
-        kx = [rng.randint(-3, 3) for _ in range(n)]
-        ky = [rng.randint(-3, 3) for _ in range(n)]
-        num, den = 0, 1  # the gap is num/den; den is the lcm of the denominators added so far
-        for i, j, phi in terms:
-            a, b, c, d = kx[i], kx[j], ky[i], ky[j]
-            if (a - c) * (b - d) < 0:
-                for sign, m in ((1, a - b), (1, c - d), (-1, a - d), (-1, c - b)):
-                    t, u = phi(p * m, q)
-                    if den % u:
-                        common = lcm(den, u)
-                        num, den = num * (common // den), common
-                    num += sign * t * (den // u)
-        if num < 0:
-            violations += 1
-            if first is None:
-                scale = Fraction(p, q)
-                first = (tuple(scale * k for k in kx), tuple(scale * k for k in ky))
+    for p, q, k in _draws(seed, n, trials, max(1, _BLOCK_DRAWS // (2 * n + 2))):
+        kx, ky = k[:, :n], k[:, n:]
+        crossings = []
+        for w, phi, memo, i, j in groups:
+            a, b, c, d = kx[:, i], kx[:, j], ky[:, i], ky[:, j]
+            t, e = np.nonzero((a - c) * (b - d) < 0)
+            num = np.stack((a - b, c - d, a - d, c - b))[:, t, e] * p[t]  # x, y, join and meet, over q[t]
+            g = np.gcd(num, q[t])
+            keys = (num // g + 30) * 8 + q[t] // g
+            distinct = np.flatnonzero(np.bincount(keys.ravel())).tolist()
+            for key in set(distinct) - memo.keys():
+                memo[key] = (w * phi(Fraction(key // 8 - 30, key % 8))).as_integer_ratio()
+            crossings.append((t, memo, distinct, keys))
+        scale = lcm(*(memo[key][1] for _, memo, distinct, _ in crossings for key in distinct))
+        gap = np.zeros(len(p), dtype=object)
+        terms = []
+        for t, memo, distinct, keys in crossings:
+            table = np.zeros(_KEYS, dtype=object)
+            table[distinct] = [top * (scale // u) for top, u in map(memo.__getitem__, distinct)]
+            value = table[keys]
+            terms.append(value[0] + value[1] - value[2] - value[3])
+        np.add.at(gap, np.concatenate([t for t, _, _, _ in crossings]), np.concatenate(terms))
+        bad = np.flatnonzero(gap < 0)
+        violations += len(bad)
+        if first is None and len(bad):
+            ratio = Fraction(int(p[bad[0]]), int(q[bad[0]]))
+            first = (tuple(ratio * v for v in kx[bad[0]].tolist()), tuple(ratio * v for v in ky[bad[0]].tolist()))
     return FuzzReport(trials=trials, violations=violations, first_violation=first)
 
 

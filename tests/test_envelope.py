@@ -180,6 +180,17 @@ class TestAgainstNaiveEnumeration:
                 assert plain(env.lower) == ref_l
                 assert plain(env.upper) == ref_u
 
+    def test_matches_literal_formula_on_data_past_int64(self):
+        # The data's scaled ints pass int64 with both signs, and some values differ by less than a double resolves.
+        rng = random.Random(126)
+        for n in range(1, 9):
+            y = tuple(F(rng.randint(-3, 3) * 10**30 + rng.randint(-2, 2), rng.choice((1, 3**45))) for _ in range(n))
+            tau, lam = F(rng.randint(1, 9), 10), F(rng.randint(0, 6), 2)
+            env = envelope(y, tau, lam)
+            ref_l, ref_u = naive_envelope(y, tau, lam)
+            assert plain(env.lower) == ref_l
+            assert plain(env.upper) == ref_u
+
 
 class TestStructure:
     def test_sandwich_and_attainment(self):

@@ -1,10 +1,13 @@
 import random
+import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from helpers import naive_submodularity_fuzz, penalty_value
 
+from qtvd import penalties
 from qtvd.penalties import (
     Absolute,
     Edge,
@@ -57,6 +60,16 @@ class TestPenaltyValue:
     def test_self_edge_rejected(self):
         with pytest.raises(ValueError):
             Edge(2, 2, F(1), Absolute())
+
+    def test_endpoints_must_be_integers(self):
+        with pytest.raises(ValueError, match=r"edge endpoint i 1\.0 is not an integer"):
+            Edge(1.0, 2, F(1), Absolute())
+        with pytest.raises(ValueError, match="edge endpoint i '1' is not an integer"):
+            Edge("1", 2, F(1), Absolute())
+        with pytest.raises(ValueError, match=r"edge endpoint j 2\.0 is not an integer"):
+            Edge(1, 2.0, F(1), Absolute())
+        edge = Edge(np.int64(1), np.int32(3), F(1), Absolute())
+        assert (type(edge.i), type(edge.j)) == (int, int) and edge == Edge(1, 3, F(1), Absolute())
 
 
 MIXED_EDGES = (
@@ -138,6 +151,52 @@ class TestSubmodularityFuzz:
             submodularity_fuzz(PairwisePenalty.chain(2), trials=0, seed=0)
         with pytest.raises(ValueError, match="no edges"):
             submodularity_fuzz(PairwisePenalty(()), trials=1, seed=0)
+
+    def test_seed_and_trials_must_be_integers(self):
+        # A seed of None would draw from OS entropy and a float one would go through hash: neither is reproducible.
+        pen = PairwisePenalty.chain(3)
+        for seed in (None, 1.5, "0"):
+            with pytest.raises(ValueError, match=re.escape(f"seed {seed!r} is not an integer")):
+                submodularity_fuzz(pen, trials=3, seed=seed)
+        for trials in (2.0, "3"):
+            with pytest.raises(ValueError, match=re.escape(f"trials {trials!r} is not an integer")):
+                submodularity_fuzz(pen, trials=trials, seed=0)
+        rep = submodularity_fuzz(FUZZ_PENALTIES["planted-negative"], trials=np.int64(40), seed=np.int32(2))
+        assert rep == submodularity_fuzz(FUZZ_PENALTIES["planted-negative"], trials=40, seed=2)
+        assert type(rep.trials) is int
+
+    def test_report_fields_are_python_values(self):
+        rep = submodularity_fuzz(FUZZ_PENALTIES["planted-negative"], trials=50, seed=0)
+        assert (type(rep.trials), type(rep.violations)) == (int, int) and rep.violations > 0
+        assert type(rep.first_violation) is tuple and len(rep.first_violation) == 2
+        for point in rep.first_violation:
+            assert type(point) is tuple and len(point) == 3
+            assert {(type(v), type(v.numerator), type(v.denominator)) for v in point} == {(Fraction, int, int)}
+
+    @pytest.mark.parametrize("n", [1, 2, 6, 40])
+    def test_draws_follow_randint(self, n):
+        # Per trial: randint(1, 5) twice, then 2n randint(-3, 3), block after block.
+        trials = 13
+        for seed in (0, 1, 7, 2**40 + 3):
+            for size in (1, 2, 5, 64):
+                rng = random.Random(seed)
+                blocks = list(penalties._draws(seed, n, trials, size))
+                assert [len(p) for p, _, _ in blocks] == [min(size, trials - d) for d in range(0, trials, size)]
+                for p, q, k in blocks:
+                    assert k.shape == (len(p), 2 * n)
+                    for t in range(len(p)):
+                        assert [p[t], q[t]] == [rng.randint(1, 5), rng.randint(1, 5)]
+                        assert k[t].tolist() == [rng.randint(-3, 3) for _ in range(2 * n)]
+
+    @pytest.mark.parametrize("seed", [5, 6, 23])
+    def test_blocks_match_literal_loop(self, monkeypatch, seed):
+        # Three trials per block: 20 trials span seven blocks, and block 1 has no violation.
+        pen = FUZZ_PENALTIES["planted-negative"]
+        monkeypatch.setattr(penalties, "_BLOCK_DRAWS", 3 * (2 * 3 + 2))
+        assert submodularity_fuzz(pen, trials=3, seed=seed).violations == 0
+        rep = submodularity_fuzz(pen, trials=20, seed=seed)
+        assert rep.violations > 0
+        assert (rep.violations, rep.first_violation) == naive_submodularity_fuzz(pen, 20, seed)
 
 
 class TestNonCrossingAudit:
