@@ -162,6 +162,15 @@ class Laplace(Noise):
 # ---------------------------------------------------------------------------
 
 
+def _flat_radius(x0: float, breaks: tuple = ()) -> float:
+    """Distance from x0 to the nearest break or end of [0, 1]: the r0 of a step signal's lam*."""
+    if x0 in breaks:
+        raise ValueError(f"lam* is undefined at x0 = {x0}: it lies on a break")
+    if x0 in (0.0, 1.0):
+        raise ValueError(f"lam* is undefined at x0 = {x0}: it lies at an end of [0, 1]")
+    return min(abs(x0 - e) for e in (0.0, 1.0) + breaks)
+
+
 @dataclass(frozen=True)
 class ConstantSignal:
     level: float = 0.0
@@ -174,7 +183,7 @@ class ConstantSignal:
 
     def star_lambda(self, n: int, x0: float) -> float:
         """lam* at x0: the signal is constant within min(x0, 1 - x0) of it."""
-        return lambda_star(n, 2.0, r0=min(x0, 1.0 - x0))
+        return lambda_star(n, 2.0, r0=_flat_radius(x0))
 
 
 @dataclass(frozen=True)
@@ -224,7 +233,7 @@ class PiecewiseConstantSignal:
 
     def star_lambda(self, n: int, x0: float) -> float:
         """lam* at x0: the signal is constant up to the nearest break or end of [0, 1]."""
-        return lambda_star(n, 2.0, r0=min(abs(x0 - e) for e in (0.0, 1.0) + self.breaks))
+        return lambda_star(n, 2.0, r0=_flat_radius(x0, self.breaks))
 
 
 Signal = Union[ConstantSignal, HolderCusp, PiecewiseConstantSignal]

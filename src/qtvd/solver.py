@@ -13,14 +13,28 @@ which realise the solution-set envelopes of `qtvd.envelope` exactly.
 Method: a forward pass propagates the derivative of the running Bellman
 function.  That derivative is a nondecreasing step function, kept as its
 value at -inf, positive jumps at breakpoints and minus its value at
-+inf, with a lazy heap reaching each end.  Each quantile loss term
-shifts it by -tau and adds a unit jump at the data value, and the
-coupling to the next position clips it to [-lam, lam] (the derivative
-of the infimal convolution with lam*|.|), which only trims the two ends.
-Each clip is a walk that raises the value seen from one end to a bound,
-consuming breakpoints from that end: the lower clip walks from the left,
-the upper clip from the right on the mirror image (x -> -x, values
-negated), and the final argmin is the lower walk once more with bound 0.
++inf.  Each quantile loss term shifts it by -tau and adds a unit jump at
+the data value, and the coupling to the next position clips it to
+[-lam, lam] (the derivative of the infimal convolution with lam*|.|),
+which only trims the two ends.  Each clip is a walk that raises the
+value seen from one end to a bound, consuming breakpoints from that end:
+the lower clip walks from the left, the upper clip from the right on the
+mirror image (x -> -x, values negated), and the final argmin is the
+lower walk once more with bound 0.
+The jumps live in a dict by breakpoint, and each breakpoint in exactly
+one of two heaps split at a pivot p: L, a min-heap of keys below p, and
+R, a heap of -x for the rest, so max(L) <= p <= min(R) and the lower
+walk pops L, the upper walk R.  A new breakpoint is pushed once, on its
+side of p.  A walk that finds its heap empty refills it from the half
+of the other heap farthest from that heap's top, with one `sorted`; the
+other heap keeps its extreme key, and p moves to the split.  The next
+refill follows about as many pops, so a refill costs amortized O(log)
+per pop.  With one key left in all, both walks read it where it lies.
+No heap holds a consumed key, so the walks skip no stale keys and the
+heaps hold the live breakpoints only (about 2*lam/unit of them), not one
+key per data point.  The dict stays because data may repeat values: a
+tied value adds to its breakpoint's jump instead of pushing one more
+key, so tie-heavy data keep small heaps.
 Both walks are written out in the loop body, with no call per step: on
 the `mc_rate` benchmark's fits they take about 0.7x the time of one walk
 helper called for each clip.  The clips record per-position clamp
@@ -102,9 +116,9 @@ scale.
 
 All functions are pure and instances immutable, so batch fits over
 independent instances can run concurrently.  The exhaustive grid
-search and the clip walk as a helper, which the tests compare `fit`,
-`envelope` and `_fit_core` against, live in `tests/helpers.py`, outside
-the package.
+search and the clip walk as a helper on lazy heaps, which the tests
+compare `fit`, `envelope` and `_fit_core` against, live in
+`tests/helpers.py`, outside the package.
 """
 
 from __future__ import annotations
@@ -265,66 +279,84 @@ def objective_value(theta: Sequence, inst: Instance) -> Fraction:
     return Fraction(tau * above + (unit - tau) * below + lam * tv, unit * scale)
 
 
+def _refill(heap: list, empty: list):
+    """Move the half of `heap`'s keys farthest from its top into `empty`, negated; return the first key moved.
+
+    One `sorted` does it: an ascending list is a valid heap, and `heap`
+    keeps at least its top key when it holds two or more.
+    """
+    keys = sorted(heap)
+    half = len(keys) // 2
+    heap[:] = keys[:half]
+    empty[:] = map(neg, reversed(keys[half:]))
+    return keys[half]
+
+
 def _fit_core(y: Sequence, tau, lam, unit=1) -> list:
     """Upper extremal fit by a forward/backward pass: data values are only compared and negated.
 
     tau, lam, unit come from `_fit_lattice`: derivative values are in units where one data point's jump is `unit`.
     State: `base` (value at -inf), `neg_top` (minus the value at +inf),
-    `jumps` by breakpoint, `lo_heap` (keys x) and `hi_heap` (keys -x);
-    a heap key whose breakpoint the other walk consumed is stale and skipped.
+    `jumps` by breakpoint, and each breakpoint in one of two heaps split
+    at a pivot p with max(L) <= p <= min(R): `low` holds the keys x of L,
+    `high` the keys -x of R.  A walk whose own heap is empty refills it
+    with `_refill` from the other, or reads the one key left there.  The
+    loop runs over y[1:] with the clip bound -lam; the argmin walk, bound
+    0, follows it.
     """
     if lam == 0:
         return list(y)
-    n, neg_lam, step = len(y), -lam, tau - unit
-    jumps = {y[0]: unit}
-    lo_heap, hi_heap = [y[0]], [-y[0]]
+    neg_lam, step = -lam, tau - unit
+    p = y[0]
+    jumps = {p: unit}
+    low, high = [], [-p]
     base, neg_top = -tau, step
     los, his = [], []
     pop, push, get = heapq.heappop, heapq.heappush, jumps.get
     try:
-        for k in range(1, n + 1):
-            # Lower clip (the argmin at k = n): raise the value at -inf to `bound`
-            # from the left.  A crossing jump keeps its excess; a flat stretch at
-            # the bound is walked past, so ties resolve to its right end.
-            bound, lo = (neg_lam if k < n else 0), None
-            if base <= bound:
+        for x_new in y[1:]:
+            # Lower clip: raise the value at -inf to -lam from the left.  A crossing
+            # jump keeps its excess; a flat stretch at the bound is walked past, so
+            # ties resolve to its right end.
+            lo = None
+            if base <= neg_lam:
                 while True:
-                    x = lo_heap[0]
-                    jump = get(x)
-                    while jump is None:
-                        pop(lo_heap)
-                        x = lo_heap[0]
-                        jump = get(x)
-                    if base == bound:
+                    if low:
+                        x = low[0]
+                    elif len(high) > 1:
+                        p = -_refill(high, low)
+                        x = low[0]
+                    else:
+                        x = -high[0]  # the one key left
+                    if base == neg_lam:
                         lo = x
                         break
-                    s = base + jump
-                    if s > bound:
-                        jumps[x] = s - bound
-                        base, lo = bound, x
+                    s = base + jumps[x]
+                    if s > neg_lam:
+                        jumps[x] = s - neg_lam
+                        base, lo = neg_lam, x
                         break
                     del jumps[x]
-                    pop(lo_heap)
+                    pop(low if low else high)
                     base = s
-            if k == n:
-                break
             # Upper clip: the same walk from the right on the mirror image, stopping at the stretch's right end.
             hi = None
             if neg_top < neg_lam:
                 while True:
-                    x = -hi_heap[0]
-                    jump = get(x)
-                    while jump is None:
-                        pop(hi_heap)
-                        x = -hi_heap[0]
-                        jump = get(x)
-                    s = neg_top + jump
+                    if high:
+                        x = -high[0]
+                    elif len(low) > 1:
+                        p = _refill(low, high)
+                        x = -high[0]
+                    else:
+                        x = low[0]
+                    s = neg_top + jumps[x]
                     if s > neg_lam:
                         jumps[x] = s - neg_lam
                         neg_top, hi = neg_lam, x
                         break
                     del jumps[x]
-                    pop(hi_heap)
+                    pop(high if high else low)
                     neg_top = s
                     if s == neg_lam:
                         hi = x
@@ -333,17 +365,35 @@ def _fit_core(y: Sequence, tau, lam, unit=1) -> list:
             his.append(hi)
             base -= tau
             neg_top += step
-            x = y[k]
-            jump = get(x)
+            jump = get(x_new)
             if jump is None:
-                jumps[x] = unit
-                push(lo_heap, x)
-                push(hi_heap, -x)
+                jumps[x_new] = unit
+                if x_new < p:
+                    push(low, x_new)
+                else:
+                    push(high, -x_new)
             else:
-                jumps[x] = jump + unit
+                jumps[x_new] = jump + unit
+        # The argmin: the lower walk once more, with bound 0.
+        while True:
+            if low:
+                x = low[0]
+            elif len(high) > 1:
+                _refill(high, low)
+                x = low[0]
+            else:
+                x = -high[0]
+            if base == 0:
+                break
+            s = base + jumps[x]
+            if s > 0:
+                break
+            del jumps[x]
+            pop(low if low else high)
+            base = s
     except IndexError:  # the value at each end lies beyond both bounds for 0 < tau < unit, lam > 0
         raise AssertionError("derivative exhausted during a clip") from None
-    t = lo
+    t = x
     theta = [t]
     for lo, hi in zip(reversed(los), reversed(his)):
         if lo is not None and t < lo:

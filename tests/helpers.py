@@ -302,8 +302,12 @@ def trim(heap: list, negated: bool, jumps: dict, v, bound, far: bool):
 def reference_fit_core(y, tau, lam, prefer_high: bool, unit=1) -> list:
     """The forward/backward pass of `qtvd.solver._fit_core` with each clip a `trim` call.
 
-    Same state and tie rules; the library writes both walks out in its
-    loop, and the tests require the two to return the same list.
+    Same walks and tie rules, on the lazy-heap store the library used
+    before: every breakpoint pushed on both heaps, and keys the other walk
+    consumed skipped as stale.  So the helper no longer shares
+    `_fit_core`'s store (two disjoint heaps split at a pivot, with
+    refills), only its walks; the tests require the two to return the
+    same list.
     """
     if lam == 0:
         return list(y)

@@ -482,6 +482,19 @@ class TestSimulateRate:
         assert "--x0" in capsys.readouterr().err
         assert not (tmp_path / "x.json").exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "rate"])
+    @pytest.mark.parametrize("signal, x0, where", [([], "1", "at an end of [0, 1]"), ([], "0", "at an end of [0, 1]"),
+                                                   (["--signal", "pwc", "--breaks", "0.5", "--levels", "0,1"], "0.5",
+                                                    "on a break")])
+    def test_star_lambda_at_a_degenerate_x0_exits_2(self, command, signal, x0, where, tmp_path, capsys):
+        size = ["--n", "64"] if command == "simulate" else ["--n-grid", "64,128,256,512"]
+        args = [command, *size, "--reps", "2", *signal, "--lambda", "star"]
+        assert run([*args, "--x0", "0.25", "--output", str(tmp_path / "ok")]) == 0
+        capsys.readouterr()
+        assert run([*args, "--x0", x0, "--output", str(tmp_path / "x")]) == 2
+        assert f"error: lam* is undefined at x0 = {float(x0)}: it lies {where}" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
+
     @pytest.mark.parametrize("signal, name", [(["--level", "nan"], "level"), (["--signal", "cusp", "--L0", "inf"], "norm"),
                                               (["--signal", "pwc", "--breaks", "0.5", "--levels", "0,nan"], "levels")])
     def test_non_finite_signal_parameter_exits_2(self, signal, name, tmp_path, capsys):

@@ -396,8 +396,10 @@ class TestLambdaStar:
         # radius 0.05 at x0 = 0.25 (lam ~ 41.3), not the 0.3 at the centre (lam ~ 101.1)
         assert simulate(model, "star", 1, x0=0.25).lam == pytest.approx(lambda_star(4096, 2.0, r0=0.05), rel=1e-12)
         assert simulate(model, "star", 1, x0=0.5).lam == pytest.approx(lambda_star(4096, 2.0, r0=0.3), rel=1e-12)
-        with pytest.raises(ValueError, match="r0"):
+        with pytest.raises(ValueError, match=r"x0 = 1\.0: it lies at an end of \[0, 1\]"):
             simulate(ModelSpec(64, 0.5, ConstantSignal(), Cauchy()), "star", 1, x0=1.0)
+        with pytest.raises(ValueError, match=r"x0 = 0\.8: it lies on a break"):
+            simulate(model, "star", 1, x0=0.8)
 
     def test_star_of_constant_and_cusp_signals(self):
         constant = ModelSpec(4096, 0.5, ConstantSignal(1.0), Cauchy(0.1))

@@ -475,6 +475,22 @@ def _against_reference_walk(y, tau, lam, unit):
     assert _fit_extremal(*args, "lower") == reference_fit_core(y, tau, lam, False, unit), args
 
 
+def _against_walk_and_grid(y, tau, lam, unit):
+    """`_against_reference_walk`, and both fits against the grid oracle on y's Fractions where its grid is small."""
+    _against_reference_walk(y, tau, lam, unit)
+    if len(y) <= GRID_ORACLE_CAP and len(set(y)) ** len(y) <= 4**8:
+        _, lower, upper = grid_oracle(Instance(tuple(map(F, y)), F(tau, unit), F(lam, unit)))
+        assert _fit_extremal(y, tau, lam, unit, "lower") == list(lower), (y, tau, lam, unit)
+        assert _fit_core(y, tau, lam, unit) == list(upper), (y, tau, lam, unit)
+
+
+def _float_fits_equal_exact(y, tau, lam):
+    """`fit_float` against `fit` on the Fractions of float data and levels, for every extremality."""
+    inst = Instance(tuple(map(F, y)), F(tau), F(lam))
+    for ext in ("lower", "upper", "any"):
+        assert fit_float(y, tau, lam, ext) == [float(v) for v in fit(inst, ext).theta], (y, tau, lam, ext)
+
+
 class TestFitCoreAgainstHelperWalk:
     """The written-out walks of `_fit_core` against `reference_fit_core`, which calls `trim` per clip.
 
@@ -510,6 +526,105 @@ class TestFitCoreAgainstHelperWalk:
             for levels in (_lattice(F(0.5), F(lam)), _fit_lattice(F(0.5), F(lam))):  # raw, and what fit_float passes
                 unit, t, l = levels
                 _against_reference_walk(y, t, l, unit)
+
+    def test_monotone_and_v_shaped_trends(self):
+        # A trend sends each new value to one side of the pivot, so one heap empties every few steps and refills.
+        rng = random.Random(53)
+        for trial in range(160):
+            n = 1 + trial % 8 if trial % 2 else rng.randint(9, 160)
+            ties, m = rng.choice((1, 1, 2, 3)), rng.randrange(n)
+            y = rng.choice(([i // ties for i in range(n)], [abs(i - m) // ties for i in range(n)]))
+            if rng.random() < 0.5:
+                y = [-v for v in y]
+            unit = rng.choice((2, 4, 12))
+            tau = rng.randrange(1, unit)
+            for lam in (unit // 2, unit + 1, 3 * unit, n * unit // 4 + 1):
+                _against_walk_and_grid(y, tau, lam, unit)
+
+    def test_cusp_shaped_floats(self):
+        rng = random.Random(59)
+        for trial in range(40):
+            n = rng.randint(2, 300)
+            m = rng.random()
+            y = [abs(i / n - m) ** 0.5 + 0.01 * rng.gauss(0, 1) for i in range(n)]
+            tau, lam = rng.choice((0.5, 0.25, 0.3)), rng.choice((0.25, 1.5, n / 8))
+            unit, t, l = _lattice(F(tau), F(lam))
+            _against_reference_walk(y, t, l, unit)
+            _float_fits_equal_exact(y, tau, lam)
+
+    def test_one_live_breakpoint(self):
+        # lam below one unit jump: the clips leave a single breakpoint, which both walks read from either heap.
+        rng = random.Random(61)
+        for trial in range(300):
+            n = 1 + trial % 40
+            unit = rng.choice((2, 4, 12, 60))
+            y = [rng.randint(-3, 3) for _ in range(n)]
+            _against_walk_and_grid(y, rng.randrange(1, unit), rng.randrange(1, unit), unit)
+
+    def test_outliers_beyond_either_end(self):
+        # Cauchy-like draws, some far past every other value on either side.
+        rng = random.Random(67)
+        for trial in range(120):
+            n = 1 + trial % 8 if trial % 2 else rng.randint(9, 200)
+            y = [math.tan(math.pi * (rng.random() - 0.5)) for _ in range(n)]
+            for j in rng.sample(range(n), min(n, 3)):
+                y[j] = rng.choice((-1.0, 1.0)) * 10.0 ** rng.randint(6, 300)
+            tau, lam = rng.choice((0.5, 0.25, 0.3, 0.9)), rng.choice((0.125, 0.75, 3.0, float(n)))
+            unit, t, l = _lattice(F(tau), F(lam))
+            _against_walk_and_grid(y, t, l, unit)
+            _float_fits_equal_exact(y, tau, lam)
+
+    def test_values_equal_to_the_pivot(self):
+        # The pivot starts at y[0] and moves to a breakpoint on each refill; a few repeated levels meet it
+        # again, live or already consumed.
+        rng = random.Random(71)
+        for trial in range(200):
+            n = 1 + trial % 8 if trial % 2 else rng.randint(9, 120)
+            pool = rng.sample(range(-6, 7), rng.randint(1, 4))
+            y = [pool[0]] + [rng.choice(pool[:1] * 2 + pool) for _ in range(n - 1)]
+            unit = rng.choice((2, 4, 12))
+            tau = rng.randrange(1, unit)
+            for lam in (unit // 2, 2 * unit + 1, n * unit // 3 + 1):
+                _against_walk_and_grid(y, tau, lam, unit)
+
+    def test_lambda_at_least_n(self):
+        # No clip binds inside the loop, so the final walk alone consumes the breakpoints, refilling as it goes.
+        rng = random.Random(73)
+        for trial in range(80):
+            n = 1 + trial % 8 if trial % 2 else rng.randint(9, 300)
+            y = [rng.randint(-n, n) for _ in range(n)]
+            if trial % 3 == 0:
+                y.sort(reverse=rng.random() < 0.5)
+            unit = rng.choice((2, 4, 12))
+            tau = rng.randrange(1, unit)
+            for lam in (n * unit, 2 * n * unit + 1):
+                _against_walk_and_grid(y, tau, lam, unit)
+                assert len(set(_fit_core(y, tau, lam, unit))) == 1
+
+    def test_refills_move_few_keys(self, monkeypatch):
+        # A refill moves about half a heap, and the next one waits for about as many pops: at most
+        # 2 keys per pop plus the last refill's, so 3 per data point.
+        moved = []
+        refill = solver._refill
+
+        def counted(heap, empty):
+            size = len(heap)
+            first = refill(heap, empty)
+            moved.append(size - len(heap))
+            return first
+
+        monkeypatch.setattr(solver, "_refill", counted)
+        rng, refills = random.Random(79), 0
+        for n in (50, 400, 2000):
+            m = rng.randrange(n)
+            for y in (list(range(n)), [abs(i - m) for i in range(n)], [rng.randint(0, n) for _ in range(n)]):
+                for lam in (3, 40, 4 * n):
+                    for run in (lambda: _fit_core(y, 1, lam, 2), lambda: _fit_extremal(y, 1, lam, 2, "lower")):
+                        moved.clear()
+                        run()
+                        assert sum(moved) <= 3 * n, (n, lam, sum(moved))
+                        refills += len(moved)
+        assert refills > 1000
 
     def test_exhausted_derivative_raises(self):
         # tau above the unit jump makes the value at +inf negative (and unit - tau, reflected, the value
