@@ -374,7 +374,7 @@ def _fit_core(y: Sequence, tau, lam, unit=1) -> list:
                     push(high, -x_new)
             else:
                 jumps[x_new] = jump + unit
-        # The argmin: the lower walk once more, with bound 0.
+        # The argmin: the lower walk once more, with bound 0; base < 0, as it only falls by tau or clips to -lam.
         while True:
             if low:
                 x = low[0]

@@ -553,7 +553,8 @@ class TestFitCoreAgainstHelperWalk:
             _float_fits_equal_exact(y, tau, lam)
 
     def test_one_live_breakpoint(self):
-        # lam below one unit jump: the clips leave a single breakpoint, which both walks read from either heap.
+        # lam below one unit jump: the clips leave one or two live breakpoints in most steps, often one,
+        # which both walks then read from the heap that holds it.
         rng = random.Random(61)
         for trial in range(300):
             n = 1 + trial % 40
