@@ -33,7 +33,6 @@ import json
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
-from math import lcm
 from typing import Optional, Sequence
 
 from . import penalties, risk, solver
@@ -75,10 +74,8 @@ def _read_values(path: str) -> tuple[list[Fraction], tuple]:
             parsed[text] = Fraction(number)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"{path}:{texts.index(text, start) + 1}: could not parse {number!r}") from exc
-    dens = {v.denominator for v in parsed.values()}
-    scale = lcm(*dens)
-    factor = {d: scale // d for d in dens}
-    ints = {text: v.numerator * factor[v.denominator] for text, v in parsed.items()}
+    scale, scaled = solver._scaled(list(parsed.values()))
+    ints = dict(zip(parsed, scaled))
     return list(map(parsed.__getitem__, rows)), (scale, list(map(ints.__getitem__, rows)))
 
 

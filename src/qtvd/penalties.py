@@ -43,7 +43,7 @@ from typing import Sequence
 import numpy as np
 
 from .intervals import _as_int, _as_rational
-from .solver import Instance, _fit_scaled
+from .solver import Instance, _fit_scaled, _instance
 
 __all__ = [
     "Absolute",
@@ -273,9 +273,8 @@ def noncrossing_audit(y: Sequence, lam, tau1, tau2) -> NonCrossingReport:
     if not tau1 < tau2:
         raise ValueError(f"need tau1 < tau2, got {tau1} >= {tau2}")
     inst = Instance(tuple(y), tau1, lam)
-    if not tau2 < 1:
-        raise ValueError(f"tau must be in (0, 1), got {tau2}")
-    upper1, lower2 = _fit_scaled(inst, "upper"), _fit_scaled(inst, "lower", tau2)
+    inst2 = _instance(inst.y, tau2, inst.lam, inst._scaled_y)
+    upper1, lower2 = _fit_scaled(inst, "upper"), _fit_scaled(inst2, "lower")
     worst = Fraction(min(b - a for a, b in zip(upper1, lower2)), inst._scaled_y[0])
     return NonCrossingReport(ok=worst >= 0, worst_gap=worst)
 

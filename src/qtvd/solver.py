@@ -19,8 +19,10 @@ the data value, and the coupling to the next position clips it to
 which only trims the two ends.  Each clip is a walk that raises the
 value seen from one end to a bound, consuming breakpoints from that end:
 the lower clip walks from the left, the upper clip from the right on the
-mirror image (x -> -x, values negated), and the final argmin is the
-lower walk once more with bound 0.
+mirror image (x -> -x, values negated).  The final argmin, once per
+fit, sorts the live breakpoints and scans them in ascending order,
+adding each jump to the value at -inf, up to the first where the value
+exceeds 0: on a stretch where it is exactly 0, the stretch's right end.
 The jumps live in a dict by breakpoint, and each breakpoint in exactly
 one of two heaps split at a pivot p: L, a min-heap of keys below p, and
 R, a heap of -x for the rest, so max(L) <= p <= min(R) and the lower
@@ -47,7 +49,9 @@ The lower fit is minus the upper fit of (-y, 1-tau): rho_tau(-x) =
 rho_{1-tau}(x) makes the solution set of (-y, 1-tau, lam) minus that of
 (y, tau, lam), negation is exact on ints and floats, and 1-tau keeps
 tau's denominator, so the levels carry over.
-At lam = 0 the positions decouple and theta = y is the unique minimiser.
+At lam = 0 the positions decouple and theta = y is the unique minimiser;
+the same pass returns it, as each position's two clips both stop at its
+data value, then the one live breakpoint.
 
 The pass only compares data values with each other and only returns
 breakpoints, so it is invariant under any increasing relabelling of y;
@@ -301,11 +305,10 @@ def _fit_core(y: Sequence, tau, lam, unit=1) -> list:
     at a pivot p with max(L) <= p <= min(R): `low` holds the keys x of L,
     `high` the keys -x of R.  A walk whose own heap is empty refills it
     with `_refill` from the other, or reads the one key left there.  The
-    loop runs over y[1:] with the clip bound -lam; the argmin walk, bound
-    0, follows it.
+    loop runs over y[1:] with the clip bound -lam; the argmin then scans
+    the live keys in ascending order, L's sorted before R's.  At lam = 0
+    the clips pin every clamp to its data value, so the pass returns y.
     """
-    if lam == 0:
-        return list(y)
     neg_lam, step = -lam, tau - unit
     p = y[0]
     jumps = {p: unit}
@@ -374,23 +377,14 @@ def _fit_core(y: Sequence, tau, lam, unit=1) -> list:
                     push(high, -x_new)
             else:
                 jumps[x_new] = jump + unit
-        # The argmin: the lower walk once more, with bound 0; base < 0, as it only falls by tau or clips to -lam.
-        while True:
-            if low:
-                x = low[0]
-            elif len(high) > 1:
-                _refill(high, low)
-                x = low[0]
-            else:
-                x = -high[0]
-            if base == 0:
+        # The argmin: the first live key, ascending, past which the value exceeds 0; a stretch at 0
+        # ends at the next key, whose jump is positive.  base < 0: it only falls by tau or clips to -lam.
+        for x in sorted(low) + sorted(map(neg, high)):
+            base += jumps[x]
+            if base > 0:
                 break
-            s = base + jumps[x]
-            if s > 0:
-                break
-            del jumps[x]
-            pop(low if low else high)
-            base = s
+        else:
+            raise IndexError
     except IndexError:  # the value at each end lies beyond both bounds for 0 < tau < unit, lam > 0
         raise AssertionError("derivative exhausted during a clip") from None
     t = x
@@ -414,9 +408,9 @@ def _fit_extremal(y: Sequence, tau, lam, unit, extremality: Extremality) -> list
     return _fit_core(y, tau, lam, unit)
 
 
-def _fit_scaled(inst: Instance, extremality: Extremality, tau: Optional[Fraction] = None) -> list:
-    """The fit as y's scaled ints from `inst._scaled_y`; `tau` in (0, 1) replaces inst.tau."""
-    unit, tau, lam = _fit_lattice(inst.tau if tau is None else tau, inst.lam)
+def _fit_scaled(inst: Instance, extremality: Extremality) -> list:
+    """The fit as y's scaled ints from `inst._scaled_y`."""
+    unit, tau, lam = _fit_lattice(inst.tau, inst.lam)
     return _fit_extremal(inst._scaled_y[1], tau, lam, unit, extremality)
 
 

@@ -190,6 +190,7 @@ def test_against_removes_its_export(tmp_path, monkeypatch, fails):
         return {}, _run(job_s=1.0)
 
     monkeypatch.setattr(bench_record, "export", export)
+    monkeypatch.setattr(bench_record, "compile_tree", lambda tree: None)
     monkeypatch.setattr(bench_record, "run_bench", run_bench)
     spec = {"run_seconds": 1, "end_to_end": AB_METRICS[:1]}
     if fails:
@@ -199,3 +200,26 @@ def test_against_removes_its_export(tmp_path, monkeypatch, fails):
         commit, _, cases = bench_record.against("HEAD", 2, ["exact_chain"], spec, 0)
         assert commit == "c" * 40 and cases["exact_chain"]["correct"]
     assert not tree.exists()
+
+
+def test_both_trees_are_byte_compiled_before_the_first_run(tmp_path, monkeypatch):
+    # The export starts without __pycache__ and PYTHONDONTWRITEBYTECODE=1 keeps it so, while a checkout may
+    # hold .pyc files: both trees get them before any run, so setup_s compares the same bytecode state.
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    monkeypatch.setattr(bench_record.sys, "dont_write_bytecode", True)
+    base, head = tmp_path / "base", tmp_path / "head"
+    sources = [tree / part / "pkg" / "mod.py" for tree in (base, head) for part in ("src", "bench")]
+    for source in sources:
+        source.parent.mkdir(parents=True)
+        source.write_text("X = 1\n", encoding="utf-8")
+    compiled = []
+
+    def run_bench(workload, seed, seconds, tree, trace):
+        compiled.append(all(Path(importlib.util.cache_from_source(str(s))).is_file() for s in sources))
+        return {}, _run(job_s=1.0)
+
+    monkeypatch.setattr(bench_record, "ROOT", head)
+    monkeypatch.setattr(bench_record, "export", lambda rev: ("c" * 40, base))
+    monkeypatch.setattr(bench_record, "run_bench", run_bench)
+    bench_record.against("HEAD", 2, ["exact_chain"], {"run_seconds": 1, "end_to_end": AB_METRICS[:1]}, 0)
+    assert compiled == [True] * 4

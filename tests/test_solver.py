@@ -130,9 +130,17 @@ class TestInstance:
 
 class TestFit:
     def test_lambda_zero_returns_data(self):
-        inst = Instance((4, -1, 7, 7), F(9, 10), F(0))
-        for ext in ("lower", "upper", "any"):
-            assert fit(inst, ext).theta == inst.y
+        # The one pass with no shortcut: each position's clips stop at its own data value, ties included.
+        ys = [(4, -1, 7, 7), (5,), (2, 2, 0, 2, 0, 0, 1, 2, 2), (F(1, 3), F(1, 3), -1, F(1, 3), F(-1, 2))]
+        floats = [[0.0, -0.0, 0.5, -0.0, 0.0], [-0.0], [-0.0, 0.0], [1.5, 1.5, -0.0, 1.5, 0.0, 0.0]]
+        for tau in (F(9, 10), F(1, 2), F(1, 3)):
+            for y in ys:
+                inst = Instance(y, tau, F(0))
+                for ext in ("lower", "upper", "any"):
+                    assert fit(inst, ext).theta == inst.y, (y, tau, ext)
+            for y in floats + [[float(v) for v in y] for y in ys]:
+                for ext in ("lower", "upper", "any"):
+                    assert fit_float(y, float(tau), 0.0, ext) == y, (y, tau, ext)  # by ==: a zero's sign is unspecified
 
     def test_constant_data(self):
         inst = Instance((F(3, 2),) * 5, F(1, 4), F(2))
@@ -637,6 +645,62 @@ class TestFitCoreAgainstHelperWalk:
         for call in calls:
             with pytest.raises(AssertionError):
                 call()
+
+
+def _constant_fits(y, tau) -> tuple:
+    """(smallest, largest) minimiser over constants c of sum_i rho_tau(y_i - c): both are data values."""
+    scale, (p, q) = math.lcm(*(F(v).denominator for v in y)), tau.as_integer_ratio()
+    ints = [int(v * scale) for v in y]  # the loss times q * scale, in ints
+    losses = {c: sum(p * (v - c) if v >= c else (p - q) * (v - c) for v in ints) for c in set(ints)}
+    least = min(losses.values())
+    best = [c for c, loss in losses.items() if loss == least]
+    return F(min(best), scale), F(max(best), scale)
+
+
+class TestArgminScan:
+    """The final argmin: the first live key, ascending, past which the derivative exceeds 0."""
+
+    def test_flat_stretch_at_zero_takes_its_right_end(self):
+        # Between its two data values the final derivative is -tau*2 + 1 = 0, so theta_n ranges over [0, 1].
+        inst = Instance((0, 1), F(1, 2), F(2))
+        assert fit(inst, "upper").theta == (1, 1) and fit(inst, "lower").theta == (0, 0)
+        rng, stretches = random.Random(83), 0
+        for trial in range(300):
+            n = 1 + trial % 6
+            q = rng.choice((2, 4, 6))
+            inst = Instance(tuple(rng.randint(0, 3) for _ in range(n)), F(rng.randrange(1, q), q),
+                            F(rng.randint(0, 4 * n), 2 * q))
+            _, lower, upper = grid_oracle(inst)
+            assert fit(inst, "upper").theta == upper and fit(inst, "lower").theta == lower, inst
+            stretches += upper[-1] > lower[-1]  # theta_n not unique: the derivative is 0 on a stretch at the end
+        assert stretches > 30
+
+    def test_one_live_key_at_the_end(self):
+        # lam = 1/4 with tau = 1/2: each clip leaves a lone key with jump 2*lam, and the last value lands on it.
+        cases = [((3,), F(1, 2)), ((0, 5, 5), F(1, 4)), ((2, 2, 2, 2), F(7, 3)), ((-4, 1, 1), F(1, 4)),
+                 ((0, 5, 0, 5, 5), F(1, 4)), ((5, 0, 0), F(1, 4))]
+        for y, lam in cases:
+            inst = Instance(y, F(1, 2), lam)
+            _, lower, upper = grid_oracle(inst)
+            assert fit(inst, "upper").theta == upper and fit(inst, "lower").theta == lower, y
+            unit, tau, lam = _fit_lattice(inst.tau, inst.lam)
+            assert _fit_core(list(y), tau, lam, unit) == list(upper)
+
+    def test_lambda_at_least_n(self):
+        # No clip binds inside the loop, so the scan alone finds the constant fit: the largest (for the
+        # lower fit, the smallest) minimiser of the summed loss over constants.
+        rng = random.Random(89)
+        for trial in range(60):
+            n = rng.randint(1, 300)
+            y = tuple(rng.randint(-5, 5) if trial % 2 else F(rng.randint(-n, n), rng.randint(1, 3)) for _ in range(n))
+            q = rng.choice((2, 3, 4, 5, 10))
+            tau = F(rng.randrange(1, q), q)
+            low, high = _constant_fits(y, tau)
+            for lam in (F(n), F(2 * n + 1)):
+                inst = Instance(y, tau, lam)
+                assert fit(inst, "upper").theta == (high,) * n and fit(inst, "lower").theta == (low,) * n, inst
+                if trial % 2 and q in (2, 4):  # integer data, tau and lam are exact as floats
+                    assert fit_float([float(v) for v in y], float(tau), float(lam)) == [float(high)] * n
 
 
 class TestFloatPath:

@@ -8,7 +8,11 @@ exports REV with `git archive` to .bench_work/against-<commit>/ and, for
 pair i = 0 .. K-1 (K = 10 by default), runs each tree's own `bench/run.py
 --workload W --seed i --seconds <run_seconds> --trace 0|1` on every
 workload in BENCHMARK.json or on W alone, REV first on even pairs and this
-checkout first on odd ones.  Per metric it prints each pair's ratio (this
+checkout first on odd ones.  Before the pairs it byte-compiles `src/` and
+`bench/` of both trees with `compileall`, which writes even under
+PYTHONDONTWRITEBYTECODE=1: the export would otherwise start without the
+`.pyc` files the checkout holds, and setup_s would favour the checkout.
+Per metric it prints each pair's ratio (this
 checkout over REV; the difference for a metric that is not always
 positive), each side's median and quartiles, the median ratio and how many
 pairs this checkout wins (ties count for neither side).  A metric is marked
@@ -40,6 +44,7 @@ scratch files to .bench_work/.
 from __future__ import annotations
 
 import argparse
+import compileall
 import io
 import json
 import os
@@ -112,6 +117,12 @@ def export(rev: str) -> tuple:
     return commit, tree
 
 
+def compile_tree(tree: Path) -> None:
+    """Write the `.pyc` files of `tree`'s src/ and bench/, so both sides start with the same bytecode state."""
+    for part in ("src", "bench"):
+        compileall.compile_dir(tree / part, quiet=1)
+
+
 def compare_pairs(pairs: list, metrics: list) -> tuple:
     """(report lines, {metric: summary}) of paired runs.
 
@@ -160,6 +171,8 @@ def against(rev: str, n_pairs: int, workloads: list, spec: dict, trace: int) -> 
     metrics = spec["per_layer" if trace else "end_to_end"]
     env, cases = None, {}
     try:
+        compile_tree(base_tree)
+        compile_tree(ROOT)
         for workload in workloads:
             pairs, correct = [], True
             for seed in range(n_pairs):
