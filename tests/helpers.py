@@ -306,8 +306,10 @@ def reference_fit_core(y, tau, lam, prefer_high: bool, unit=1) -> list:
     before: every breakpoint pushed on both heaps, and keys the other walk
     consumed skipped as stale.  So the helper no longer shares
     `_fit_core`'s store (two disjoint heaps split at a pivot, with
-    refills), only its walks; the tests require the two to return the
-    same list.
+    refills), only its clip walks; the tests require the two to return
+    the same list.  Its argmin is one more `trim` walk with bound 0,
+    where `_fit_core` scans its sorted live keys, and it returns y at
+    lam = 0 without a pass, where `_fit_core` runs its one pass.
     """
     if lam == 0:
         return list(y)

@@ -676,7 +676,8 @@ class TestArgminScan:
         assert stretches > 30
 
     def test_one_live_key_at_the_end(self):
-        # lam = 1/4 with tau = 1/2: each clip leaves a lone key with jump 2*lam, and the last value lands on it.
+        # Each pass, and its reflection, ends with one live key: at lam = 1/4 and tau = 1/2 the clips leave a lone
+        # key with jump 2*lam, and the last value lands on it; n = 1 and constant data hold one key throughout.
         cases = [((3,), F(1, 2)), ((0, 5, 5), F(1, 4)), ((2, 2, 2, 2), F(7, 3)), ((-4, 1, 1), F(1, 4)),
                  ((0, 5, 0, 5, 5), F(1, 4)), ((5, 0, 0), F(1, 4))]
         for y, lam in cases:
