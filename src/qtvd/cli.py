@@ -12,7 +12,9 @@ reader also returns the data scaled by the lcm of their denominators,
 computed once per distinct text; the instance is built holding those
 ints, `fit` certifies the scaled theta the solver returns, and `certify`
 the scaled candidate the reader returns.  theta, g and z are written from
-their ints, one str(Fraction) per distinct value.
+their ints: each distinct value's fraction text comes from the integer gcd
+of its numerator and the scale, with no Fraction built, and a list of such
+strings, which never need escaping, is written with one join.
 
 Exit status: 0 on success, 2 on validation failure (with a line
 diagnostic for malformed input), 3 when an audit finds a violation, so
@@ -33,6 +35,7 @@ import json
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
+from math import gcd
 from typing import Optional, Sequence
 
 from . import penalties, risk, solver
@@ -81,7 +84,8 @@ def _read_values(path: str) -> tuple[list[Fraction], tuple]:
 
 def _json(value, indent: str) -> str:
     """`json.dumps(value, sort_keys=True, indent=2)` nested at `indent`, byte for byte, without the
-    pure-Python encoder that `indent` selects: only scalars go through `json.dumps`."""
+    pure-Python encoder that `indent` selects: only scalars go through `json.dumps`.  A list of strs
+    is one join when no distinct string needs escaping, each checked once."""
     if isinstance(value, str):
         return _json_str(value)
     if not isinstance(value, (dict, list, tuple)) or not value:
@@ -89,8 +93,12 @@ def _json(value, indent: str) -> str:
     inner = indent + "  "
     if isinstance(value, dict):
         ends, items = "{}", (f"{_json_str(k)}: {_json(v, inner)}" for k, v in sorted(value.items()))
-    elif set(map(type, value)) == {str}:  # theta, g and z: no call per item
-        ends, items = "[]", map(_json_str, value)
+    elif set(map(type, value)) == {str}:  # theta, g and z: one join when no distinct string needs escaping
+        ends = "[]"
+        if all(_json_str(s) == f'"{s}"' for s in set(value)):
+            items = ['"' + f'",\n{inner}"'.join(value) + '"']
+        else:
+            items = map(_json_str, value)
     else:
         ends, items = "[]", (_json(v, inner) for v in value)
     return ends[0] + "\n" + inner + (",\n" + inner).join(items) + "\n" + indent + ends[1]
@@ -106,8 +114,12 @@ def _emit(doc: dict, path: Optional[str]) -> None:
 
 
 def _fraction_strs(ints: list, scale: int) -> list[str]:
-    """str(Fraction(v, scale)) of each int, once per distinct int: fitted vectors and witnesses repeat a few."""
-    text = {v: str(Fraction(v, scale)) for v in set(ints)}
+    """str(Fraction(v, scale)) of each int for scale > 0, once per distinct int: fitted vectors and witnesses
+    repeat a few.  A level's text comes from the gcd of its two ints; no Fraction is built."""
+    text = {}
+    for v in set(ints):
+        d = gcd(v, scale)
+        text[v] = str(v // d) if d == scale else f"{v // d}/{scale // d}"
     return list(map(text.__getitem__, ints))
 
 

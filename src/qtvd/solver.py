@@ -386,7 +386,7 @@ def _fit_core(y: Sequence, tau, lam, unit=1) -> list:
         else:
             raise IndexError
     except IndexError:  # the value at each end lies beyond both bounds for 0 < tau < unit, lam > 0
-        raise AssertionError("derivative exhausted during a clip") from None
+        raise AssertionError("derivative exhausted") from None
     t = x
     theta = [t]
     for lo, hi in zip(reversed(los), reversed(his)):
