@@ -93,7 +93,7 @@ def _json(value, indent: str) -> str:
     inner = indent + "  "
     if isinstance(value, dict):
         ends, items = "{}", (f"{_json_str(k)}: {_json(v, inner)}" for k, v in sorted(value.items()))
-    elif set(map(type, value)) == {str}:  # theta, g and z: one join when no distinct string needs escaping
+    elif set(map(type, value)) == {str}:  # theta, g and z
         ends = "[]"
         if all(_json_str(s) == f'"{s}"' for s in set(value)):
             items = ['"' + f'",\n{inner}"'.join(value) + '"']

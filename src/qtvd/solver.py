@@ -385,7 +385,7 @@ def _fit_core(y: Sequence, tau, lam, unit=1) -> list:
                 break
         else:
             raise IndexError
-    except IndexError:  # the value at each end lies beyond both bounds for 0 < tau < unit, lam > 0
+    except IndexError:  # the value at each end lies beyond both bounds for 0 < tau < unit, lam >= 0
         raise AssertionError("derivative exhausted") from None
     t = x
     theta = [t]

@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import math
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from helpers import grid_oracle
 
-from qtvd import cli, solver
+from qtvd import cli, risk, solver
 from qtvd.penalties import NonCrossingReport
 from qtvd.risk import RiskConstants
 from qtvd.solver import Instance, certify, fit
@@ -295,6 +296,15 @@ _DOCS = st.dictionaries(_TEXT, st.recursive(
 ), max_size=4)
 
 
+def _per_fraction_strs(ints, scale):
+    """The level strings as str(Fraction) builds them: the reference for `cli._fraction_strs`."""
+    text = {v: str(F(v, scale)) for v in set(ints)}
+    return list(map(text.__getitem__, ints))
+
+
+_PRIMES = (2, 3, 5, 7, 11, 13, 2**31 - 1, 2**61 - 1, 2**89 - 1)
+
+
 class TestJsonLayout:
     """Every JSON artifact reads byte for byte as `json.dumps(doc, sort_keys=True, indent=2)` writes it."""
 
@@ -305,6 +315,47 @@ class TestJsonLayout:
         with contextlib.redirect_stdout(out):
             cli._emit(doc, None)
         assert out.getvalue() == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(st.just(0) | st.integers(max_value=-1) | st.integers(min_value=2**64),
+           st.just(1) | st.sampled_from(_PRIMES) | st.integers(1, 2**70),
+           st.sampled_from((1, 2, 6, 7, 2**64 + 1, 3**41)))
+    def test_fraction_strs_match_fraction(self, v, scale, common):
+        # common is shared by both ints of the second pair; the third and fourth are whole numbers
+        for num, den in ((v, scale), (v * common, scale * common), (v * scale, scale), (v * common, common)):
+            assert cli._fraction_strs([num], den) == [str(F(num, den))], (num, den)
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(st.sampled_from(('"', "\\", "\x1f", "\u00e9", "\ud800", None)), st.integers(0, 1199))
+    def test_long_string_list_with_one_escape_matches_stdlib(self, char, position):
+        # One string that needs escaping sends the whole list down the per-item path; None needs none.
+        values = [str(F(k, 7)) for k in range(-600, 600)]
+        if char is not None:
+            values[position] = f"1/{char}7"
+        doc = {"z": values, "g": values[:position], "theta": ["1/3"] * 1000}
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli._emit(doc, None)
+        assert out.getvalue() == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+    def test_many_levels_write_per_fraction_bytes(self, tmp_path, monkeypatch):
+        # A step at lam = n: the fit is one constant, and the z of fit and certify runs through 302 levels.
+        rng, n = random.Random(3), 600
+        y_file = write(tmp_path / "y.txt", "".join(
+            f"{rng.randint(0, 3) + 3 * (i >= n // 2)}/{rng.choice((1, 3))}\n" for i in range(n)))
+        exact = ["--input", y_file, "--tau", "1/3", "--lambda", str(n)]
+        written = {}
+        for name in ("ours", "per-fraction"):
+            if name == "per-fraction":
+                monkeypatch.setattr(cli, "_fraction_strs", _per_fraction_strs)
+                monkeypatch.setattr(cli, "_emit", _stdlib_emit)
+            fit_out, cert_out = tmp_path / f"fit-{name}.json", tmp_path / f"certify-{name}.json"
+            assert run(["fit", *exact, "--extremal", "upper", "--output", str(fit_out)]) == 0
+            theta_file = write(tmp_path / f"theta-{name}.txt", "\n".join(json.loads(fit_out.read_text())["theta"]))
+            assert run(["certify", *exact, "--theta", theta_file, "--output", str(cert_out)]) == 0
+            written[name] = fit_out.read_bytes(), cert_out.read_bytes()
+        assert written["ours"] == written["per-fraction"]
+        assert len(set(json.loads(written["ours"][1])["z"])) >= 300
 
     @pytest.mark.parametrize("command", ["fit", "certify", "envelope", "audit", "simulate", "rate"])
     def test_commands_write_stdlib_bytes(self, command, tmp_path, monkeypatch):
@@ -410,6 +461,14 @@ class TestSimulateRate:
         assert doc["schema"] == "qtvd.risk/1"
         assert doc["replications"] == 6
         assert "runtime_seconds" not in doc
+
+    def test_simulate_reports_a_rejected_certificate(self, tmp_path, monkeypatch):
+        real, calls = risk.certify_float, []
+        monkeypatch.setattr(risk, "certify_float", lambda *args: calls.append(args) or (len(calls) != 2 and real(*args)))
+        out = tmp_path / "sim"
+        assert run(["simulate", "--n", "64", "--reps", "3", "--seed", "5", "--lambda", "4", "--output", str(out)]) == 0
+        text = Path(str(out) + ".json").read_text(encoding="utf-8")
+        assert len(calls) == 3 and '"certificate_failures": 1,' in text
 
     def test_simulate_with_bounds_and_constants(self, tmp_path):
         assert run(["simulate", "--n", "1024", "--reps", "3", "--seed", "1",

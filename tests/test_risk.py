@@ -333,6 +333,14 @@ class TestPointwiseBounds:
             tracemalloc.stop()
         assert not b.flagged and peak < 4 << 20
 
+    def test_empty_blocks_are_skipped(self, monkeypatch):
+        # At 64 intervals per block, most blocks here hold no admissible interval (at the default size
+        # that takes n above about 33,000); skipping them changes no bound.
+        args = (HolderCusp(1.0).values(400), 0.5, 5.0, self.const)
+        want = pointwise_bounds(*args, locations=range(1, 401, 7), allow_small_lambda=True)
+        monkeypatch.setattr(risk, "_BLOCK", 64)
+        assert pointwise_bounds(*args, locations=range(1, 401, 7), allow_small_lambda=True) == want
+
     def test_empty_family_is_flagged(self):
         # lam so large that no interval satisfies the length constraint
         b = pointwise_bounds(
@@ -422,6 +430,15 @@ class TestSimulate:
         rep = simulate(ModelSpec(32, 0.5, ConstantSignal(2.0), Cauchy(0.0), seed=1), 0.0, 6)
         assert len(calls) == 6
         assert rep.certificate_failures == 0
+
+    def test_a_rejected_certificate_is_counted(self, monkeypatch):
+        model = ModelSpec(256, 0.5, ConstantSignal(0.0), Cauchy(1.0), seed=4)
+        clean = simulate(model, 20.0, 6)
+        real, calls = risk.certify_float, []
+        monkeypatch.setattr(risk, "certify_float", lambda *args: calls.append(args) or (len(calls) != 3 and real(*args)))
+        rep = simulate(model, 20.0, 6)
+        assert len(calls) == 6 and rep.certificate_failures == 1
+        assert rep.errors == clean.errors
 
     def test_deterministic_given_seed(self):
         model = ModelSpec(128, 0.5, ConstantSignal(0.0), Cauchy(1.0), seed=9)

@@ -637,14 +637,17 @@ class TestFitCoreAgainstHelperWalk:
 
     def test_exhausted_derivative_raises(self):
         # tau above the unit jump makes the value at +inf negative (and unit - tau, reflected, the value
-        # at -inf positive), so a clip walk runs out of breakpoints.
+        # at -inf positive), so a clip walk runs out of breakpoints; at lam = 0 no clip runs, and the
+        # argmin scan runs out instead.
         y, tau, lam, unit = [0, 1, 2], 5, 1, 1
-        calls = [lambda: _fit_core(y, tau, lam, unit)]
+        calls = [lambda: _fit_core(y, tau, lam, unit), lambda: _fit_core([0], tau, 0, unit)]
         calls += [lambda e=e: _fit_extremal(y, tau, lam, unit, e) for e in ("lower", "upper", "any")]
-        calls += [lambda p=p: reference_fit_core(y, tau, lam, p, unit) for p in (False, True)]
         for call in calls:
-            with pytest.raises(AssertionError):
+            with pytest.raises(AssertionError, match="^derivative exhausted$"):
                 call()
+        for p in (False, True):
+            with pytest.raises(AssertionError):
+                reference_fit_core(y, tau, lam, p, unit)
 
 
 def _constant_fits(y, tau) -> tuple:
