@@ -2,13 +2,16 @@
 
 The references are written from the paper's definitions and import
 nothing from `qtvd` but `Instance`, so a fault in a library kernel cannot
-reach the oracle that checks it.
+reach the oracle that checks it.  Two check the extremal fits: the grid
+search, exhaustive up to n = 8, and `cut_fit`, one chain cut per data
+value in O(n * distinct values), which runs at the benchmark's sizes.
 """
 
-import heapq
 import math
 import random
 from fractions import Fraction
+
+import numpy as np
 
 from qtvd.solver import Instance
 
@@ -93,6 +96,56 @@ def grid_oracle(inst: Instance, cap: int = GRID_ORACLE_CAP):
 
     visit(0, 0, 0)
     return Fraction(best, scale), tuple(values[r] for r in lo_idx), tuple(values[r] for r in hi_idx)
+
+
+def cut_fit(inst: Instance) -> tuple:
+    """(lower, upper): both extremal fits, from one minimum cut of a chain energy per data value.
+
+    Total variation is submodular, so the level set {theta >= v} of the
+    upper (lower) extremal fit is the largest (smallest) minimiser S of
+
+        E_v(S) = sum_{i in S} w_i + lam*D * #{k : exactly one of k, k+1 in S},
+
+    with w_i = -tau*D if y_i >= v, else D - tau*D, and D = lcm(den tau, den
+    lam): the loss's slopes just below v, as integers (Hochbaum, J. ACM
+    2001; Chambolle and Darbon, IJCV 2009).  A two-state dynamic program
+    runs along the chain for all distinct v and both ends at once:
+    cost[0] is the least energy of a prefix whose last position is in S,
+    cost[1] of one whose last position is out.  The minimisers are closed
+    under union and intersection, so the walk back from the end that takes
+    "in" ("out") wherever both states tie gives the largest (smallest)
+    minimiser.  theta_i is the largest v whose set holds i.  Every cost
+    lies within n*D + 2*lam*D, so the costs are int64 where that fits,
+    else Python ints.  The choices are kept as packed bits, about
+    n * (distinct values) / 2 bytes.
+    """
+    scale = math.lcm(*(v.denominator for v in inst.y))
+    ints = [v.numerator * (scale // v.denominator) for v in inst.y]
+    values = sorted(set(ints))
+    rank = {v: j for j, v in enumerate(values)}
+    unit = math.lcm(inst.tau.denominator, inst.lam.denominator)
+    tau, lam = int(inst.tau * unit), int(inst.lam * unit)
+    dtype = np.int64 if inst.n * unit + 2 * lam < 2**62 else object
+    # cost[state, end, v], ends (lower, upper).  step[from, to]: -tau*D of w_i into "in", lam*D per
+    # cut edge.  A tie goes to a previous "in" for the upper end, to "out" for the lower.
+    step = np.array([[-tau, lam], [lam - tau, 0]], dtype=dtype).reshape(2, 2, 1, 1)
+    tie = np.array([[0], [1]], dtype=dtype)
+    cost = np.zeros((2, 2, len(values)), dtype=dtype)
+    came_in = []
+    for r in map(rank.__getitem__, ints):
+        via = cost[:, None] + step
+        prev_in = via[0] < via[1] + tie
+        came_in.append(np.packbits(prev_in, axis=-1))
+        cost = np.where(prev_in, via[0], via[1])
+        cost[0, :, r + 1:] += unit  # w_i = D - tau*D where v > y_i
+    held, top = cost[0] < cost[1] + tie, []
+    for packed in reversed(came_in):
+        top.append(len(values) - 1 - held[:, ::-1].argmax(axis=1))
+        prev_in = np.unpackbits(packed, axis=-1, count=len(values))
+        held = np.where(held, prev_in[0], prev_in[1])
+    exact = dict(zip(ints, inst.y))
+    lower, upper = np.array(top[::-1]).T.tolist()
+    return tuple(exact[values[j]] for j in lower), tuple(exact[values[j]] for j in upper)
 
 
 def order_stat(y, a, b, k):
@@ -252,89 +305,3 @@ def naive_submodularity_fuzz(penalty, trials, seed):
             if first is None:
                 first = (x, y)
     return violations, first
-
-
-def peek(heap: list, negated: bool, jumps: dict):
-    """Live breakpoint at the heap's end (a negated heap holds -x); stale keys are dropped."""
-    while heap:
-        x = -heap[0] if negated else heap[0]
-        if x in jumps:
-            return x
-        heapq.heappop(heap)
-    return None
-
-
-def trim(heap: list, negated: bool, jumps: dict, v, bound, far: bool):
-    """Raise the derivative seen from one end to at least `bound`: one clip walk as a helper.
-
-    `v` is its value at that end.  Breakpoints are consumed from that end
-    until the value reaches `bound`; a crossing jump keeps its excess.
-    Returns (new end value, clamp), the clamp being the breakpoint where
-    the bound is reached, or None if the end value already exceeds it.
-    Where the value equals `bound` on a flat stretch, `far` takes the
-    stretch's far end instead of its near end (None when the stretch
-    reaches this end).
-    """
-    if v > bound:
-        return v, None
-    if v == bound:
-        if not far:
-            return v, None
-        x = peek(heap, negated, jumps)
-        if x is None:
-            raise AssertionError("degenerate derivative: no breakpoints")
-        return v, x
-    while True:
-        x = peek(heap, negated, jumps)
-        if x is None:
-            raise AssertionError("derivative exhausted during trim")
-        s = v + jumps[x]
-        if s > bound:
-            jumps[x] = s - bound
-            return bound, x
-        del jumps[x]
-        heapq.heappop(heap)
-        if s == bound:
-            return s, (peek(heap, negated, jumps) if far else x)
-        v = s
-
-
-def reference_fit_core(y, tau, lam, prefer_high: bool, unit=1) -> list:
-    """The forward/backward pass of `qtvd.solver._fit_core` with each clip a `trim` call.
-
-    Same walks and tie rules, on the lazy-heap store the library used
-    before: every breakpoint pushed on both heaps, and keys the other walk
-    consumed skipped as stale.  So the helper no longer shares
-    `_fit_core`'s store (two disjoint heaps split at a pivot, with
-    refills), only its clip walks; the tests require the two to return
-    the same list.  Its argmin is one more `trim` walk with bound 0,
-    where `_fit_core` scans its sorted live keys, and it returns y at
-    lam = 0 without a pass, where `_fit_core` runs its one pass.
-    """
-    if lam == 0:
-        return list(y)
-    jumps = {y[0]: unit}
-    lo_heap, hi_heap = [y[0]], [-y[0]]
-    base, neg_top = -tau, tau - unit
-    clamps = []
-    for k in range(1, len(y)):
-        base, lo = trim(lo_heap, False, jumps, base, -lam, prefer_high)
-        neg_top, hi = trim(hi_heap, True, jumps, neg_top, -lam, not prefer_high)
-        clamps.append((lo, hi))
-        base = base - tau
-        neg_top = neg_top + tau - unit
-        x = y[k]
-        if x not in jumps:
-            heapq.heappush(lo_heap, x)
-            heapq.heappush(hi_heap, -x)
-        jumps[x] = jumps.get(x, 0) + unit
-    _, t = trim(lo_heap, False, jumps, base, 0, prefer_high)
-    theta = [t]
-    for lo, hi in reversed(clamps):
-        if lo is not None and t < lo:
-            t = lo
-        elif hi is not None and t > hi:
-            t = hi
-        theta.append(t)
-    theta.reverse()
-    return theta

@@ -690,3 +690,19 @@ class TestEveryOptionIsRead:
             if names:
                 unread[command] = sorted(names)
         assert unread == {}
+
+
+def _rate_args(grid):
+    return cli._parser().parse_args(["rate", "--n-grid", grid, "--reps", "2", "--output", "never-written"])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: cli._parse_constants(["c1"], risk.Cauchy(1.0), 0.5), "--constants expects k=v, got 'c1'"),
+    (lambda: cli._parse_constants(["c1=abc"], risk.Cauchy(1.0), 0.5), "--constants c1: bad float 'abc'"),
+    (lambda: cli._cmd_rate(_rate_args("64,x")), "--n-grid: bad value '64,x'"),
+], ids=["constants-without-equals", "constants-bad-float", "n-grid-bad-int"])
+def test_argument_checks_raise(call, message):
+    # `main` turns these into exit status 2; called directly, each raises its own ValueError.
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert exc.type is ValueError and str(exc.value) == message

@@ -190,3 +190,13 @@ class TestExtendedValue:
             _as_rational(0.5, "value")
         assert _as_rational("1/3", "value") == F(1, 3)
 
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ExtendedValue(0), "finite ExtendedValue needs a value"),
+    (lambda: ExtendedValue(2, Fraction(1)), "tag must be -1, 0 or +1"),
+], ids=["finite-without-value", "bad-tag"])
+def test_argument_checks_raise(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert exc.type is ValueError and str(exc.value) == message

@@ -277,3 +277,13 @@ class TestLossLinearity:
         theta = (F(0), F(1))
         # rho_{1/4}(1) + rho_{1/4}(-1) = 1/4 + 3/4
         assert quantile_loss_sum(y, theta, F(1, 4)) == 1
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Huber(F(0)), "Huber delta must be > 0"),
+    (lambda: quantile_loss_sum((1, 2), (1,), F(1, 2)), "length mismatch"),
+], ids=["huber-delta-zero", "loss-length-mismatch"])
+def test_argument_checks_raise(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert exc.type is ValueError and str(exc.value) == message

@@ -527,3 +527,23 @@ class TestRateRegress:
         for n in (0, -256):
             with pytest.raises(ValueError, match=rf"grid \[{n}, 256, 512, 1024\]"):
                 rate_regress([n, 256, 512, 1024], [1, 0.5, 0.4, 0.3])
+
+
+_MODEL_PARTS = (ConstantSignal(0.0), Cauchy(1.0))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: HolderCusp(0.0), "alpha must be in (0, 1]"),
+    (lambda: ModelSpec(0, 0.5, *_MODEL_PARTS), "n must be >= 1"),
+    (lambda: ModelSpec(8, 1.0, *_MODEL_PARTS), "tau must be in (0, 1)"),
+    # The Gaussian density 100 standard deviations out underflows to 0.0.
+    (lambda: RiskConstants.for_noise(Gaussian(0.01), 0.5), "degenerate noise: growth constant is zero"),
+    (lambda: pointwise_bounds([1.0], 0.5, 1.0, RiskConstants(c1=1.0)), "need n >= 2"),
+    (lambda: simulate(ModelSpec(8, 0.5, *_MODEL_PARTS), 1.0, 0), "replications must be >= 1"),
+    (lambda: rate_regress([64, 128], [1.0]), "length mismatch"),
+], ids=["cusp-alpha-zero", "model-n-zero", "model-tau-one", "constants-zero-density", "bounds-n-one",
+        "simulate-no-replications", "regress-length-mismatch"])
+def test_argument_checks_raise(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert exc.type is ValueError and str(exc.value) == message

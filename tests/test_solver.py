@@ -1,9 +1,7 @@
 import dataclasses
-import heapq
 import math
 import random
 from fractions import Fraction
-from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -12,16 +10,17 @@ from hypothesis import strategies as st
 
 from helpers import (
     GRID_ORACLE_CAP,
+    cut_fit,
     grid_oracle,
+    naive_envelope,
     naive_objective,
     random_instance,
-    reference_fit_core,
     small_integer_instance,
-    trim,
 )
 
 from qtvd.envelope import envelope
 from qtvd import solver
+from qtvd.risk import Cauchy, HolderCusp
 from qtvd.solver import (
     DualCertificate,
     Fit,
@@ -425,71 +424,66 @@ class TestGridOracle:
             grid_oracle(Instance(tuple(range(GRID_ORACLE_CAP + 1)), F(1, 2), F(1)))
 
 
-def _clamps_from_steps(xs, steps, lam, prefer_high):
-    """Clamp thresholds read off the pre-clip step values (steps[i] lies just left of xs[i]).
+@st.composite
+def _tie_heavy_case(draw):
+    """n <= 8 on a pool of at most three values; lam often a multiple of 1/(2q), where flat stretches sit at a bound."""
+    pool = draw(st.lists(st.fractions(-2, 2, max_denominator=2), min_size=1, max_size=3, unique=True))
+    y = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=GRID_ORACLE_CAP))
+    q = draw(st.sampled_from((2, 3, 4, 5, 10)))
+    tau = F(draw(st.integers(1, q - 1)), q)
+    lam = draw(st.one_of(st.integers(0, 4 * q * len(y)).map(lambda k: F(k, 2 * q)), st.fractions(0, 2 * len(y))))
+    return Instance(tuple(y), tau, lam)
 
-    lo: first breakpoint right of which the value reaches -lam (passes it
-    when ties go high); hi: last breakpoint left of which the value stays
-    at most lam (below it when ties go low).  None where an end already
-    satisfies the bound.
+
+class TestCutOracle:
+    """`cut_fit` against the other references, and `fit` against it at the benchmark's sizes."""
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(_tie_heavy_case())
+    def test_equals_the_grid_oracle(self, inst):
+        assert cut_fit(inst) == grid_oracle(inst)[1:]
+
+    def test_equals_the_literal_envelope(self):
+        rng = random.Random(97)
+        for n in (9, 10, 11, 12, 12, 12):
+            y = tuple(F(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(n))
+            tau, lam = F(rng.randint(1, 9), 10), F(rng.randint(0, 4 * n), 4)
+            lower, upper = naive_envelope(y, tau, lam)
+            assert cut_fit(Instance(y, tau, lam)) == (tuple(lower), tuple(upper)), (y, tau, lam)
+
+    @pytest.mark.parametrize("tau, lam", [(F(1, 2), F(1, 4)), (F(1, 3), F(20)), (F(1, 2), F(4000))])
+    def test_exact_fits_at_bench_size(self, tau, lam):
+        # The exact_chain workload's data: six runs of levels plus quarter-step noise, n = 4000.
+        rng, n = random.Random(101), 4000
+        y = tuple((0, 2, -1, 3, 1, -2)[6 * i // n] + F(rng.randint(-6, 6), 4) for i in range(n))
+        inst = Instance(y, tau, lam)
+        assert cut_fit(inst) == (fit(inst, "lower").theta, fit(inst, "upper").theta)
+
+    def test_fit_float_at_mc_rate_size(self):
+        # The mc_rate workload's data: an alpha = 1 cusp plus Cauchy(0.1) noise at n = 4096, tau 1/2, lam* as posed.
+        n, cusp = 4096, HolderCusp(1.0)
+        y = (cusp.values(n) + Cauchy(0.1).sample(np.random.default_rng(103), n, 0.5)).tolist()
+        lam = cusp.star_lambda(n, 0.5)
+        lower, upper = cut_fit(Instance(tuple(map(F, y)), F(0.5), F(lam)))
+        assert fit_float(y, 0.5, lam, "lower") == list(map(float, lower))
+        assert fit_float(y, 0.5, lam, "upper") == list(map(float, upper))
+
+
+def _against_cut_oracle(y, tau, lam, grid=False):
+    """Both of `fit`'s ends against `cut_fit` on the instance as posed, tau and lam the caller's Fractions.
+
+    On float data `fit_float` too.  With `grid`, also against the grid
+    oracle where n <= 8 and the grid has at most 4**8 points.
     """
-    def reaches(v):
-        return v > -lam if prefer_high else v >= -lam
-
-    def stays(v):
-        return v <= lam if prefer_high else v < lam
-
-    lo = None if reaches(steps[0]) else next(x for x, v in zip(xs, steps[1:]) if reaches(v))
-    hi = None if stays(steps[-1]) else next(x for x, v in zip(xs[::-1], steps[-2::-1]) if stays(v))
-    return lo, hi
-
-
-class TestTrim:
-    """The helper walk `trim` driven by hand: both clips of each step, as the reference core runs them."""
-
-    def test_steps_nondecreasing_and_clipped(self):
-        rng = random.Random(19)
-        tau = F(1, 3)
-        for lam in (F(1, 3), F(1, 2), F(2)):
-            for prefer_high in (False, True):
-                y0 = F(2)
-                jumps, lo_heap, hi_heap = {y0: 1}, [y0], [-y0]
-                base, neg_top = -tau, tau - 1
-                for _ in range(40):
-                    xs = sorted(jumps)
-                    steps = list(accumulate((jumps[x] for x in xs), initial=base))
-                    expected = _clamps_from_steps(xs, steps, lam, prefer_high)
-                    base, lo = trim(lo_heap, False, jumps, base, -lam, prefer_high)
-                    neg_top, hi = trim(hi_heap, True, jumps, neg_top, -lam, not prefer_high)
-                    assert (lo, hi) == expected
-                    steps = list(accumulate((jumps[x] for x in sorted(jumps)), initial=base))
-                    assert all(a <= b for a, b in zip(steps, steps[1:]))
-                    assert all(-lam <= v <= lam for v in steps)
-                    assert steps[-1] == -neg_top
-                    if lo is not None and hi is not None:
-                        assert lo <= hi
-                    x = F(rng.randint(-4, 4))
-                    base, neg_top = base - tau, neg_top + tau - 1
-                    if x not in jumps:
-                        heapq.heappush(lo_heap, x)
-                        heapq.heappush(hi_heap, -x)
-                    jumps[x] = jumps.get(x, 0) + 1
-
-
-def _against_reference_walk(y, tau, lam, unit):
-    """`_fit_core` against the helper walk's upper tie rule, and the reflected lower fit against its lower one."""
-    args = (y, tau, lam, unit)
-    assert _fit_core(*args) == reference_fit_core(y, tau, lam, True, unit), args
-    assert _fit_extremal(*args, "lower") == reference_fit_core(y, tau, lam, False, unit), args
-
-
-def _against_walk_and_grid(y, tau, lam, unit):
-    """`_against_reference_walk`, and both fits against the grid oracle on y's Fractions where its grid is small."""
-    _against_reference_walk(y, tau, lam, unit)
-    if len(y) <= GRID_ORACLE_CAP and len(set(y)) ** len(y) <= 4**8:
-        _, lower, upper = grid_oracle(Instance(tuple(map(F, y)), F(tau, unit), F(lam, unit)))
-        assert _fit_extremal(y, tau, lam, unit, "lower") == list(lower), (y, tau, lam, unit)
-        assert _fit_core(y, tau, lam, unit) == list(upper), (y, tau, lam, unit)
+    inst = Instance(tuple(map(F, y)), tau, lam)
+    lower, upper = cut_fit(inst)
+    assert (fit(inst, "lower").theta, fit(inst, "upper").theta) == (lower, upper), inst
+    if isinstance(y[0], float):
+        for ext, theta in (("lower", lower), ("upper", upper)):
+            assert fit_float(y, float(tau), float(lam), ext) == list(map(float, theta)), (inst, ext)
+    if grid and len(y) <= GRID_ORACLE_CAP and len(set(y)) ** len(y) <= 4**8:
+        assert grid_oracle(inst)[1:] == (lower, upper), inst
+    return upper
 
 
 def _float_fits_equal_exact(y, tau, lam):
@@ -499,10 +493,10 @@ def _float_fits_equal_exact(y, tau, lam):
         assert fit_float(y, tau, lam, ext) == [float(v) for v in fit(inst, ext).theta], (y, tau, lam, ext)
 
 
-class TestFitCoreAgainstHelperWalk:
-    """The written-out walks of `_fit_core` against `reference_fit_core`, which calls `trim` per clip.
+class TestFitAgainstCutOracle:
+    """Both extremal fits against `cut_fit`, which shares no step with the solver's clip walks or its lattice levels.
 
-    The library has one tie rule and reflects for the lower fit; the helper walk keeps both tie rules.
+    Integer levels (tau, lam, unit) are posed as the Fractions tau/unit and lam/unit.
     """
 
     def test_tie_heavy_integer_ranks_with_lattice_units(self):
@@ -513,7 +507,7 @@ class TestFitCoreAgainstHelperWalk:
             y = [rng.randint(0, rng.choice((1, 2, 4))) for _ in range(n)]
             tau = rng.randrange(1, unit)
             for lam in (unit // 4 or 1, 3 * unit // 2 + 1, n * unit, 2 * n * unit + 1):  # 1/4, moderate, >= n
-                _against_reference_walk(y, tau, lam, unit)
+                _against_cut_oracle(y, F(tau, unit), F(lam, unit))
 
     def test_floats_with_repeated_values(self):
         rng = random.Random(43)
@@ -523,17 +517,15 @@ class TestFitCoreAgainstHelperWalk:
             y = [rng.choice(pool) for _ in range(n)]
             tau = rng.choice((0.5, 0.25, 0.3, 0.9))
             for lam in (0.25, rng.uniform(0.5, 3.0), float(n), 2.0 * n):
-                unit, t, l = _lattice(F(tau), F(lam))  # the integer levels fit_float passes
-                _against_reference_walk(y, t, l, unit)
+                _against_cut_oracle(y, F(tau), F(lam))
 
     def test_mc_rate_shaped_floats(self):
         # Large n with lam near its rate-optimal size; dyadic tau makes the walks hit the bound exactly.
         rng = random.Random(47)
         for n, lam in ((256, 20.0), (2048, 68.4), (4096, 101.1)):
             y = [abs(2 * i / n - 1) + 0.1 * math.tan(math.pi * (rng.random() - 0.5)) for i in range(n)]
-            for levels in (_lattice(F(0.5), F(lam)), _fit_lattice(F(0.5), F(lam))):  # raw, and what fit_float passes
-                unit, t, l = levels
-                _against_reference_walk(y, t, l, unit)
+            for unit, t, l in (_lattice(F(0.5), F(lam)), _fit_lattice(F(0.5), F(lam))):  # raw, and lam's cell's
+                _against_cut_oracle(y, F(t, unit), F(l, unit))
 
     def test_monotone_and_v_shaped_trends(self):
         # A trend sends each new value to one side of the pivot, so one heap empties every few steps and refills.
@@ -547,7 +539,7 @@ class TestFitCoreAgainstHelperWalk:
             unit = rng.choice((2, 4, 12))
             tau = rng.randrange(1, unit)
             for lam in (unit // 2, unit + 1, 3 * unit, n * unit // 4 + 1):
-                _against_walk_and_grid(y, tau, lam, unit)
+                _against_cut_oracle(y, F(tau, unit), F(lam, unit), grid=True)
 
     def test_cusp_shaped_floats(self):
         rng = random.Random(59)
@@ -556,8 +548,7 @@ class TestFitCoreAgainstHelperWalk:
             m = rng.random()
             y = [abs(i / n - m) ** 0.5 + 0.01 * rng.gauss(0, 1) for i in range(n)]
             tau, lam = rng.choice((0.5, 0.25, 0.3)), rng.choice((0.25, 1.5, n / 8))
-            unit, t, l = _lattice(F(tau), F(lam))
-            _against_reference_walk(y, t, l, unit)
+            _against_cut_oracle(y, F(tau), F(lam))
             _float_fits_equal_exact(y, tau, lam)
 
     def test_one_live_breakpoint(self):
@@ -568,7 +559,7 @@ class TestFitCoreAgainstHelperWalk:
             n = 1 + trial % 40
             unit = rng.choice((2, 4, 12, 60))
             y = [rng.randint(-3, 3) for _ in range(n)]
-            _against_walk_and_grid(y, rng.randrange(1, unit), rng.randrange(1, unit), unit)
+            _against_cut_oracle(y, F(rng.randrange(1, unit), unit), F(rng.randrange(1, unit), unit), grid=True)
 
     def test_outliers_beyond_either_end(self):
         # Cauchy-like draws, some far past every other value on either side.
@@ -579,8 +570,7 @@ class TestFitCoreAgainstHelperWalk:
             for j in rng.sample(range(n), min(n, 3)):
                 y[j] = rng.choice((-1.0, 1.0)) * 10.0 ** rng.randint(6, 300)
             tau, lam = rng.choice((0.5, 0.25, 0.3, 0.9)), rng.choice((0.125, 0.75, 3.0, float(n)))
-            unit, t, l = _lattice(F(tau), F(lam))
-            _against_walk_and_grid(y, t, l, unit)
+            _against_cut_oracle(y, F(tau), F(lam), grid=True)
             _float_fits_equal_exact(y, tau, lam)
 
     def test_values_equal_to_the_pivot(self):
@@ -594,7 +584,7 @@ class TestFitCoreAgainstHelperWalk:
             unit = rng.choice((2, 4, 12))
             tau = rng.randrange(1, unit)
             for lam in (unit // 2, 2 * unit + 1, n * unit // 3 + 1):
-                _against_walk_and_grid(y, tau, lam, unit)
+                _against_cut_oracle(y, F(tau, unit), F(lam, unit), grid=True)
 
     def test_lambda_at_least_n(self):
         # No clip binds inside the loop, so the final walk alone consumes the breakpoints, refilling as it goes.
@@ -607,8 +597,11 @@ class TestFitCoreAgainstHelperWalk:
             unit = rng.choice((2, 4, 12))
             tau = rng.randrange(1, unit)
             for lam in (n * unit, 2 * n * unit + 1):
-                _against_walk_and_grid(y, tau, lam, unit)
-                assert len(set(_fit_core(y, tau, lam, unit))) == 1
+                assert len(set(_against_cut_oracle(y, F(tau, unit), F(lam, unit), grid=True))) == 1
+
+
+class TestFitCoreStore:
+    """`_fit_core`'s two heaps: the amortized refills and the guard for a derivative that runs out."""
 
     def test_refills_move_few_keys(self, monkeypatch):
         # A refill moves about half a heap, and the next one waits for about as many pops: at most
@@ -645,9 +638,6 @@ class TestFitCoreAgainstHelperWalk:
         for call in calls:
             with pytest.raises(AssertionError, match="^derivative exhausted$"):
                 call()
-        for p in (False, True):
-            with pytest.raises(AssertionError):
-                reference_fit_core(y, tau, lam, p, unit)
 
 
 def _constant_fits(y, tau) -> tuple:
@@ -1033,3 +1023,13 @@ class TestFitLattice:
         unit, t, l = _lattice(F(0.5), F(lam))
         for extremality in ("lower", "upper", "any"):
             assert fit_float(y, 0.5, lam, extremality) == _fit_extremal(y, t, l, unit, extremality)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: certify_float([1.0, 2.0], [1.0], 0.5, 1.0), "length mismatch"),
+    (lambda: lattice_meet((1, 2), (1,)), "length mismatch"),
+], ids=["certify-float-length", "meet-length"])
+def test_argument_checks_raise(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert exc.type is ValueError and str(exc.value) == message

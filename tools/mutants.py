@@ -1,0 +1,147 @@
+"""Run a fixed list of mutants of src/qtvd against the tests that should kill them.
+
+Usage, from anywhere in a checkout:
+
+    python3 tools/mutants.py
+
+Each mutant replaces one exact text of one module under src/qtvd with
+another.  For each mutant the tool copies src/, tests/ and
+pyproject.toml to a temporary directory, applies the edit there, and
+runs the mutant's test files with `pytest -x -q` from that copy, so the
+checkout is never changed.  A mutant is killed when pytest fails and
+survives when it passes.  Each line of the report gives the verdict, the
+wall time, the name and the first failing test; the last line gives the
+total wall time.  At most min(2, os.cpu_count()) mutants run at a time.
+
+Equivalent mutants are on the list too, each with the argument why no
+output can change; they are expected to survive.  A Tier-1 test checks
+that every old text occurs exactly once in the current source, so a
+refactor that moves the code fails there instead of skipping a mutant.
+The tool itself is not part of Tier-1: each mutant runs whole test files.
+
+Exit status: 0 when every non-equivalent mutant is killed and every
+equivalent one survives, else 1.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 900  # a mutant that hangs counts as killed
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str  # under src/qtvd
+    old: str
+    new: str
+    reason: str
+    tests: tuple = ("tests/test_solver.py",)
+    equivalent: str = ""  # the argument why no output changes; empty for a mutant that must be killed
+
+
+MUTANTS = (
+    Mutant("lower-clip-enters-below", "solver.py", "if base <= neg_lam:", "if base < neg_lam:",
+           "the lower clip skips a flat stretch that starts at -lam, so its tie is left unresolved"),
+    Mutant("upper-clip-enters-at-bound", "solver.py", "if neg_top < neg_lam:", "if neg_top <= neg_lam:",
+           "the upper clip walks a stretch already at the bound and clamps to its near end"),
+    Mutant("upper-clip-no-stop-at-bound", "solver.py",
+           "                    neg_top = s\n                    if s == neg_lam:\n                        hi = x\n"
+           "                        break\n",
+           "                    neg_top = s\n",
+           "the upper clip walks past a stretch that reaches the bound exactly"),
+    Mutant("lattice-representative-2c+3", "solver.py",
+           "2 * (2 * q * lam.numerator // lam.denominator) + 1", "2 * (2 * q * lam.numerator // lam.denominator) + 3",
+           "the fit runs on the next cell's representative, not lam's"),
+    Mutant("reflection-keeps-tau", "solver.py",
+           "_fit_core(list(map(neg, y)), unit - tau, lam, unit)", "_fit_core(list(map(neg, y)), tau, lam, unit)",
+           "the lower fit reflects y but not tau"),
+    Mutant("argmin-at-zero", "solver.py", "if base > 0:", "if base >= 0:",
+           "the argmin stops at a flat stretch's left end, not its right end"),
+    Mutant("insert-on-wrong-side", "solver.py", "if x_new < p:", "if x_new > p:",
+           "a new breakpoint goes into the heap on the wrong side of the pivot"),
+    Mutant("refill-one-key", "solver.py", "half = len(keys) // 2", "half = 1",
+           "a refill leaves one key behind, so the next refill comes one pop later; no output changes"),
+    Mutant("refill-every-key", "solver.py", "half = len(keys) // 2", "half = 0",
+           "a refill moves every key back and forth; no output changes, only the amortized cost"),
+    Mutant("z-pins-swapped", "solver.py",
+           "z_lo = np.append(_pick(theta[:-1] > theta[1:], lam, -lam, dtype), zero)\n"
+           "    z_hi = np.append(_pick(theta[:-1] < theta[1:], -lam, lam, dtype), zero)",
+           "z_lo = np.append(_pick(theta[:-1] < theta[1:], lam, -lam, dtype), zero)\n"
+           "    z_hi = np.append(_pick(theta[:-1] > theta[1:], -lam, lam, dtype), zero)",
+           "the certificate pins z to +lam at upward jumps instead of downward ones"),
+    Mutant("scale-max-not-lcm", "solver.py", "common = lcm(scale, *distinct)", "common = max(scale, *distinct)",
+           "exact values are scaled by a number that is not a common multiple of their denominators"),
+    Mutant("admissible-at-min-length", "risk.py",
+           "return ~((length <= min_len) | (dist < t)), length, dist",
+           "return ~((length < min_len) | (dist < t)), length, dist",
+           "an interval exactly min_interval_length long counts as admissible", tests=("tests/test_risk.py",)),
+    Mutant("no-exit-at-lower-bound", "solver.py",
+           "                    if base == neg_lam:\n                        lo = x\n                        break\n"
+           "                    s = base + jumps[x]\n",
+           "                    s = base + jumps[x]\n",
+           "the lower clip's exit where the value already equals -lam",
+           equivalent="every live jump is positive, so from base == -lam the next step crosses the bound, "
+                      "clamps at the same key and leaves its jump unchanged"),
+    Mutant("backward-clamps-swapped", "solver.py",
+           "        if lo is not None and t < lo:\n            t = lo\n"
+           "        elif hi is not None and t > hi:\n            t = hi\n",
+           "        if hi is not None and t > hi:\n            t = hi\n"
+           "        elif lo is not None and t < lo:\n            t = lo\n",
+           "the backward pass tests the upper clamp first",
+           equivalent="lo_k <= hi_k where both are set, so t < lo_k and t > hi_k never hold together"),
+)
+
+
+def run(mutant: Mutant) -> tuple:
+    """(killed, seconds, the failing test or a note) for one mutant, on a temporary copy of the checkout."""
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory(prefix="qtvd-mutant-") as tmp:
+        work = Path(tmp)
+        skip = shutil.ignore_patterns("__pycache__")
+        shutil.copytree(ROOT / "src", work / "src", ignore=skip)
+        shutil.copytree(ROOT / "tests", work / "tests", ignore=skip)
+        shutil.copy2(ROOT / "pyproject.toml", work / "pyproject.toml")
+        target = work / "src" / "qtvd" / mutant.path
+        text = target.read_text(encoding="utf-8")
+        if text.count(mutant.old) != 1:
+            raise SystemExit(f"{mutant.name}: old text occurs {text.count(mutant.old)} times in {mutant.path}")
+        target.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+        argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *mutant.tests]
+        env = {**os.environ, "PYTHONPATH": str(work / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+        try:
+            proc = subprocess.run(argv, cwd=work, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            return True, time.perf_counter() - start, [f"timed out after {TIMEOUT_S} s"]
+    failed = [line.split()[1] for line in proc.stdout.splitlines() if line.startswith(("FAILED ", "ERROR "))]
+    if proc.returncode not in (0, 1):
+        failed = failed or [f"pytest exit status {proc.returncode}"]
+    return proc.returncode != 0, time.perf_counter() - start, failed
+
+
+def main() -> int:
+    start = time.perf_counter()
+    ok = True
+    with ThreadPoolExecutor(max_workers=min(2, os.cpu_count() or 1)) as pool:
+        for mutant, (killed, seconds, failed) in zip(MUTANTS, pool.map(run, MUTANTS)):
+            expected = not mutant.equivalent
+            ok &= killed == expected
+            verdict = ("killed" if killed else "survived") + ("" if killed == expected else " (UNEXPECTED)")
+            kind = " [equivalent]" if mutant.equivalent else ""
+            print(f"{verdict:21s} {seconds:6.1f} s  {mutant.name}{kind}  {' '.join(failed)}", flush=True)
+    print(f"total {time.perf_counter() - start:.1f} s for {len(MUTANTS)} mutants")
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
