@@ -109,15 +109,14 @@ def cut_fit(inst: Instance) -> tuple:
     with w_i = -tau*D if y_i >= v, else D - tau*D, and D = lcm(den tau, den
     lam): the loss's slopes just below v, as integers (Hochbaum, J. ACM
     2001; Chambolle and Darbon, IJCV 2009).  A two-state dynamic program
-    runs along the chain for all distinct v and both ends at once:
-    cost[0] is the least energy of a prefix whose last position is in S,
-    cost[1] of one whose last position is out.  The minimisers are closed
+    runs along the chain for all distinct v at once: cost[0] is the least
+    energy of a prefix whose last position is in S, cost[1] of one whose
+    last position is out.  The minimisers are closed
     under union and intersection, so the walk back from the end that takes
     "in" ("out") wherever both states tie gives the largest (smallest)
     minimiser.  theta_i is the largest v whose set holds i.  Every cost
     lies within n*D + 2*lam*D, so the costs are int64 where that fits,
-    else Python ints.  The choices are kept as packed bits, about
-    n * (distinct values) / 2 bytes.
+    else Python ints.  The choices take 4 bytes per position and value.
     """
     scale = math.lcm(*(v.denominator for v in inst.y))
     ints = [v.numerator * (scale // v.denominator) for v in inst.y]
@@ -126,25 +125,24 @@ def cut_fit(inst: Instance) -> tuple:
     unit = math.lcm(inst.tau.denominator, inst.lam.denominator)
     tau, lam = int(inst.tau * unit), int(inst.lam * unit)
     dtype = np.int64 if inst.n * unit + 2 * lam < 2**62 else object
-    # cost[state, end, v], ends (lower, upper).  step[from, to]: -tau*D of w_i into "in", lam*D per
-    # cut edge.  A tie goes to a previous "in" for the upper end, to "out" for the lower.
-    step = np.array([[-tau, lam], [lam - tau, 0]], dtype=dtype).reshape(2, 2, 1, 1)
-    tie = np.array([[0], [1]], dtype=dtype)
-    cost = np.zeros((2, 2, len(values)), dtype=dtype)
+    # cost[state, v]; step[from, to]: -tau*D of w_i into "in", lam*D per cut edge.  The costs do not
+    # depend on how ties are broken, only the choices do: came_in[end, to, v], ends (lower, upper), a tie
+    # going to a previous "in" for the upper end and to "out" for the lower.
+    step = np.array([[-tau, lam], [lam - tau, 0]], dtype=dtype).reshape(2, 2, 1)
+    tie = np.array([0, 1], dtype=dtype).reshape(2, 1, 1)
+    cost = np.zeros((2, len(values)), dtype=dtype)
     came_in = []
     for r in map(rank.__getitem__, ints):
-        via = cost[:, None] + step
-        prev_in = via[0] < via[1] + tie
-        came_in.append(np.packbits(prev_in, axis=-1))
-        cost = np.where(prev_in, via[0], via[1])
-        cost[0, :, r + 1:] += unit  # w_i = D - tau*D where v > y_i
-    held, top = cost[0] < cost[1] + tie, []
-    for packed in reversed(came_in):
-        top.append(len(values) - 1 - held[:, ::-1].argmax(axis=1))
-        prev_in = np.unpackbits(packed, axis=-1, count=len(values))
-        held = np.where(held, prev_in[0], prev_in[1])
+        from_in, from_out = cost[:, None] + step
+        came_in.append(from_in < from_out + tie)
+        cost = np.minimum(from_in, from_out)
+        cost[0, r + 1:] += unit  # w_i = D - tau*D where v > y_i
+    held, top = cost[0] < cost[1] + tie[:, 0], []
+    for prev_in in reversed(came_in):
+        top.append(held[:, ::-1].argmax(axis=1))
+        held = np.where(held, prev_in[:, 0], prev_in[:, 1])
     exact = dict(zip(ints, inst.y))
-    lower, upper = np.array(top[::-1]).T.tolist()
+    lower, upper = (len(values) - 1 - np.array(top[::-1])).T.tolist()
     return tuple(exact[values[j]] for j in lower), tuple(exact[values[j]] for j in upper)
 
 
