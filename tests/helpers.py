@@ -111,12 +111,12 @@ def cut_fit(inst: Instance) -> tuple:
     2001; Chambolle and Darbon, IJCV 2009).  A two-state dynamic program
     runs along the chain for all distinct v at once: cost[0] is the least
     energy of a prefix whose last position is in S, cost[1] of one whose
-    last position is out.  The minimisers are closed
-    under union and intersection, so the walk back from the end that takes
-    "in" ("out") wherever both states tie gives the largest (smallest)
-    minimiser.  theta_i is the largest v whose set holds i.  Every cost
-    lies within n*D + 2*lam*D, so the costs are int64 where that fits,
-    else Python ints.  The choices take 4 bytes per position and value.
+    last position is out.  The minimisers are closed under union and
+    intersection, so the walk back from the end that takes "in" ("out")
+    wherever both states tie gives the largest (smallest) minimiser.
+    theta_i is the largest v whose set holds i.  Every cost lies within
+    n*D + 2*lam*D, so the costs are int64 where that fits, else Python
+    ints.  The choices take 4 bytes per position and value.
     """
     scale = math.lcm(*(v.denominator for v in inst.y))
     ints = [v.numerator * (scale // v.denominator) for v in inst.y]
