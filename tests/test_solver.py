@@ -472,12 +472,14 @@ class TestCutOracle:
 def _against_cut_oracle(y, tau, lam):
     """Both of `fit`'s ends, and `fit_float`'s on float data, against `cut_fit` on the instance as posed.
 
-    tau and lam are the caller's Fractions.  `TestCutOracle` checks the
-    oracle itself against the grid search, so these cases need not.
+    tau and lam are the caller's Fractions.  Where the data grid is small,
+    the grid oracle checks both ends as well.
     """
     inst = Instance(tuple(map(F, y)), tau, lam)
     lower, upper = cut_fit(inst)
     assert (fit(inst, "lower").theta, fit(inst, "upper").theta) == (lower, upper), inst
+    if len(y) <= GRID_ORACLE_CAP and len(set(y)) ** len(y) <= 4**8:
+        assert grid_oracle(inst)[1:] == (lower, upper), inst
     if isinstance(y[0], float):
         for ext, theta in (("lower", lower), ("upper", upper)):
             assert fit_float(y, float(tau), float(lam), ext) == list(map(float, theta)), (inst, ext)
