@@ -62,6 +62,8 @@ def grid_oracle(inst: Instance, cap: int = GRID_ORACLE_CAP):
 
     Extremal minimisers take data values, so the coordinatewise min/max over
     grid minimisers are the exact envelopes.  Loss and penalty are scaled to ints.
+    Both are nonnegative, so a prefix whose sum already exceeds the best total
+    holds no minimiser, and its points are skipped.
     """
     n, tau = inst.n, inst.tau
     if n > cap:
@@ -78,6 +80,8 @@ def grid_oracle(inst: Instance, cap: int = GRID_ORACLE_CAP):
 
     def visit(pos, prev, acc):
         nonlocal best
+        if best is not None and acc > best:
+            return
         if pos == n:
             if best is None or acc < best:
                 best = acc
