@@ -45,11 +45,17 @@ J containing i: work is O(n^2) per location and O(n^3) for the envelope,
 and memory is O(n^2) per side.
 
 Arithmetic is exact end to end.  Values are mapped to ranks in the
-sorted distinct-value list, the enumeration runs on int32 ranks (at
-most n), and ranks map back to exact data values at the end.  The ranks
-are those of the data's scaled ints (`solver._scaled`), which hash and
-sort faster than Fractions and in the same order, since the scale is
-positive; each rank maps back to the data's own Fraction, as in `fit`.
+sorted distinct-value list, the enumeration runs on the ranks, and
+ranks map back to exact data values at the end.  Ranks, their
+sentinels and the lower side's negated ranks lie in [-len(uniq),
+len(uniq)], so they are int16 when the data have at most 32767
+distinct values and int32 otherwise: the narrower tables halve the
+bytes the sweep moves.  Building the class tables peaks at 18*n^2 bytes
+for one side and 44*n^2 for both (the lower side's negation copies its
+classes) in int16, twice that in int32.  The ranks are those of the
+data's scaled ints (`solver._scaled`), which hash and sort faster than
+Fractions and in the same order, since the scale is positive; each rank
+maps back to the data's own Fraction, as in `fit`.
 `_RankTables.ends` is the one evaluator behind the public functions:
 `envelope` asks it for both sides at every location, a point query for
 one side at one location.
@@ -143,7 +149,9 @@ class _RankTables:
         distinct = sorted(value)
         rank = dict(zip(distinct, range(len(distinct))))
         self.uniq = list(map(value.__getitem__, distinct))
-        self.ranks = np.array(list(map(rank.__getitem__, ints)), dtype=np.int32)
+        # Ranks, sentinels and negated ranks lie in [-len(uniq), len(uniq)]
+        dtype = np.int16 if len(self.uniq) <= np.iinfo(np.int16).max else np.int32
+        self.ranks = np.array(list(map(rank.__getitem__, ints)), dtype=dtype)
 
     def tables(self, *sides: str, at: int | None = None) -> np.ndarray:
         """tables[s, c2 + 2, a-1, b-1]: rank of the order statistic side s selects from y_a..y_b.
@@ -161,9 +169,9 @@ class _RankTables:
         padded = np.concatenate((self.ranks, self.ranks[1:]))
         windows = as_strided(padded, (n, n), 2 * padded.strides, writeable=False)  # [a-1, :m] is y_a..y_{a+m-1}
         # Row a-1: sorted y_a..y_{a+m-1} between -1 and len(uniq); m ascends, so column m+1 is untouched
-        ordered = np.full((n, n + 2), len(self.uniq), dtype=np.int32)
+        ordered = np.full((n, n + 2), len(self.uniq), dtype=self.ranks.dtype)
         ordered[:, 0] = -1
-        out = np.zeros((len(sides) * 5, n * n), dtype=np.int32)
+        out = np.zeros((len(sides) * 5, n * n), dtype=self.ranks.dtype)
         for m in range(1, n + 1):
             first, last = (1, n - m + 1) if at is None else (max(1, at - m + 1), min(at, n - m + 1))
             block = ordered[first - 1 : last, 1 : m + 1]

@@ -120,8 +120,8 @@ scale.
 
 All functions are pure and instances immutable, so batch fits over
 independent instances can run concurrently.  The exhaustive grid
-search and the clip walk as a helper on lazy heaps, which the tests
-compare `fit`, `envelope` and `_fit_core` against, live in
+search `grid_oracle` and the chain-cut oracle `cut_fit`, which the
+tests compare `fit`, `envelope` and `_fit_core` against, live in
 `tests/helpers.py`, outside the package.
 """
 

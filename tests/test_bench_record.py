@@ -108,8 +108,9 @@ def test_unresolved_when_the_base_spread_exceeds_the_bound(base, change, unresol
 
 
 SPEC = {"run_seconds": 1, "workloads": [{"name": "exact_chain"}, {"name": "mc_rate"}], "end_to_end": AB_METRICS[:1]}
-TIER1 = {"wall_s": {"unit": "s", **bench_record.summarise([60.0, 61.0, 62.0])}, "summary": "3 passed in 1s",
-         "failed_runs": 0}
+TIER1_SIDE = {"wall_s": {"unit": "s", **bench_record.summarise([60.0, 61.0, 62.0])}, "summary": "3 passed in 1s",
+              "failed_runs": 0}
+TIER1 = {"base": TIER1_SIDE, "change": TIER1_SIDE, "pair_diff_s": {"unit": "s", **bench_record.summarise([0.0] * 3)}}
 
 
 @pytest.fixture
@@ -118,7 +119,7 @@ def fake_bench(tmp_path, monkeypatch):
     monkeypatch.setattr(bench_record, "ROOT", tmp_path)
     (tmp_path / "BENCHMARK.json").write_text(json.dumps(SPEC), encoding="utf-8")
     monkeypatch.setattr(bench_record, "export", lambda rev: ("c0ffee" * 6 + "c0ff", tmp_path / "base"))
-    monkeypatch.setattr(bench_record, "run_tier1", lambda: TIER1)
+    monkeypatch.setattr(bench_record, "run_tier1", lambda base_tree: TIER1)
     change = {}
 
     def run_bench(workload, seed, seconds, tree, trace):
@@ -133,7 +134,7 @@ def fake_bench(tmp_path, monkeypatch):
 def test_record_holds_both_sides_against_and_tier1(fake_bench, tmp_path):
     assert bench_record.main(["--against", "HEAD~1", "--pairs", "2", "--pr", "99"]) == 0
     record = json.loads((tmp_path / "BENCH_99.json").read_text(encoding="utf-8"))
-    assert record["schema"] == "qtvd.bench-record/2" and record["pr"] == 99 and record["pairs"] == 2
+    assert record["schema"] == "qtvd.bench-record/3" and record["pr"] == 99 and record["pairs"] == 2
     assert record["against"] == "c0ffee" * 6 + "c0ff"  # the resolved commit, not the REV text
     assert (record["git_commit"], record["python"]) == ("head", "3")  # from this checkout's runs
     assert record["tier1"] == TIER1
@@ -162,9 +163,30 @@ def test_main_exits_1_when_a_metric_is_worse(fake_bench, change, status, capsys)
     assert ("; WORSE" in capsys.readouterr().out) == bool(status)
 
 
-def test_main_exits_1_when_a_tier1_run_fails(fake_bench, monkeypatch):
-    monkeypatch.setattr(bench_record, "run_tier1", lambda: {**TIER1, "failed_runs": 1})
-    assert bench_record.main(["--against", "HEAD~1", "--pairs", "2", "--pr", "99"]) == 1
+@pytest.mark.parametrize("side, status", [("change", 1), ("base", 0)])
+def test_main_exits_1_only_when_a_tier1_run_of_the_change_fails(fake_bench, monkeypatch, side, status):
+    monkeypatch.setattr(bench_record, "run_tier1", lambda base_tree: {**TIER1, side: {**TIER1_SIDE, "failed_runs": 1}})
+    assert bench_record.main(["--against", "HEAD~1", "--pairs", "2", "--pr", "99"]) == status
+
+
+def test_tier1_runs_both_trees_in_alternating_pairs(tmp_path, monkeypatch):
+    base, head = tmp_path / "base", tmp_path / "head"
+    calls = []
+
+    def run(argv, cwd, env, **kwargs):
+        calls.append((cwd, env["PYTHONPATH"]))
+        failed = cwd == base and len(calls) == 1  # REV's first run fails
+        return bench_record.subprocess.CompletedProcess(argv, int(failed), stdout=f"{len(calls)} passed in 1s\n")
+
+    monkeypatch.setattr(bench_record, "ROOT", head)
+    monkeypatch.setattr(bench_record, "TIER1_RUNS", 3)
+    monkeypatch.setattr(bench_record.subprocess, "run", run)
+    times = bench_record.run_tier1(base)
+    assert [cwd for cwd, _ in calls] == [base, head, head, base, base, head]
+    assert all(path == str(cwd / "src") for cwd, path in calls)
+    assert (times["base"]["failed_runs"], times["change"]["failed_runs"]) == (1, 0)
+    assert (times["base"]["summary"], times["change"]["summary"]) == ("5 passed in 1s", "6 passed in 1s")
+    assert len(times["change"]["wall_s"]["values"]) == len(times["pair_diff_s"]["values"]) == 3
 
 
 @pytest.mark.parametrize("argv", [["--pr", "99"], ["--against", "HEAD", "--pr", "99", "--workload", "mc_rate"],
@@ -176,29 +198,37 @@ def test_pr_records_one_untraced_run_over_every_workload(fake_bench, argv, tmp_p
     assert not (tmp_path / "BENCH_99.json").exists()
 
 
-@pytest.mark.parametrize("fails", [False, True])
-def test_against_removes_its_export(tmp_path, monkeypatch, fails):
+@pytest.mark.parametrize("fails", [None, "bench", "tier1"])
+def test_main_removes_its_export_after_tier1(fake_bench, tmp_path, monkeypatch, fails):
     tree = tmp_path / "against-base"
+    seen = []
 
     def export(rev):
         (tree / ".bench_work").mkdir(parents=True)
         return "c" * 40, tree
 
     def run_bench(workload, seed, seconds, tree, trace):
-        if fails:
+        if fails == "bench":
             raise RuntimeError("bench crashed")
         return {}, _run(job_s=1.0)
+
+    def run_tier1(base_tree):
+        seen.append(base_tree.exists())
+        if fails == "tier1":
+            raise RuntimeError("pytest crashed")
+        return TIER1
 
     monkeypatch.setattr(bench_record, "export", export)
     monkeypatch.setattr(bench_record, "compile_tree", lambda tree: None)
     monkeypatch.setattr(bench_record, "run_bench", run_bench)
-    spec = {"run_seconds": 1, "end_to_end": AB_METRICS[:1]}
+    monkeypatch.setattr(bench_record, "run_tier1", run_tier1)
+    argv = ["--against", "HEAD", "--pairs", "2", "--pr", "99"]
     if fails:
         with pytest.raises(RuntimeError):
-            bench_record.against("HEAD", 2, ["exact_chain"], spec, 0)
+            bench_record.main(argv)
     else:
-        commit, _, cases = bench_record.against("HEAD", 2, ["exact_chain"], spec, 0)
-        assert commit == "c" * 40 and cases["exact_chain"]["correct"]
+        assert bench_record.main(argv) == 0
+    assert seen == ([] if fails == "bench" else [True])  # Tier-1 runs on the export before it goes
     assert not tree.exists()
 
 
@@ -219,7 +249,6 @@ def test_both_trees_are_byte_compiled_before_the_first_run(tmp_path, monkeypatch
         return {}, _run(job_s=1.0)
 
     monkeypatch.setattr(bench_record, "ROOT", head)
-    monkeypatch.setattr(bench_record, "export", lambda rev: ("c" * 40, base))
     monkeypatch.setattr(bench_record, "run_bench", run_bench)
-    bench_record.against("HEAD", 2, ["exact_chain"], {"run_seconds": 1, "end_to_end": AB_METRICS[:1]}, 0)
+    bench_record.against("HEAD", base, 2, ["exact_chain"], {"run_seconds": 1, "end_to_end": AB_METRICS[:1]}, 0)
     assert compiled == [True] * 4

@@ -123,6 +123,8 @@ class TestPointQueries:
     def test_classes_avoiding_the_right_end_lie_below_their_sharing_twins(self, sides):
         # FF <= FT and TF <= TT, the lower side negated: the selected index is monotone in c2,
         # and avoiding J's right end raises c2.  The last row (a = 1) and column (b = n) are patched.
+        # Avoiding J's left end raises c2 too, so FT <= TT and FF <= TF: `_min_max` may fold FT into
+        # TT at J's own p or one step before alike (an equivalent mutant in tools/mutants.py).
         rng = random.Random(128)
         for tau in (F(0), F(1), F(1, 3), F(7, 10)):
             for lam in (F(0), F(rng.randint(1, 12), rng.choice((1, 2, 4)))):
@@ -133,6 +135,7 @@ class TestPointQueries:
                     for at in (None, *range(1, n + 1)):
                         table = ranked.classes(*sides, at=at)
                         assert (table[:, 1:3] <= table[:, ::3]).all()
+                        assert (table[:, :2] <= table[:, 3:1:-1]).all()
 
 
 class TestAgainstNaiveEnumeration:
@@ -243,6 +246,24 @@ class TestStructure:
             env1 = envelope(y, t1, lam)
             env2 = envelope(y, t2, lam)
             assert all(a <= b for a, b in zip(env1.upper, env2.lower))
+
+
+class TestRankWidth:
+    @pytest.mark.parametrize("distinct, dtype", [(32767, np.int16), (32768, np.int32)])
+    def test_ranks_widen_past_int16(self, distinct, dtype):
+        # The +inf sentinel is rank len(uniq) and the lower side negates ranks; only the constructor runs
+        assert _RankTables(range(distinct), F(1, 2), 0, True).ranks.dtype == dtype
+
+    def test_ranks_past_eight_bits_match_the_extremal_fits(self):
+        # 140 distinct values: ranks and the +inf sentinel pass 127, the largest int8; L < U at 54 locations
+        inst = Instance(tuple(F(v, 3) for v in random.Random(140).sample(range(-400, 400), 140)), F(1, 2), F(3, 2))
+        assert _RankTables(inst.y, inst.tau, inst.lam, True).tables("lower", "upper").dtype == np.int16
+        env = envelope(inst.y, inst.tau, inst.lam, allow_large_n=True)
+        lower, upper = fit(inst, "lower").theta, fit(inst, "upper").theta
+        assert finite(env.lower) == lower and finite(env.upper) == upper
+        for i in (1, 70, 140):
+            assert upper_envelope_at(inst.y, inst.tau, inst.lam, i, allow_large_n=True).finite_value() == upper[i - 1]
+            assert lower_envelope_at(inst.y, inst.tau, inst.lam, i, allow_large_n=True).finite_value() == lower[i - 1]
 
 
 class TestReflection:

@@ -29,16 +29,19 @@ this checkout beats every run of REV: the spread is too wide to call it
 unchanged.  The export is removed at the end.
 
 --pr N also times the Tier-1 suite (`python -m pytest -q
---continue-on-collection-errors`, src on the path) TIER1_RUNS times and
-writes BENCH_<N>.json, schema qtvd.bench-record/2: per workload, whether
-every run on both sides was correct with 0 failed ops and each end-to-end
-metric's paired summary; the full commit of REV; the commit, src digest,
-machine and versions the benchmark reports; and the Tier-1 wall times,
-summary line and failed runs.  A record covers every workload untraced.
+--continue-on-collection-errors`, each tree's src on the path) in
+TIER1_RUNS pairs of REV's tree and this checkout, REV first on even pairs,
+and writes BENCH_<N>.json, schema qtvd.bench-record/3: per workload,
+whether every run on both sides was correct with 0 failed ops and each
+end-to-end metric's paired summary; the full commit of REV; the commit,
+src digest, machine and versions the benchmark reports; and per Tier-1
+side the wall times, summary line and failed runs, with the summary of
+the pairs' differences (this checkout minus REV).  A record covers every
+workload untraced.
 
 Exit status 1 when a run failed or was incorrect, a metric is WORSE or a
-Tier-1 run failed, else 0.  Standard library only; bench/run.py writes its
-scratch files to .bench_work/.
+Tier-1 run of this checkout failed, else 0.  Standard library only;
+bench/run.py writes its scratch files to .bench_work/.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SCHEMA = "qtvd.bench-record/2"
+SCHEMA = "qtvd.bench-record/3"
 TIER1_RUNS = 3
 MIN_PAIRS = 10  # fewest pairs on which a gain is marked
 
@@ -89,20 +92,30 @@ def run_bench(workload: str, seed: int, seconds: float, tree: Path, trace: int) 
     return env, json.loads(lines[-1])
 
 
-def run_tier1() -> dict:
-    """Wall-time summary, last pytest summary line and failed-run count of TIER1_RUNS Tier-1 runs."""
-    walls, failed, summary = [], 0, ""
-    for _ in range(TIER1_RUNS):
-        start = time.perf_counter()
-        proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"],
-            cwd=ROOT, capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
-        )
-        walls.append(time.perf_counter() - start)
-        failed += proc.returncode != 0
-        summary = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
-        print(f"# tier1: {summary} ({walls[-1]:.1f} s wall)", file=sys.stderr)
-    return {"wall_s": {"unit": "s", **summarise(walls)}, "summary": summary, "failed_runs": failed}
+def run_tier1(base_tree: Path) -> dict:
+    """TIER1_RUNS paired Tier-1 runs of `base_tree` and this checkout, REV first on even pairs.
+
+    Per side ("base", "change"): the wall-time summary, the last pytest
+    summary line and the failed-run count; "pair_diff_s" summarises each
+    pair's change - base wall time.
+    """
+    sides = [("base", base_tree), ("change", ROOT)]
+    walls, failed, summary = {"base": [], "change": []}, {"base": 0, "change": 0}, {"base": "", "change": ""}
+    for pair in range(TIER1_RUNS):
+        for label, tree in (sides if pair % 2 == 0 else sides[::-1]):
+            start = time.perf_counter()
+            proc = subprocess.run(
+                [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"],
+                cwd=tree, capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(tree / "src")},
+            )
+            walls[label].append(time.perf_counter() - start)
+            failed[label] += proc.returncode != 0
+            summary[label] = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
+            print(f"# tier1 pair {pair} {label}: {summary[label]} ({walls[label][-1]:.1f} s wall)", file=sys.stderr)
+    diffs = [c - b for b, c in zip(walls["base"], walls["change"])]
+    record = {label: {"wall_s": {"unit": "s", **summarise(walls[label])}, "summary": summary[label],
+                      "failed_runs": failed[label]} for label, _ in sides}
+    return {**record, "pair_diff_s": {"unit": "s", **summarise(diffs)}}
 
 
 def export(rev: str) -> tuple:
@@ -160,42 +173,37 @@ def compare_pairs(pairs: list, metrics: list) -> tuple:
     return lines, out
 
 
-def against(rev: str, n_pairs: int, workloads: list, spec: dict, trace: int) -> tuple:
-    """Run and report paired A/B runs of REV's tree and this checkout.
+def against(base: str, base_tree: Path, n_pairs: int, workloads: list, spec: dict, trace: int) -> tuple:
+    """Run and report paired A/B runs of `base_tree` (named `base` in the report) and this checkout.
 
-    Returns (REV's full commit, the env this checkout's bench reported,
-    {workload: {"correct", "metrics"}}), where "correct" says that every
-    run on both sides printed a correct result with 0 failed ops.
+    Returns (the env this checkout's bench reported, {workload:
+    {"correct", "metrics"}}), where "correct" says that every run on both
+    sides printed a correct result with 0 failed ops.
     """
-    commit, base_tree = export(rev)
     metrics = spec["per_layer" if trace else "end_to_end"]
     env, cases = None, {}
-    try:
-        compile_tree(base_tree)
-        compile_tree(ROOT)
-        for workload in workloads:
-            pairs, correct = [], True
-            for seed in range(n_pairs):
-                sides = [("base", base_tree), ("change", ROOT)]
-                results = {}
-                for label, tree in (sides if seed % 2 == 0 else sides[::-1]):
-                    run_env, result = run_bench(workload, seed, spec["run_seconds"], tree, trace)
-                    if label == "change":
-                        env = env or run_env
-                    results[label] = result
-                    correct &= result is not None and result["correct"] and not result["failed"]
-                    status = "no result" if result is None else f"correct={result['correct']} failed={result['failed']}"
-                    print(f"# {workload} seed {seed} {label}: {status}", file=sys.stderr)
-                if results["base"] is not None and results["change"] is not None:
-                    pairs.append((seed, results["base"], results["change"]))
-            lines, summary = compare_pairs(pairs, metrics)
-            print(f"{workload}: {len(pairs)} pairs, base {rev} ({commit[:12]}) vs this checkout, "
-                  f"run_seconds {spec['run_seconds']}")
-            print("\n".join(lines))
-            cases[workload] = {"correct": correct, "metrics": summary}
-    finally:
-        shutil.rmtree(base_tree, ignore_errors=True)
-    return commit, env, cases
+    compile_tree(base_tree)
+    compile_tree(ROOT)
+    for workload in workloads:
+        pairs, correct = [], True
+        for seed in range(n_pairs):
+            sides = [("base", base_tree), ("change", ROOT)]
+            results = {}
+            for label, tree in (sides if seed % 2 == 0 else sides[::-1]):
+                run_env, result = run_bench(workload, seed, spec["run_seconds"], tree, trace)
+                if label == "change":
+                    env = env or run_env
+                results[label] = result
+                correct &= result is not None and result["correct"] and not result["failed"]
+                status = "no result" if result is None else f"correct={result['correct']} failed={result['failed']}"
+                print(f"# {workload} seed {seed} {label}: {status}", file=sys.stderr)
+            if results["base"] is not None and results["change"] is not None:
+                pairs.append((seed, results["base"], results["change"]))
+        lines, summary = compare_pairs(pairs, metrics)
+        print(f"{workload}: {len(pairs)} pairs, base {base} vs this checkout, run_seconds {spec['run_seconds']}")
+        print("\n".join(lines))
+        cases[workload] = {"correct": correct, "metrics": summary}
+    return env, cases
 
 
 def main(argv=None) -> int:
@@ -215,12 +223,16 @@ def main(argv=None) -> int:
         p.error("--pairs must be >= 1")
     if args.pr is not None and (args.workload is not None or args.trace):
         p.error("--pr records every workload untraced; drop --workload and --trace")
-    commit, env, cases = against(args.against, args.pairs, [args.workload] if args.workload else names, spec,
-                                 args.trace)
+    commit, base_tree = export(args.against)
+    try:
+        env, cases = against(f"{args.against} ({commit[:12]})", base_tree, args.pairs,
+                             [args.workload] if args.workload else names, spec, args.trace)
+        times = None if args.pr is None else run_tier1(base_tree)
+    finally:
+        shutil.rmtree(base_tree, ignore_errors=True)
     bad = sum(not c["correct"] or any(m["worse"] for m in c["metrics"].values()) for c in cases.values())
     if args.pr is None:
         return 1 if bad else 0
-    times = run_tier1()
     env = env or {}
     dirty = subprocess.run(["git", "status", "--porcelain", "--", "src", "bench", "BENCHMARK.json"],
                            cwd=ROOT, capture_output=True, text=True).stdout.strip() != ""
@@ -241,8 +253,11 @@ def main(argv=None) -> int:
     }
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"wrote {out.name}; tier1 wall median {times['wall_s']['median']:.1f} s, {times['summary']}")
-    return 1 if bad or times["failed_runs"] else 0
+    change = times["change"]
+    print(f"wrote {out.name}; tier1 wall median {times['base']['wall_s']['median']:.1f} s at REV, "
+          f"{change['wall_s']['median']:.1f} s here (pair difference median {times['pair_diff_s']['median']:+.1f} s), "
+          f"{change['summary']}")
+    return 1 if bad or change["failed_runs"] else 0
 
 
 if __name__ == "__main__":

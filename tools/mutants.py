@@ -86,6 +86,24 @@ MUTANTS = (
            "return ~((length <= min_len) | (dist < t)), length, dist",
            "return ~((length < min_len) | (dist < t)), length, dist",
            "an interval exactly min_interval_length long counts as admissible", tests=("tests/test_risk.py",)),
+    Mutant("rank-dtype-never-widens", "envelope.py",
+           "dtype = np.int16 if len(self.uniq) <= np.iinfo(np.int16).max else np.int32", "dtype = np.int16",
+           "data with more than 32767 distinct values keep int16 ranks, which cannot hold the +inf rank",
+           tests=("tests/test_envelope.py",)),
+    Mutant("min-max-without-running-max", "envelope.py",
+           "ft, tt = np.maximum.accumulate(run[:, 0], axis=1), run[:, 1].copy()",
+           "ft, tt = run[:, 0], run[:, 1].copy()",
+           "the max for J reads FT only at p - 1, missing the I that avoid J's left end by more than one point",
+           tests=("tests/test_envelope.py",)),
+    Mutant("c2-ignores-first-point", "envelope.py",
+           "left = (int(at_first) - 1) if shares_left else 1", "left = -1 if shares_left else 1",
+           "a shared left end at 1 counts as interior, so C_{I,J} is 1/2 too small when J touches 1",
+           tests=("tests/test_envelope.py",)),
+    Mutant("corner-keeps-column-patch", "envelope.py",
+           "table[:, :, -1, -1] = tables[:, :, 0, -1][:, _PICK[True, True]]",
+           "table[:, :, -1, -1] = tables[:, :, 0, -1][:, _PICK[False, True]]",
+           "I in J = [1:n] that shares J's left end reads the constant of a J that avoids 1",
+           tests=("tests/test_envelope.py",)),
     Mutant("no-exit-at-lower-bound", "solver.py",
            "                    if base == neg_lam:\n                        lo = x\n                        break\n"
            "                    s = base + jumps[x]\n",
@@ -100,6 +118,13 @@ MUTANTS = (
            "        elif lo is not None and t < lo:\n            t = lo\n",
            "the backward pass tests the upper clamp first",
            equivalent="lo_k <= hi_k where both are set, so t < lo_k and t > hi_k never hold together"),
+    Mutant("min-max-folds-at-own-p", "envelope.py",
+           "np.maximum(tt[:, 1:], ft[:, :-1], out=tt[:, 1:])", "np.maximum(tt, ft, out=tt)",
+           "the max for J also reads FT at J's own p: I = J under the constant of a class avoiding J's left end",
+           tests=("tests/test_envelope.py",),
+           equivalent="avoiding J's left end raises c2, so FT <= TT and FF <= TF entry by entry (checked in "
+                      "test_envelope.py): the extra FT entry, and the FF maximum folded into it, are at most "
+                      "the TT entry, which already holds TF's maximum"),
 )
 
 
