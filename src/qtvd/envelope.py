@@ -51,8 +51,8 @@ sentinels and the lower side's negated ranks lie in [-len(uniq),
 len(uniq)], so they are int16 when the data have at most 32767
 distinct values and int32 otherwise: the narrower tables halve the
 bytes the sweep moves.  Building the class tables peaks at 18*n^2 bytes
-for one side and 44*n^2 for both (the lower side's negation copies its
-classes) in int16, twice that in int32.  The ranks are those of the
+for one side and 36*n^2 for both in int16 (the lower side is negated in
+place), twice that in int32.  The ranks are those of the
 data's scaled ints (`solver._scaled`), which hash and sort faster than
 Fractions and in the same order, since the scale is positive; each rank
 maps back to the data's own Fraction, as in `fit`.
@@ -198,7 +198,9 @@ class _RankTables:
         table[:, :, -1] = tables[:, :, 0][:, _PICK[True, False]]
         table[..., -1] = tables[..., -1][:, _PICK[False, True], ::-1]
         table[:, :, -1, -1] = tables[:, :, 0, -1][:, _PICK[True, True]]
-        table[[s for s, side in enumerate(sides) if side == "lower"]] *= -1
+        for s, side in enumerate(sides):
+            if side == "lower":
+                np.negative(table[s], out=table[s])
         return table
 
     def ends(self, *sides: str, at: int | None = None) -> list:

@@ -22,10 +22,16 @@ over intervals J with |J| > 4*lam/(c1*delta) and Dist(i,dJ) >= C1*log n,
 with probability >= 1 - 4*n^{-(c-1)}; near the global boundary the same
 holds over one-sided interval families.  Locations with an empty
 admissible family are flagged rather than bounded.  `pointwise_bounds`
-is the one evaluation of this minimum: Bias comes from running extrema
-of theta* outward from i, Dist and SD from `_dist` and `_sd`, evaluated
-over blocks of at most 2**14 intervals J, so each location costs
-O(i*(n-i)) work and O(n + 2**14) memory.
+is the one evaluation of this minimum.  With offsets u = i - j1 and
+v = j2 - i, Bias+ is the larger of two running maxima of theta* outward
+from i, one per offset, and |J| and Dist grow with each offset, so the
+SD term can only shrink; rounding is monotone, so its float expression
+can only shrink too.  So J is beaten or tied by the J with the same
+Bias+ whose other offset reaches as far as that Bias+ allows.  Binary
+searches find those candidates, at most n + 1 (`_candidates`), so each
+location costs O(n log n) work and O(n) memory and gives the same
+floats as evaluating every J.  The lower bound is the mirror image on
+the negated running minima.
 
 Balancing bias against the stochastic term gives the optimal penalty:
 for alpha-smooth signals (alpha <= 1, local Hoelder norm L0)
@@ -342,7 +348,20 @@ def _sd(c_tilde: float, logn: float, dist, length, lam: float, level: float):
     return c_tilde * (np.sqrt(logn / dist) + level * logn / lam + lam / length)
 
 
-_BLOCK = 1 << 14  # intervals per block of `pointwise_bounds`: 128 KiB per float temporary
+def _candidates(head, tail) -> tuple:
+    """Index pairs (a, b) among which every pair is beaten, for nondecreasing head and tail.
+
+    Pair (a, b) is beaten by a pair at least as far along both axes with
+    the same max(head[a], tail[b]): by (a, last b' with tail[b'] <= head[a])
+    where tail[b] <= head[a], else by (last a' with head[a'] <= tail[b], b).
+    So a minimum of a value nondecreasing in that max and nonincreasing
+    along each axis is attained among these at most len(head) + len(tail)
+    pairs, and so is any condition that holds upward along both axes.
+    """
+    last_b = np.searchsorted(tail, head, side="right") - 1
+    last_a = np.searchsorted(head, tail, side="right") - 1
+    return (np.concatenate((np.flatnonzero(last_b >= 0), last_a[last_a >= 0])),
+            np.concatenate((last_b[last_b >= 0], np.flatnonzero(last_a >= 0))))
 
 
 @dataclass(frozen=True)
@@ -373,10 +392,15 @@ def pointwise_bounds(
     maximises Bias- - SD^{1-tau}.
 
     The left ends j1 and right ends j2 that no admissible J uses are dropped
-    first; the rest is evaluated in 2-D blocks of at most `_BLOCK` = 2**14
-    intervals, j1 down the rows and j2 across, with Bias from running
-    extrema of theta* outward from i: O(i*(n-i)) numpy work and
-    O(n + 2**14) memory per location.
+    first.  On the rest, Bias+ at u = i - j1, v = j2 - i is max(head[u],
+    tail[v]) - theta*_i, with head[u] and tail[v] the maxima of theta* on
+    [j1:i] and [i:j2].  |J|, Dist and admissibility only grow with u and
+    v, and the SD expression, built from monotonically rounded operations
+    on them, only falls.  So every admissible J is beaten or tied, in
+    floats, by an admissible pair from `_candidates`, and the minimum over
+    those at most n + 1 pairs equals the minimum over every J.  The lower
+    bound runs the same search on the negated running minima.  Each
+    location costs O(n log n) time and O(n) memory.
     """
     n = len(theta_star)
     if n < 2:
@@ -417,39 +441,30 @@ def pointwise_bounds(
             return ~((length <= min_len) | (dist < t)), length, dist
 
         # |J| and Dist grow with j2 and fall with j1: a row keeps some J iff it
-        # keeps J = [j1:last j2], a column iff it keeps J = [first j1:j2]
-        if j1s.size and j2s.size:
+        # keeps J = [j1:last j2], a column iff it keeps J = [first j1:j2], so
+        # the family is empty iff no row or no column is left
+        if j2s.size:
             j1s = j1s[admissible(j1s, j2s[-1])[0]]
-            if j1s.size:
-                j2s = j2s[admissible(j1s[0], j2s)[0]]
-        # max / min of theta[j1-1 : i] at index i - j1, of theta[i-1 : j2] at j2 - i
-        head, tail = theta[i - 1 :: -1], theta[i - 1 :]
-        head_max, head_min = np.maximum.accumulate(head), np.minimum.accumulate(head)
-        tail_max, tail_min = np.maximum.accumulate(tail), np.minimum.accumulate(tail)
-        ref = theta[i - 1]
-        best_u = best_l = None
-        cols = max(1, min(j2s.size, _BLOCK))
-        rows = _BLOCK // cols
-        for r in range(0, j1s.size, rows):
-            j1 = j1s[r : r + rows, None]
-            for c in range(0, j2s.size, cols):
-                j2 = j2s[None, c : c + cols]
-                keep, length, dist = admissible(j1, j2)
-                if not keep.any():
-                    continue
-                length, dist = length[keep], dist[keep]
-                run_max = np.maximum(head_max[i - j1], tail_max[j2 - i])[keep]
-                run_min = np.minimum(head_min[i - j1], tail_min[j2 - i])[keep]
-                u = float(((run_max - ref) + _sd(ct, logn, dist, length, lam, tau)).min())
-                l = float(((run_min - ref) - _sd(ct, logn, dist, length, lam, 1.0 - tau)).max())
-                if best_u is None or u < best_u:
-                    best_u = u
-                if best_l is None or l > best_l:
-                    best_l = l
-        if best_u is None:
+        if not (j1s.size and j2s.size):
             flagged.append(i)
-        lowers.append(best_l)
-        uppers.append(best_u)
+            lowers.append(None)
+            uppers.append(None)
+            continue
+        j2s = j2s[admissible(j1s[0], j2s)[0]]
+        # u = i - j1 and v = j2 - i ascend; max / min of theta[j1-1 : i] at u, of theta[i-1 : j2] at v
+        us, vs = i - j1s[::-1], j2s - i
+        head, tail = theta[i - 1 :: -1], theta[i - 1 :]
+        head_max, tail_max = np.maximum.accumulate(head)[us], np.maximum.accumulate(tail)[vs]
+        head_min, tail_min = np.minimum.accumulate(head)[us], np.minimum.accumulate(tail)[vs]
+        ref = theta[i - 1]
+        a, b = _candidates(head_max, tail_max)
+        keep, length, dist = admissible(i - us[a], i + vs[b])
+        run_max = np.maximum(head_max[a], tail_max[b])[keep]
+        uppers.append(float(((run_max - ref) + _sd(ct, logn, dist[keep], length[keep], lam, tau)).min()))
+        a, b = _candidates(-head_min, -tail_min)
+        keep, length, dist = admissible(i - us[a], i + vs[b])
+        run_min = np.minimum(head_min[a], tail_min[b])[keep]
+        lowers.append(float(((run_min - ref) - _sd(ct, logn, dist[keep], length[keep], lam, 1.0 - tau)).max()))
     return PointwiseBounds(
         locations=locations, lower=tuple(lowers), upper=tuple(uppers), flagged=tuple(flagged)
     )

@@ -278,7 +278,7 @@ class TestPointwiseBounds:
         const = RiskConstants(c1=1.0, C1=3.0 / math.log(20))
         assert const.C1 * math.log(20) == 3.0
         cases.append(([0.0] * 9 + [5.0, 0.0, 4.0] + [0.0] * 8, 0.5, 0.1, const, list(range(1, 21))))
-        # 197 x 198 intervals survive the row and column cuts: several blocks
+        # 197 x 198 intervals survive the row and column cuts
         cases.append((HolderCusp(0.5, 1.0, 0.3).values(400), 0.3, 0.5, RiskConstants(c1=4.0, C1=0.5), [200]))
         # C1 = 0 empties the family at i = 1 and i = n
         cases.append(([0.0, 1.0, 0.0, 1.0, 0.0], 0.5, 0.1, RiskConstants(c1=1.0, C1=0.0), [1, 2, 3, 4, 5]))
@@ -323,23 +323,31 @@ class TestPointwiseBounds:
         with pytest.raises(ValueError, match=r"tau must be in \(0, 1\)"):
             pointwise_bounds([0.0] * 64, tau, 4.0, self.const, allow_small_lambda=True)
 
-    def test_memory_is_bounded_by_the_block(self):
-        # 2039 x 2040 intervals survive the row and column cuts: one unblocked float temporary takes 32 MiB
+    def test_memory_is_linear_in_n(self):
+        # 32767 x 32767 intervals survive the row and column cuts, 8 GiB as one float table; the
+        # candidates need O(n) temporaries, about 120 bytes per point here
+        n = 1 << 16
+        theta = np.abs(np.arange(n) - n // 2) / n
         tracemalloc.start()
         try:
-            b = pointwise_bounds(np.zeros(4096), 0.5, 30.0, self.const, locations=[2048])
+            b = pointwise_bounds(theta, 0.5, 30.0, self.const, locations=[n // 2])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert not b.flagged and peak < 4 << 20
+        assert not b.flagged and peak < 16 << 20
 
-    def test_empty_blocks_are_skipped(self, monkeypatch):
-        # At 64 intervals per block, most blocks here hold no admissible interval (at the default size
-        # that takes n above about 33,000); skipping them changes no bound.
-        args = (HolderCusp(1.0).values(400), 0.5, 5.0, self.const)
-        want = pointwise_bounds(*args, locations=range(1, 401, 7), allow_small_lambda=True)
-        monkeypatch.setattr(risk, "_BLOCK", 64)
-        assert pointwise_bounds(*args, locations=range(1, 401, 7), allow_small_lambda=True) == want
+    def test_ties_between_the_two_sides(self):
+        # Constant and integer-step theta*: the two running maxima (minima) tie, so the candidates
+        # rest on head[u] == tail[v], the pairs a strict search would lose
+        n, k = 40, np.arange(40)
+        const = RiskConstants(c1=1.0, C1=0.5)
+        thetas = [np.zeros(n), np.full(n, -2.5), (k // 6).astype(float), (np.abs(k - n // 2) // 3).astype(float),
+                  (-(np.abs(k - 13) // 4)).astype(float)]
+        for theta in thetas:
+            got = pointwise_bounds(theta, 0.4, 2.0, const, allow_small_lambda=True)
+            refs = [naive_center_bounds(theta, 0.4, 2.0, const, i) for i in range(1, n + 1)]
+            assert list(zip(got.lower, got.upper)) == refs
+            assert len(got.flagged) == sum(ref_u is None for _, ref_u in refs) < n // 4
 
     def test_empty_family_is_flagged(self):
         # lam so large that no interval satisfies the length constraint

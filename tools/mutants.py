@@ -86,6 +86,25 @@ MUTANTS = (
            "return ~((length <= min_len) | (dist < t)), length, dist",
            "return ~((length < min_len) | (dist < t)), length, dist",
            "an interval exactly min_interval_length long counts as admissible", tests=("tests/test_risk.py",)),
+    Mutant("candidates-lose-ties", "risk.py",
+           'last_b = np.searchsorted(tail, head, side="right") - 1\n'
+           '    last_a = np.searchsorted(head, tail, side="right") - 1',
+           'last_b = np.searchsorted(tail, head, side="left") - 1\n'
+           '    last_a = np.searchsorted(head, tail, side="left") - 1',
+           "each search stops before a tie, so the pairs resting on head[u] == tail[v] are lost",
+           tests=("tests/test_risk.py",)),
+    Mutant("candidates-without-per-v", "risk.py",
+           "    return (np.concatenate((np.flatnonzero(last_b >= 0), last_a[last_a >= 0])),\n"
+           "            np.concatenate((last_b[last_b >= 0], np.flatnonzero(last_a >= 0))))",
+           "    return np.flatnonzero(last_b >= 0), last_b[last_b >= 0]",
+           "only the pairs (u, last v with tail[v] <= head[u]) are candidates, missing those whose Bias is tail[v]",
+           tests=("tests/test_risk.py",)),
+    Mutant("candidates-without-per-u", "risk.py",
+           "    return (np.concatenate((np.flatnonzero(last_b >= 0), last_a[last_a >= 0])),\n"
+           "            np.concatenate((last_b[last_b >= 0], np.flatnonzero(last_a >= 0))))",
+           "    return last_a[last_a >= 0], np.flatnonzero(last_a >= 0)",
+           "only the pairs (last u with head[u] <= tail[v], v) are candidates, missing those whose Bias is head[u]",
+           tests=("tests/test_risk.py",)),
     Mutant("rank-dtype-never-widens", "envelope.py",
            "dtype = np.int16 if len(self.uniq) <= np.iinfo(np.int16).max else np.int32", "dtype = np.int16",
            "data with more than 32767 distinct values keep int16 ranks, which cannot hold the +inf rank",
