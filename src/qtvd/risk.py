@@ -23,15 +23,15 @@ with probability >= 1 - 4*n^{-(c-1)}; near the global boundary the same
 holds over one-sided interval families.  Locations with an empty
 admissible family are flagged rather than bounded.  `pointwise_bounds`
 is the one evaluation of this minimum.  With offsets u = i - j1 and
-v = j2 - i, Bias+ is the larger of two running maxima of theta* outward
-from i, one per offset, and |J| and Dist grow with each offset, so the
-SD term can only shrink; rounding is monotone, so its float expression
-can only shrink too.  So J is beaten or tied by the J with the same
-Bias+ whose other offset reaches as far as that Bias+ allows.  Binary
-searches find those candidates, at most n + 1 (`_candidates`), so each
-location costs O(n log n) work and O(n) memory and gives the same
-floats as evaluating every J.  The lower bound is the mirror image on
-the negated running minima.
+v = j2 - i, Bias+ + theta*_i is the larger of two running maxima of
+theta* outward from i, one per offset; |J| and Dist grow with each
+offset, so the SD term can only shrink, and since rounding is monotone
+its float expression can only shrink too.  So each J is beaten or tied
+by the J with the same Bias+ whose other offset reaches as far as that
+Bias+ allows.  Binary searches find those candidates, at most n + 1
+(`_candidates`): each location costs O(n log n) work and O(n) memory,
+and the bounds equal (==) those of evaluating every J.  The lower bound
+is the mirror image on the negated running minima.
 
 Balancing bias against the stochastic term gives the optimal penalty:
 for alpha-smooth signals (alpha <= 1, local Hoelder norm L0)
