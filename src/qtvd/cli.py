@@ -8,13 +8,14 @@ exactly.  Envelope output encodes infinities as the strings "-inf" and
 fraction strings so exactness survives the file boundary.
 
 `fit` and `certify` stay on exact integers from file to output: the
-reader also returns the data scaled by the lcm of their denominators,
-computed once per distinct text; the instance is built holding those
-ints, `fit` certifies the scaled theta the solver returns, and `certify`
-the scaled candidate the reader returns.  theta, g and z are written from
-their ints: each distinct value's fraction text comes from the integer gcd
-of its numerator and the scale, with no Fraction built, and a list of such
-strings, which never need escaping, is written with one join.
+reader strips and parses each distinct line once and also returns the
+data scaled by the lcm of their denominators; the instance is built
+holding those ints, `fit` certifies the scaled theta the solver returns,
+and `certify` the scaled candidate, read as ints only.  theta, g and z
+are written from their ints: each distinct value's fraction text comes
+from the integer gcd of its numerator and the scale, with no Fraction
+built, so it holds only digits, "-" and "/"; such texts come in a marked
+list (`_PlainStrs`), which is written with one join and no escape check.
 
 Exit status: 0 on success, 2 on validation failure (with a line
 diagnostic for malformed input), 3 when an audit finds a violation, so
@@ -54,38 +55,60 @@ def _parse_rational(text: str, what: str) -> Fraction:
         raise ValueError(f"{what}: could not parse {text.strip()!r} as a rational") from exc
 
 
-def _read_values(path: str) -> tuple[list[Fraction], tuple]:
-    """(values, (s, values times s as ints)) of a data file, s the lcm of their denominators: `solver._scaled`."""
+def _read_scaled(path: str) -> tuple[dict, list[str], tuple]:
+    """(the Fraction of each distinct data line, the data lines, (s, their values times s as ints)) of a
+    data file, s the lcm of the denominators: `solver._scaled`.
+
+    Each distinct raw line is stripped and parsed once, in order of first
+    appearance, so a malformed value is reported at the first line that
+    holds it; fitted theta files and tie-heavy data repeat few lines.  The
+    header is looked for on the first non-blank line, and blank lines are
+    filtered out only when the file has one.
+    """
     try:
         with open(path, "r", encoding="utf-8-sig") as handle:  # a leading byte-order mark is not data
-            texts = list(map(str.strip, handle.read().splitlines()))
+            lines = handle.read().splitlines()
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
-    rows = [text for text in texts if text]
-    if not rows:
+    start = next((k for k, line in enumerate(lines) if line.strip()), None)  # index where the data begin
+    if start is None:
         raise ValueError(f"{path}: no data values found")
-    start = 0  # index in `texts` where the data begin
-    if rows[0].lower() == "y":  # single-column CSV header; "y," is a data line
-        start = texts.index(rows[0]) + 1
-        rows = rows[1:]
-        if not rows:
-            raise ValueError(f"{path}: header only, no data values")
-    parsed = {}  # each distinct text once, in order of first appearance: fitted theta files repeat few levels
-    for text in dict.fromkeys(rows):
-        number = text.rstrip(",")
-        try:
-            parsed[text] = Fraction(number)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"{path}:{texts.index(text, start) + 1}: could not parse {number!r}") from exc
+    if lines[start].strip().lower() == "y":  # single-column CSV header; "y," is a data line
+        start += 1
+    rows = lines[start:]
+    distinct = dict.fromkeys(rows)
+    parsed = {}
+    for line in distinct:
+        text = line.strip()
+        if text:
+            number = text.rstrip(",")
+            try:
+                parsed[line] = Fraction(number)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ValueError(f"{path}:{lines.index(line, start) + 1}: could not parse {number!r}") from exc
+    if len(parsed) < len(distinct):  # a blank line
+        rows = [line for line in rows if line in parsed]
+    if not rows:
+        raise ValueError(f"{path}: header only, no data values")
     scale, scaled = solver._scaled(list(parsed.values()))
     ints = dict(zip(parsed, scaled))
-    return list(map(parsed.__getitem__, rows)), (scale, list(map(ints.__getitem__, rows)))
+    return parsed, rows, (scale, list(map(ints.__getitem__, rows)))
+
+
+def _read_values(path: str) -> tuple[list[Fraction], tuple]:
+    """(values, (s, values times s as ints)) of a data file, as `_read_scaled` reads it."""
+    parsed, rows, scaled = _read_scaled(path)
+    return list(map(parsed.__getitem__, rows)), scaled
+
+
+class _PlainStrs(list):
+    """A list of strs that need no JSON escaping, which `_json` writes with one join unchecked."""
 
 
 def _json(value, indent: str) -> str:
     """`json.dumps(value, sort_keys=True, indent=2)` nested at `indent`, byte for byte, without the
     pure-Python encoder that `indent` selects: only scalars go through `json.dumps`.  A list of strs
-    is one join when no distinct string needs escaping, each checked once."""
+    is one join when it is a `_PlainStrs` or when no distinct string needs escaping, each checked once."""
     if isinstance(value, str):
         return _json_str(value)
     if not isinstance(value, (dict, list, tuple)) or not value:
@@ -93,14 +116,12 @@ def _json(value, indent: str) -> str:
     inner = indent + "  "
     if isinstance(value, dict):
         ends, items = "{}", (f"{_json_str(k)}: {_json(v, inner)}" for k, v in sorted(value.items()))
-    elif set(map(type, value)) == {str}:  # theta, g and z
-        ends = "[]"
-        if all(_json_str(s) == f'"{s}"' for s in set(value)):
-            items = ['"' + f'",\n{inner}"'.join(value) + '"']
-        else:
-            items = map(_json_str, value)
-    else:
+    elif not isinstance(value, _PlainStrs) and set(map(type, value)) != {str}:
         ends, items = "[]", (_json(v, inner) for v in value)
+    elif isinstance(value, _PlainStrs) or all(_json_str(s) == f'"{s}"' for s in set(value)):
+        ends, items = "[]", ['"' + f'",\n{inner}"'.join(value) + '"']
+    else:
+        ends, items = "[]", map(_json_str, value)
     return ends[0] + "\n" + inner + (",\n" + inner).join(items) + "\n" + indent + ends[1]
 
 
@@ -113,14 +134,15 @@ def _emit(doc: dict, path: Optional[str]) -> None:
             handle.write(text)
 
 
-def _fraction_strs(ints: list, scale: int) -> list[str]:
+def _fraction_strs(ints: list, scale: int) -> _PlainStrs:
     """str(Fraction(v, scale)) of each int for scale > 0, once per distinct int: fitted vectors and witnesses
-    repeat a few.  A level's text comes from the gcd of its two ints; no Fraction is built."""
+    repeat a few.  A level's text comes from the gcd of its two ints, written with `str` and one "/"; no
+    Fraction is built, and only digits, "-" and "/" are written, so the list is a `_PlainStrs`."""
     text = {}
     for v in set(ints):
         d = gcd(v, scale)
         text[v] = str(v // d) if d == scale else f"{v // d}/{scale // d}"
-    return list(map(text.__getitem__, ints))
+    return _PlainStrs(map(text.__getitem__, ints))
 
 
 def _parse_constants(pairs: Optional[Sequence[str]], noise, tau: float) -> risk.RiskConstants:
@@ -186,7 +208,7 @@ def _cmd_envelope(args) -> int:
 
 def _cmd_certify(args) -> int:
     inputs = _exact_inputs(args)
-    _, theta = _read_values(args.theta)
+    theta = _read_scaled(args.theta)[2]
     cert = _witness_doc(solver._instance(*inputs), theta)
     _emit({"feasible": False} if cert is None else {"feasible": True, **cert}, args.output)
     return 0

@@ -5,6 +5,7 @@ nothing from `qtvd` but `Instance`, so a fault in a library kernel cannot
 reach the oracle that checks it.  Two check the extremal fits: the grid
 search, exhaustive up to n = 8, and `cut_fit`, one chain cut per data
 value in O(n * distinct values), which runs at the benchmark's sizes.
+`read_values` is the CLI's data-file reader in its earlier, per-line form.
 """
 
 import math
@@ -307,3 +308,33 @@ def naive_submodularity_fuzz(penalty, trials, seed):
             if first is None:
                 first = (x, y)
     return violations, first
+
+
+def read_values(path: str) -> tuple:
+    """`cli._read_values` as it stood before it read each distinct line once: every line stripped, the
+    blank ones filtered out, then each distinct text parsed.  The scaling is written out here, as
+    (lcm of the denominators, value times it), where the reader calls `solver._scaled`."""
+    try:
+        with open(path, "r", encoding="utf-8-sig") as handle:  # a leading byte-order mark is not data
+            texts = list(map(str.strip, handle.read().splitlines()))
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc}") from exc
+    rows = [text for text in texts if text]
+    if not rows:
+        raise ValueError(f"{path}: no data values found")
+    start = 0  # index in `texts` where the data begin
+    if rows[0].lower() == "y":  # single-column CSV header; "y," is a data line
+        start = texts.index(rows[0]) + 1
+        rows = rows[1:]
+        if not rows:
+            raise ValueError(f"{path}: header only, no data values")
+    parsed = {}  # each distinct text once, in order of first appearance: fitted theta files repeat few levels
+    for text in dict.fromkeys(rows):
+        number = text.rstrip(",")
+        try:
+            parsed[text] = Fraction(number)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"{path}:{texts.index(text, start) + 1}: could not parse {number!r}") from exc
+    scale = math.lcm(*(v.denominator for v in parsed.values()))
+    ints = {text: v.numerator * (scale // v.denominator) for text, v in parsed.items()}
+    return list(map(parsed.__getitem__, rows)), (scale, list(map(ints.__getitem__, rows)))

@@ -6,12 +6,14 @@ import json
 import math
 import random
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import helpers
 from helpers import grid_oracle
 
 from qtvd import cli, risk, solver
@@ -98,6 +100,34 @@ class TestInput:
         path = write(tmp_path / "bad.txt", "1\r\n\r\n,\r\n")
         with pytest.raises(ValueError, match=r"bad\.txt:3: could not parse ''"):
             cli._read_values(path)
+
+    def test_reader_matches_the_per_line_reference(self, tmp_path):
+        # Generated files with blank and whitespace-only lines, headers, a BOM, CRLF or CR line ends, the same
+        # value under other whitespace or trailing commas, and unparseable lines at any position.
+        blank = ("", " ", "\t", "  \t ", "\u00a0")
+        header = ("y", "Y", " y ", "y,", "\ty")
+        good = ("1", " 1", "1 ", "\t1\t", "1,", "1,,", " 1 ,", "1/2", "2/4", "0.5", "-3", "1e-3", "3/4", "-0")
+        bad = ("oops", "1/x", ",", "1/0", "y", "--1", "1 2", "Y ,")
+        rng, path, seen = random.Random(35), tmp_path / "y.csv", set()
+        for _ in range(2000):
+            lines = [rng.choice(good if rng.random() < 0.8 else blank) for _ in range(rng.randint(0, 7))]
+            for _ in range(rng.choice((0, 0, 0, 1, 1, 2))):
+                lines.insert(rng.randint(0, len(lines)), rng.choice(bad))
+            if rng.random() < 0.4:
+                lines.insert(0, rng.choice(header))
+            lines[:0] = [rng.choice(blank) for _ in range(rng.choice((0, 0, 1, 2)))]
+            end = rng.choice(("\n", "\r\n", "\r"))
+            text = end.join(lines) + rng.choice(("", end, end + end))
+            path.write_bytes((b"\xef\xbb\xbf" if rng.random() < 0.2 else b"") + text.encode())
+            outcomes = []
+            for reader in (cli._read_values, helpers.read_values):
+                try:
+                    outcomes.append(reader(str(path)))
+                except ValueError as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1], text
+            seen.add(outcomes[0].split(": ")[1].split(" ")[0] if isinstance(outcomes[0], str) else "read")
+        assert seen == {"read", "could", "header", "no"}  # each outcome occurs
 
     def test_byte_order_mark_is_not_data(self, tmp_path, capsys):
         plain = write(tmp_path / "plain.txt", "1\n2\n3\n")
@@ -324,6 +354,18 @@ class TestJsonLayout:
         # common is shared by both ints of the second pair; the third and fourth are whole numbers
         for num, den in ((v, scale), (v * common, scale * common), (v * scale, scale), (v * common, common)):
             assert cli._fraction_strs([num], den) == [str(F(num, den))], (num, den)
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(st.lists(st.integers() | st.integers(min_value=2**64), max_size=6),
+           st.sampled_from(_PRIMES) | st.integers(1, 2**70), st.lists(_TEXT, max_size=4), _TEXT)
+    def test_fraction_texts_need_no_escaping(self, ints, scale, texts, key):
+        # `_json` writes a marked list with one join, unchecked: only texts the escaper leaves alone may go there.
+        marked = cli._fraction_strs(ints, scale)
+        assert type(marked) is cli._PlainStrs
+        assert all(s == _json_str(s)[1:-1] for s in marked)
+        doc = {key: marked, "texts": texts, "copy": list(marked), "mixed": texts + marked,
+               "empty": cli._PlainStrs(), "none": [], "nested": {"g": marked, "z": texts, "e": cli._PlainStrs()}}
+        assert cli._json(doc, "") == json.dumps(doc, sort_keys=True, indent=2)
 
     @settings(derandomize=True, database=None, max_examples=60, deadline=None)
     @given(st.sampled_from(('"', "\\", "\x1f", "\u00e9", "\ud800", None)), st.integers(0, 1199))

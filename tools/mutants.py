@@ -68,6 +68,12 @@ MUTANTS = (
            "the lower fit reflects y but not tau"),
     Mutant("argmin-at-zero", "solver.py", "if base > 0:", "if base >= 0:",
            "the argmin stops at a flat stretch's left end, not its right end"),
+    Mutant("argmin-halves-swapped", "solver.py",
+           "for x in sorted(low) + sorted(map(neg, high)):", "for x in sorted(map(neg, high)) + sorted(low):",
+           "the argmin scans the keys right of the pivot before those left of it, so not in ascending order"),
+    Mutant("argmin-high-not-negated", "solver.py",
+           "for x in sorted(low) + sorted(map(neg, high)):", "for x in sorted(low) + sorted(high):",
+           "the argmin scans the right heap's stored keys, which are the negated breakpoints"),
     Mutant("insert-on-wrong-side", "solver.py", "if x_new < p:", "if x_new > p:",
            "a new breakpoint goes into the heap on the wrong side of the pivot"),
     Mutant("refill-one-key", "solver.py", "half = len(keys) // 2", "half = 1",
@@ -123,6 +129,14 @@ MUTANTS = (
            "table[:, :, -1, -1] = tables[:, :, 0, -1][:, _PICK[False, True]]",
            "I in J = [1:n] that shares J's left end reads the constant of a J that avoids 1",
            tests=("tests/test_envelope.py",)),
+    Mutant("reader-keeps-blank-lines", "cli.py",
+           "    if len(parsed) < len(distinct):  # a blank line\n        rows = [line for line in rows if line in parsed]\n",
+           "",
+           "the reader never filters blank lines out, so a file with one fails", tests=("tests/test_cli.py",)),
+    Mutant("any-str-list-joined-unchecked", "cli.py",
+           "elif isinstance(value, _PlainStrs) or all(", "elif True or all(",
+           "the writer joins every list of strs without escaping, not only the marked fraction texts",
+           tests=("tests/test_cli.py",)),
     Mutant("no-exit-at-lower-bound", "solver.py",
            "                    if base == neg_lam:\n                        lo = x\n                        break\n"
            "                    s = base + jumps[x]\n",
