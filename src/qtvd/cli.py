@@ -14,8 +14,10 @@ holding those ints, `fit` certifies the scaled theta the solver returns,
 and `certify` the scaled candidate, read as ints only.  theta, g and z
 are written from their ints: each distinct value's fraction text comes
 from the integer gcd of its numerator and the scale, with no Fraction
-built, so it holds only digits, "-" and "/"; such texts come in a marked
-list (`_PlainStrs`), which is written with one join and no escape check.
+built, so it holds only digits, "-" and "/".  Such texts, and the
+envelope's bounds (fraction texts, "-inf" and "+inf"), come in a marked
+list (`_PlainStrs`), which is written with one join and no escape check;
+any other list is written item by item.
 
 Exit status: 0 on success, 2 on validation failure (with a line
 diagnostic for malformed input), 3 when an audit finds a violation, so
@@ -55,9 +57,10 @@ def _parse_rational(text: str, what: str) -> Fraction:
         raise ValueError(f"{what}: could not parse {text.strip()!r} as a rational") from exc
 
 
-def _read_scaled(path: str) -> tuple[dict, list[str], tuple]:
-    """(the Fraction of each distinct data line, the data lines, (s, their values times s as ints)) of a
-    data file, s the lcm of the denominators: `solver._scaled`.
+def _read_scaled(path: str) -> tuple[tuple, list[str], dict]:
+    """((s, the values of a data file times s as ints), its data lines, the Fraction of each distinct data
+    line), s the lcm of the denominators: `solver._scaled`.  Lines are kept raw, as in the file (unstripped,
+    blank lines dropped), and the dict is keyed by them; `certify` reads its candidate as the ints only.
 
     Each distinct raw line is stripped and parsed once, in order of first
     appearance, so a malformed value is reported at the first line that
@@ -92,12 +95,12 @@ def _read_scaled(path: str) -> tuple[dict, list[str], tuple]:
         raise ValueError(f"{path}: header only, no data values")
     scale, scaled = solver._scaled(list(parsed.values()))
     ints = dict(zip(parsed, scaled))
-    return parsed, rows, (scale, list(map(ints.__getitem__, rows)))
+    return (scale, list(map(ints.__getitem__, rows))), rows, parsed
 
 
 def _read_values(path: str) -> tuple[list[Fraction], tuple]:
     """(values, (s, values times s as ints)) of a data file, as `_read_scaled` reads it."""
-    parsed, rows, scaled = _read_scaled(path)
+    scaled, rows, parsed = _read_scaled(path)
     return list(map(parsed.__getitem__, rows)), scaled
 
 
@@ -107,8 +110,8 @@ class _PlainStrs(list):
 
 def _json(value, indent: str) -> str:
     """`json.dumps(value, sort_keys=True, indent=2)` nested at `indent`, byte for byte, without the
-    pure-Python encoder that `indent` selects: only scalars go through `json.dumps`.  A list of strs
-    is one join when it is a `_PlainStrs` or when no distinct string needs escaping, each checked once."""
+    pure-Python encoder that `indent` selects: only scalars go through `json.dumps`.  A `_PlainStrs` is
+    one join; any other list is written item by item."""
     if isinstance(value, str):
         return _json_str(value)
     if not isinstance(value, (dict, list, tuple)) or not value:
@@ -116,12 +119,10 @@ def _json(value, indent: str) -> str:
     inner = indent + "  "
     if isinstance(value, dict):
         ends, items = "{}", (f"{_json_str(k)}: {_json(v, inner)}" for k, v in sorted(value.items()))
-    elif not isinstance(value, _PlainStrs) and set(map(type, value)) != {str}:
-        ends, items = "[]", (_json(v, inner) for v in value)
-    elif isinstance(value, _PlainStrs) or all(_json_str(s) == f'"{s}"' for s in set(value)):
+    elif isinstance(value, _PlainStrs):
         ends, items = "[]", ['"' + f'",\n{inner}"'.join(value) + '"']
     else:
-        ends, items = "[]", map(_json_str, value)
+        ends, items = "[]", (_json(v, inner) for v in value)
     return ends[0] + "\n" + inner + (",\n" + inner).join(items) + "\n" + indent + ends[1]
 
 
@@ -201,14 +202,15 @@ def _cmd_fit(args) -> int:
 def _cmd_envelope(args) -> int:
     y, tau, lam, _ = _exact_inputs(args)
     env = _envelope(y, tau, lam, allow_large_n=args.allow_large_n)
-    doc = {"L": [repr(v) for v in env.lower], "U": [repr(v) for v in env.upper]}
+    # repr of a bound is its fraction text, "-inf" or "+inf": nothing to escape
+    doc = {"L": _PlainStrs(map(repr, env.lower)), "U": _PlainStrs(map(repr, env.upper))}
     _emit(doc, args.output)
     return 0
 
 
 def _cmd_certify(args) -> int:
     inputs = _exact_inputs(args)
-    theta = _read_scaled(args.theta)[2]
+    theta = _read_scaled(args.theta)[0]
     cert = _witness_doc(solver._instance(*inputs), theta)
     _emit({"feasible": False} if cert is None else {"feasible": True, **cert}, args.output)
     return 0

@@ -371,7 +371,7 @@ class TestJsonLayout:
     @settings(derandomize=True, database=None, max_examples=60, deadline=None)
     @given(st.sampled_from(('"', "\\", "\x1f", "\u00e9", "\ud800", None)), st.integers(0, 1199))
     def test_long_string_list_with_one_escape_matches_stdlib(self, char, position):
-        # One string that needs escaping sends the whole list down the per-item path; None needs none.
+        # Unmarked lists go item by item, so one string that needs escaping is escaped; None needs none.
         values = [str(F(k, 7)) for k in range(-600, 600)]
         if char is not None:
             values[position] = f"1/{char}7"
@@ -400,7 +400,7 @@ class TestJsonLayout:
         assert written["ours"] == written["per-fraction"]
         assert len(set(json.loads(written["ours"][1])["z"])) >= 300
 
-    @pytest.mark.parametrize("command", ["fit", "certify", "envelope", "audit", "simulate", "rate"])
+    @pytest.mark.parametrize("command", ["fit", "certify", "envelope", "envelope-inf", "audit", "simulate", "rate"])
     def test_commands_write_stdlib_bytes(self, command, tmp_path, monkeypatch):
         y_file = write(tmp_path / "y.txt", "1/2\n-3\n0.25\n2\n2\n1/3\n")
         exact = ["--input", y_file, "--tau", "1/3", "--lambda", "1/2"]
@@ -410,6 +410,7 @@ class TestJsonLayout:
             "fit": ["fit", *exact, "--extremal", "lower"],
             "certify": ["certify", *exact, "--theta", theta_file],
             "envelope": ["envelope", *exact],
+            "envelope-inf": ["envelope", "--input", y_file, "--tau", "1", "--lambda", "1/2"],  # U is "+inf"
             "audit": ["audit", *exact, "--tau2", "3/4", "--trials", "20"],
             "simulate": ["simulate", "--n", "1024", *model, "--bounds"],
             "rate": ["rate", "--n-grid", "32,64,128,256", *model],

@@ -134,7 +134,7 @@ MUTANTS = (
            "",
            "the reader never filters blank lines out, so a file with one fails", tests=("tests/test_cli.py",)),
     Mutant("any-str-list-joined-unchecked", "cli.py",
-           "elif isinstance(value, _PlainStrs) or all(", "elif True or all(",
+           "elif isinstance(value, _PlainStrs):", "elif isinstance(value[0], str):",
            "the writer joins every list of strs without escaping, not only the marked fraction texts",
            tests=("tests/test_cli.py",)),
     Mutant("no-exit-at-lower-bound", "solver.py",
