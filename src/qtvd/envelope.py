@@ -14,15 +14,21 @@ with adjusted levels u_{I,J} = tau*|I| - 2*lam*C_{I,J} and
 l_{I,J} = tau*|I| + 2*lam*C_{I,J}, where C_{I,J} in
 {-1, -1/2, 0, 1/2, 1} is the boundary constant of the nested pair.
 
-This module evaluates both formulas by full enumeration; no pruning or
-early exit is applied.  The boundary constant only depends on which
-endpoints I shares with J and on whether J touches 1 or n (`_c2`), so
-each side needs five selected-rank tables, one per constant, holding for
-every interval [a:b] the rank of its selected order statistic.  The
-selection indices (floor/ceil of the adjusted levels on the integer
-lattice `solver._lattice`) are computed for all window lengths m at
-once; per m, one sort of the windows serves both sides, and one gather
-of the selected columns is written along the tables' m-th diagonal.  A
+At tau = 0, L = -inf everywhere, and U = min(y) for lam > 0 but U = y
+at lam = 0; tau = 1 is the mirror image (criterion 6).  These closed
+forms are read off the data's ranks, with no table built.  For tau in
+(0,1) this module evaluates both formulas by full enumeration; no
+pruning or early exit is applied.  The boundary constant only depends
+on which endpoints I shares with J and on whether J touches 1 or n
+(`_c2`), so each side needs five selected-rank tables, one per
+constant, holding for every interval [a:b] the rank of its selected
+order statistic.  The selection indices (floor/ceil of the adjusted
+levels on the integer lattice `solver._lattice`) are computed for all
+window lengths m at once: in int64 when tau*n + 2*lam + unit, in the
+lattice's ints, fits int64, since that bounds every term, else as
+Python ints, the dtype rule of `solver._dual_system`.  Per m, one sort
+of the windows serves both sides, and one gather of the selected
+columns is written along the tables' m-th diagonal.  A
 point query fills only the windows containing its location.  Each
 sharing class of I reads the table of an interior J, with the row of J
 touching 1 and the column of J touching n patched in from the tables
@@ -63,8 +69,11 @@ Infinities from the extended order-statistic convention are the
 off-range ranks -1 and len(uniq), so they propagate through min/max
 without float sentinels.
 
-Calls share no mutable state.  The soft cap keeps accidental huge
-inputs out (the chain solver covers large n).
+Calls share no mutable state.  The soft cap `SOFT_CAP` guards the
+enumeration only: it keeps accidental huge inputs out of the O(n^3)
+work (the chain solver covers large n, and `qtvd envelope` takes L and
+U from its extremal fits above the cap), while tau in {0, 1} answers at
+any n.
 """
 
 from __future__ import annotations
@@ -88,7 +97,7 @@ __all__ = [
     "SOFT_CAP",
 ]
 
-#: Largest n accepted without `allow_large_n=True`.
+#: Largest n enumerated without `allow_large_n=True`; tau in {0, 1} needs no enumeration.
 SOFT_CAP = 64
 
 
@@ -139,11 +148,7 @@ class _RankTables:
         self.n = len(y)
         if self.n == 0:
             raise ValueError("data vector must be non-empty")
-        if self.n > SOFT_CAP and not allow_large_n:
-            raise ValueError(
-                f"n={self.n} exceeds the envelope enumeration cap {SOFT_CAP}; "
-                "override with --allow-large-n (allow_large_n=True in Python)"
-            )
+        self.allow_large_n = allow_large_n
         ints = _scaled(y)[1]  # the scale is positive, so the ints sort as y does
         value = dict(zip(ints, y))
         distinct = sorted(value)
@@ -162,8 +167,15 @@ class _RankTables:
         len(uniq) (+inf).  With `at=i`, only windows containing i are filled.
         """
         n = self.n
+        if n > SOFT_CAP and not self.allow_large_n:
+            raise ValueError(
+                f"n={n} exceeds the envelope enumeration cap {SOFT_CAP}; "
+                "override with --allow-large-n (allow_large_n=True in Python)"
+            )
         unit, tau, lam = _lattice(self.tau, self.lam)
-        length, c2 = np.arange(1, n + 1, dtype=object)[:, None], np.arange(-2, 3, dtype=object)  # Python ints
+        # Every term below lies within tau*n + 2*lam + unit of 0; past int64 they stay Python ints
+        dtype = np.int64 if tau * n + 2 * lam + unit <= np.iinfo(np.int64).max else object
+        length, c2 = np.arange(1, n + 1, dtype=dtype)[:, None], np.arange(-2, 3, dtype=dtype)
         index = {"upper": (tau * length - lam * c2) // unit + 1, "lower": -((-tau * length - lam * c2) // unit)}
         k = np.clip(np.hstack([index[side] for side in sides]), 0, length + 1).astype(np.intp)
         padded = np.concatenate((self.ranks, self.ranks[1:]))
@@ -207,15 +219,19 @@ class _RankTables:
         """ends[k][s], side s at location k+1 (or `at`): `_min_max`'s rank, un-negated on the lower side,
         as -inf (rank -1), +inf (rank len(uniq)) or the data value uniq[rank].
 
-        `_min_max` reads FT with FF's running maximum along q folded in one
+        At tau in {0, 1} the rank is `_closed_form`'s, and no table is built.
+        Otherwise `_min_max` reads FT with FF's running maximum along q folded in one
         step before q, and TT with TF's.  The envelope sweeps i = n, ..., 1,
         step i folding column b = i of FF into FT (of TF into TT) at rows
         a <= i and columns b > i; the block at i is then ready.
         """
         if at is not None:
             at = _as_location(at, self.n)
-        table, signs = self.classes(*sides, at=at), [-1 if side == "lower" else 1 for side in sides]
         values = [NEG_INF, *(ExtendedValue(0, v) for v in self.uniq), POS_INF]  # at rank + 1
+        if self.tau in (0, 1):
+            ranks = np.stack([self._closed_form(side) for side in sides], axis=1)
+            return [[values[r + 1] for r in rs] for rs in (ranks[at - 1 : at] if at else ranks).tolist()]
+        table, signs = self.classes(*sides, at=at), [-1 if side == "lower" else 1 for side in sides]
         ft_tt, ff_tf = table[:, ::3], table[:, 1:3]
         if at:
             np.maximum.accumulate(ff_tf, axis=3, out=ff_tf)
@@ -229,6 +245,19 @@ class _RankTables:
                 ranks.append(_min_max(ft_tt[..., n - i :, i - 1 :]))
             ranks.reverse()
         return [[values[s * r + 1] for s, r in zip(signs, rs)] for rs in ranks]
+
+    def _closed_form(self, side: str) -> np.ndarray:
+        """Side's rank at every location for tau in {0, 1}, read off the data's ranks (criterion 6).
+
+        At tau = 0, L = -inf, and U = min(y) for lam > 0 but U = y at
+        lam = 0; tau = 1 is the mirror image.
+        """
+        top = len(self.uniq)
+        if (side == "upper") != (self.tau == 0):  # -inf below at tau = 0, +inf above at tau = 1
+            return np.full(self.n, -1 if side == "lower" else top)
+        if self.lam == 0:
+            return self.ranks
+        return np.full(self.n, 0 if self.tau == 0 else top - 1)
 
 
 def _min_max(run: np.ndarray) -> list:

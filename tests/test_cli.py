@@ -218,11 +218,65 @@ class TestFitEnvelopeCertify:
         assert doc["U"] == ["1"] * 3
 
     def test_envelope_cap_and_override(self, tmp_path, capsys):
+        # Above the cap, no flag takes the extremal fits and the flag runs the formula: the same bytes
         big = write(tmp_path / "big.txt", "\n".join(str(k % 7) for k in range(70)) + "\n")
-        assert run(["envelope", "--input", big, "--tau", "1/2", "--lambda", "1"]) == 2
-        assert "--allow-large-n" in capsys.readouterr().err
+        assert run(["envelope", "--input", big, "--tau", "1/2", "--lambda", "1"]) == 0
+        fits = capsys.readouterr()
+        assert fits.err == ""
         assert run(["envelope", "--input", big, "--tau", "1/2", "--lambda", "1",
                     "--allow-large-n"]) == 0
+        assert capsys.readouterr().out == fits.out
+
+    def test_envelope_fits_route_writes_the_formula_bytes(self, tmp_path):
+        # Tie-heavy data and lam = 3/7 inside a cell of tau = 1/2, so the fits run on the cell's
+        # representative (D = 8, not 14); each instance has L != U somewhere.
+        rng = random.Random(65)
+        for n in range(65, 129):
+            y = [rng.choice(("0", "1", "2", "-1", "1/3", "2/3")) for _ in range(n)]
+            data = write(tmp_path / "y.txt", "\n".join(y) + "\n")
+            texts = []
+            for flag in ([], ["--allow-large-n"]):
+                out = tmp_path / f"env{len(texts)}.json"
+                argv = ["envelope", "--input", data, "--tau", "1/2", "--lambda", "3/7", "--output", str(out)]
+                assert run(argv + flag) == 0
+                texts.append(out.read_bytes())
+            assert texts[0] == texts[1], n
+            doc = json.loads(texts[0])
+            assert doc["L"] != doc["U"], n
+
+    def test_envelope_fits_route_at_ten_thousand(self, tmp_path, capsys):
+        # No oracle reaches n = 10^4: L <= U, `certify` accepts both ends, and the ends of
+        # reversed y are the reversed ends (the objective is symmetric in the index order).
+        rng = random.Random(10**4)
+        y = [f"{rng.choice((0, 3, -3, 6)) + rng.randint(-4, 4)}/3" for _ in range(10**4)]
+        ends = []
+        for name, data in (("y", y), ("reversed", y[::-1])):
+            path = write(tmp_path / f"{name}.txt", "\n".join(data) + "\n")
+            assert run(["envelope", "--input", path, "--tau", "1/3", "--lambda", "5/2"]) == 0
+            ends.append(json.loads(capsys.readouterr().out))
+        doc, rev = ends
+        assert all(F(a) <= F(b) for a, b in zip(doc["L"], doc["U"]))
+        assert doc["L"] != doc["U"]
+        assert rev == {"L": doc["L"][::-1], "U": doc["U"][::-1]}
+        data = str(tmp_path / "y.txt")
+        for side in ("L", "U"):
+            theta = write(tmp_path / f"{side}.txt", "\n".join(doc[side]) + "\n")
+            assert run(["certify", "--input", data, "--theta", theta, "--tau", "1/3", "--lambda", "5/2"]) == 0
+            assert json.loads(capsys.readouterr().out)["feasible"] is True
+
+    @pytest.mark.parametrize("tau", ["0", "1"])
+    @pytest.mark.parametrize("lam", ["0", "5/2"])
+    def test_envelope_closed_forms_at_ten_thousand(self, tmp_path, capsys, tau, lam):
+        # tau in {0, 1} needs no enumeration, so no flag at any n; lam = 0 pins the finite side to y
+        rng = random.Random(10**4 + 1)
+        y = [f"{rng.randint(-50, 50)}/{rng.choice((1, 2, 7))}" for _ in range(10**4)]
+        data = write(tmp_path / "y.txt", "\n".join(y) + "\n")
+        assert run(["envelope", "--input", data, "--tau", tau, "--lambda", lam]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        values = [F(v) for v in y]
+        finite = [str(v) for v in values] if lam == "0" else [str(min(values) if tau == "0" else max(values))] * len(y)
+        infinite = ["-inf" if tau == "0" else "+inf"] * len(y)
+        assert doc == ({"L": infinite, "U": finite} if tau == "0" else {"L": finite, "U": infinite})
 
 
 # (y, tau, lam).  "mixed" and "int64" (y scaled past int64, so the certificate compares Python ints) have

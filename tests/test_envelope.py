@@ -68,6 +68,21 @@ class TestPointwiseValues:
         assert all(v == POS_INF for v in env.upper)
         assert all(v.finite_value() == 4 for v in env.lower)
 
+    @pytest.mark.parametrize("tau", [F(0), F(1)])
+    @pytest.mark.parametrize("lam", [F(0), F(5, 2)])
+    def test_degenerate_levels_at_ten_thousand(self, tau, lam):
+        # The closed forms build no tables, so they need no allow_large_n at any n
+        rng = random.Random(10**4)
+        y = tuple(F(rng.randint(-50, 50), rng.choice((1, 2, 7))) for _ in range(10**4))
+        finite = list(y) if lam == 0 else [min(y) if tau == 0 else max(y)] * len(y)
+        infinite = [-math.inf if tau == 0 else math.inf] * len(y)
+        lower, upper = (infinite, finite) if tau == 0 else (finite, infinite)
+        env = envelope(y, tau, lam)
+        assert plain(env.lower) == lower and plain(env.upper) == upper
+        for i in (1, 5000, 10**4):
+            assert plain([lower_envelope_at(y, tau, lam, i), upper_envelope_at(y, tau, lam, i)]) == [
+                lower[i - 1], upper[i - 1]]
+
     def test_random_instance_matches_oracle(self):
         rng = random.Random(99)
         for _ in range(30):

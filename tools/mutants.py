@@ -129,6 +129,38 @@ MUTANTS = (
            "table[:, :, -1, -1] = tables[:, :, 0, -1][:, _PICK[False, True]]",
            "I in J = [1:n] that shares J's left end reads the constant of a J that avoids 1",
            tests=("tests/test_envelope.py",)),
+    Mutant("index-dtype-always-int64", "envelope.py",
+           "dtype = np.int64 if tau * n + 2 * lam + unit <= np.iinfo(np.int64).max else object", "dtype = np.int64",
+           "selection indices on a lattice past int64 are computed in int64, which cannot hold them",
+           tests=("tests/test_envelope.py",)),
+    Mutant("closed-form-min-max-swapped", "envelope.py",
+           "return np.full(self.n, 0 if self.tau == 0 else top - 1)",
+           "return np.full(self.n, top - 1 if self.tau == 0 else 0)",
+           "the finite side at tau = 0 with lam > 0 is max(y), not min(y), and the mirror at tau = 1",
+           tests=("tests/test_envelope.py",)),
+    Mutant("closed-form-lam-zero-takes-min", "envelope.py",
+           "        if self.lam == 0:\n            return self.ranks\n", "",
+           "at lam = 0 the finite side is min(y) (max(y) at tau = 1), not y", tests=("tests/test_envelope.py",)),
+    Mutant("sweep-without-fold", "envelope.py",
+           "                np.maximum(fold, ff_tf[..., n - i :, i - 1 : i], out=fold)\n", "",
+           "the envelope sweep never folds FF into FT nor TF into TT, losing the I that avoid J's right end",
+           tests=("tests/test_envelope.py",)),
+    Mutant("sweep-folds-next-column", "envelope.py",
+           "np.maximum(fold, ff_tf[..., n - i :, i - 1 : i], out=fold)",
+           "np.maximum(fold, ff_tf[..., n - i :, i : i + 1], out=fold)",
+           "step i folds column b = i + 1, so the I ending at the location itself never reach the J beyond it",
+           tests=("tests/test_envelope.py",)),
+    Mutant("point-fold-without-running-max", "envelope.py",
+           "            np.maximum.accumulate(ff_tf, axis=3, out=ff_tf)\n", "",
+           "a point query's FT reads FF only one step before q, missing the I that end farther before J's end",
+           tests=("tests/test_envelope.py",)),
+    Mutant("cli-fits-route-swapped", "cli.py",
+           'doc = {"L": _fraction_strs(solver._fit_scaled(inst, "lower"), scale),\n'
+           '               "U": _fraction_strs(solver._fit_scaled(inst, "upper"), scale)}',
+           'doc = {"L": _fraction_strs(solver._fit_scaled(inst, "upper"), scale),\n'
+           '               "U": _fraction_strs(solver._fit_scaled(inst, "lower"), scale)}',
+           "above the enumeration cap, `qtvd envelope` writes the upper fit as L and the lower fit as U",
+           tests=("tests/test_cli.py",)),
     Mutant("reader-keeps-blank-lines", "cli.py",
            "    if len(parsed) < len(distinct):  # a blank line\n        rows = [line for line in rows if line in parsed]\n",
            "",
@@ -158,6 +190,13 @@ MUTANTS = (
            equivalent="avoiding J's left end raises c2, so FT <= TT and FF <= TF entry by entry (checked in "
                       "test_envelope.py): the extra FT entry, and the FF maximum folded into it, are at most "
                       "the TT entry, which already holds TF's maximum"),
+    Mutant("point-fold-at-own-q", "envelope.py",
+           "np.maximum(ft_tt[..., 1:], ff_tf[..., :-1], out=ft_tt[..., 1:])", "np.maximum(ft_tt, ff_tf, out=ft_tt)",
+           "a point query's FT (TT) also takes FF's (TF's) running maximum at J's own q, which includes I = J's end",
+           tests=("tests/test_envelope.py",),
+           equivalent="avoiding J's right end raises c2, so FF <= FT and TF <= TT entry by entry (checked in "
+                      "test_envelope.py): the running maximum at q differs from the one at q - 1 only by the "
+                      "entry at q, which the sharing class's own entry already bounds"),
 )
 
 
