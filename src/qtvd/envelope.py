@@ -219,11 +219,12 @@ class _RankTables:
         """ends[k][s], side s at location k+1 (or `at`): `_min_max`'s rank, un-negated on the lower side,
         as -inf (rank -1), +inf (rank len(uniq)) or the data value uniq[rank].
 
-        At tau in {0, 1} the rank is `_closed_form`'s, and no table is built.
-        Otherwise `_min_max` reads FT with FF's running maximum along q folded in one
-        step before q, and TT with TF's.  The envelope sweeps i = n, ..., 1,
-        step i folding column b = i of FF into FT (of TF into TT) at rows
-        a <= i and columns b > i; the block at i is then ready.
+        At tau in {0, 1} the rank is `_closed_form`'s, and no table is
+        built.  Otherwise `_min_max` reads FT with FF's running maximum
+        along q folded in one step before q, and TT with TF's.  The
+        envelope sweeps i = n, ..., 1, step i folding column b = i of FF
+        into FT (of TF into TT) at rows a <= i and columns b > i; the block
+        at i is then ready.
         """
         if at is not None:
             at = _as_location(at, self.n)
