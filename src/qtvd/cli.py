@@ -19,11 +19,11 @@ envelope's bounds (fraction texts, "-inf" and "+inf"), come in a marked
 list (`_PlainStrs`), which is written with one join and no escape check;
 any other list is written item by item.
 
-`envelope` evaluates the formula of `qtvd.envelope` up to its cap
-(`SOFT_CAP`) and, with `--allow-large-n`, above it.  Above the cap
-without the flag, tau in (0,1) writes the lower and upper extremal fits
+`envelope` writes, for tau in (0,1), the lower and upper extremal fits
 of the reader's ints, which equal L and U exactly (criterion 2), as the
-same fraction texts; tau in {0, 1} has closed forms at any n.
+fraction texts of `qtvd.envelope`'s formula; `--allow-large-n`
+enumerates that formula instead, O(n^3), as the fits' reference.  tau
+in {0, 1} takes its closed forms at any n.
 
 Exit status: 0 on success, 2 on validation failure (with a line
 diagnostic for malformed input), 3 when an audit finds a violation, so
@@ -48,7 +48,7 @@ from math import gcd
 from typing import Optional, Sequence
 
 from . import penalties, risk, solver
-from .envelope import SOFT_CAP, envelope as _envelope
+from .envelope import envelope as _envelope
 
 __all__ = ["main", "build_parser"]
 
@@ -207,13 +207,13 @@ def _cmd_fit(args) -> int:
 
 def _cmd_envelope(args) -> int:
     y, tau, lam, scaled = _exact_inputs(args)
-    if 0 < tau < 1 and len(y) > SOFT_CAP and not args.allow_large_n:
-        # Above the enumeration cap, the extremal fits are L and U exactly (criterion 2)
+    if 0 < tau < 1 and not args.allow_large_n:
+        # The extremal fits are L and U exactly (criterion 2)
         inst, scale = solver._instance(y, tau, lam, scaled), scaled[0]
         doc = {"L": _fraction_strs(solver._fit_scaled(inst, "lower"), scale),
                "U": _fraction_strs(solver._fit_scaled(inst, "upper"), scale)}
     else:
-        env = _envelope(y, tau, lam, allow_large_n=args.allow_large_n)
+        env = _envelope(y, tau, lam, allow_large_n=True)
         # repr of a bound is its fraction text, "-inf" or "+inf": nothing to escape
         doc = {"L": _PlainStrs(map(repr, env.lower)), "U": _PlainStrs(map(repr, env.upper))}
     _emit(doc, args.output)
@@ -366,8 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_env = sub.add_parser("envelope", help="exact pointwise solution-set bounds")
     add_exact(p_env)
     p_env.add_argument("--allow-large-n", action="store_true",
-                       help=f"enumerate the formula for n above {SOFT_CAP} too, where tau in (0,1) otherwise "
-                            "takes L and U from the extremal fits")
+                       help="enumerate the min-max formula, O(n^3), where tau in (0,1) otherwise takes L and U "
+                            "from the extremal fits")
     p_env.set_defaults(handler=_cmd_envelope)
 
     p_cert = sub.add_parser("certify", help="decide optimality of a candidate vector")

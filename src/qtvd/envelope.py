@@ -71,9 +71,9 @@ without float sentinels.
 
 Calls share no mutable state.  The soft cap `SOFT_CAP` guards the
 enumeration only: it keeps accidental huge inputs out of the O(n^3)
-work (the chain solver covers large n, and `qtvd envelope` takes L and
-U from its extremal fits above the cap), while tau in {0, 1} answers at
-any n.
+work, while tau in {0, 1} answers at any n.  The chain solver covers
+large n: `qtvd envelope` takes L and U from its extremal fits at every
+n unless asked to enumerate.
 """
 
 from __future__ import annotations

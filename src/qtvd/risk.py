@@ -31,7 +31,7 @@ by the J with the same Bias+ whose other offset reaches as far as that
 Bias+ allows.  Binary searches find those candidates, at most n + 1
 (`_candidates`): each location costs O(n log n) work and O(n) memory,
 and the bounds equal (==) those of evaluating every J.  The lower bound
-is the mirror image on the negated running minima.
+is the mirror image on the running minima, in the same search loop.
 
 Balancing bias against the stochastic term gives the optimal penalty:
 for alpha-smooth signals (alpha <= 1, local Hoelder norm L0)
@@ -399,8 +399,10 @@ def pointwise_bounds(
     on them, only falls.  So every admissible J is beaten or tied, in
     floats, by an admissible pair from `_candidates`, and the minimum over
     those at most n + 1 pairs equals the minimum over every J.  The lower
-    bound runs the same search on the negated running minima.  Each
-    location costs O(n log n) time and O(n) memory.
+    bound is the same loop on the running minima, negated only for
+    `_candidates`, not minus the upper bound of -theta*, which would flip
+    the sign of a zero bound.  Each location costs O(n log n) time and
+    O(n) memory.
     """
     n = len(theta_star)
     if n < 2:
@@ -451,20 +453,14 @@ def pointwise_bounds(
             uppers.append(None)
             continue
         j2s = j2s[admissible(j1s[0], j2s)[0]]
-        # u = i - j1 and v = j2 - i ascend; max / min of theta[j1-1 : i] at u, of theta[i-1 : j2] at v
-        us, vs = i - j1s[::-1], j2s - i
-        head, tail = theta[i - 1 :: -1], theta[i - 1 :]
-        head_max, tail_max = np.maximum.accumulate(head)[us], np.maximum.accumulate(tail)[vs]
-        head_min, tail_min = np.minimum.accumulate(head)[us], np.minimum.accumulate(tail)[vs]
-        ref = theta[i - 1]
-        a, b = _candidates(head_max, tail_max)
-        keep, length, dist = admissible(i - us[a], i + vs[b])
-        run_max = np.maximum(head_max[a], tail_max[b])[keep]
-        uppers.append(float(((run_max - ref) + _sd(ct, logn, dist[keep], length[keep], lam, tau)).min()))
-        a, b = _candidates(-head_min, -tail_min)
-        keep, length, dist = admissible(i - us[a], i + vs[b])
-        run_min = np.minimum(head_min[a], tail_min[b])[keep]
-        lowers.append(float(((run_min - ref) - _sd(ct, logn, dist[keep], length[keep], lam, 1.0 - tau)).max()))
+        # u = i - j1 and v = j2 - i ascend; max (min) of theta[j1-1 : i] at u, of theta[i-1 : j2] at v
+        us, vs, ref = i - j1s[::-1], j2s - i, theta[i - 1]
+        for acc, sign, level, out in ((np.maximum, 1, tau, uppers), (np.minimum, -1, 1.0 - tau, lowers)):
+            head, tail = acc.accumulate(theta[i - 1 :: -1])[us], acc.accumulate(theta[i - 1 :])[vs]
+            a, b = _candidates(sign * head, sign * tail)
+            keep, length, dist = admissible(i - us[a], i + vs[b])
+            bound = (acc(head[a], tail[b])[keep] - ref) + sign * _sd(ct, logn, dist[keep], length[keep], lam, level)
+            out.append(float(bound.min() if sign > 0 else bound.max()))
     return PointwiseBounds(
         locations=locations, lower=tuple(lowers), upper=tuple(uppers), flagged=tuple(flagged)
     )

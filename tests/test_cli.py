@@ -17,6 +17,7 @@ import helpers
 from helpers import grid_oracle
 
 from qtvd import cli, risk, solver
+from qtvd.envelope import _RankTables
 from qtvd.penalties import NonCrossingReport
 from qtvd.risk import RiskConstants
 from qtvd.solver import Instance, certify, fit
@@ -218,7 +219,7 @@ class TestFitEnvelopeCertify:
         assert doc["U"] == ["1"] * 3
 
     def test_envelope_cap_and_override(self, tmp_path, capsys):
-        # Above the cap, no flag takes the extremal fits and the flag runs the formula: the same bytes
+        # Above the library's cap, no flag takes the extremal fits and the flag runs the formula: the same bytes
         big = write(tmp_path / "big.txt", "\n".join(str(k % 7) for k in range(70)) + "\n")
         assert run(["envelope", "--input", big, "--tau", "1/2", "--lambda", "1"]) == 0
         fits = capsys.readouterr()
@@ -229,20 +230,42 @@ class TestFitEnvelopeCertify:
 
     def test_envelope_fits_route_writes_the_formula_bytes(self, tmp_path):
         # Tie-heavy data and lam = 3/7 inside a cell of tau = 1/2, so the fits run on the cell's
-        # representative (D = 8, not 14); each instance has L != U somewhere.
+        # representative (D = 8, not 14); all but a few small instances have L != U somewhere.
+        # tau in {0, 1} takes the closed forms on both routes.
         rng = random.Random(65)
-        for n in range(65, 129):
+        tight = []
+        for n in range(1, 129):
             y = [rng.choice(("0", "1", "2", "-1", "1/3", "2/3")) for _ in range(n)]
             data = write(tmp_path / "y.txt", "\n".join(y) + "\n")
-            texts = []
-            for flag in ([], ["--allow-large-n"]):
-                out = tmp_path / f"env{len(texts)}.json"
-                argv = ["envelope", "--input", data, "--tau", "1/2", "--lambda", "3/7", "--output", str(out)]
-                assert run(argv + flag) == 0
-                texts.append(out.read_bytes())
-            assert texts[0] == texts[1], n
+            for tau in ("1/2", *(("0", "1") if n in (1, 8, 64, 65, 128) else ())):
+                texts = []
+                for flag in ([], ["--allow-large-n"]):
+                    out = tmp_path / f"env{len(texts)}.json"
+                    argv = ["envelope", "--input", data, "--tau", tau, "--lambda", "3/7", "--output", str(out)]
+                    assert run(argv + flag) == 0
+                    texts.append(out.read_bytes())
+                assert texts[0] == texts[1], (n, tau)
             doc = json.loads(texts[0])
-            assert doc["L"] != doc["U"], n
+            if doc["L"] == doc["U"]:
+                tight.append(n)
+        assert len(tight) < 10, tight
+
+    def test_envelope_route_follows_the_flag_alone(self, tmp_path, monkeypatch, capsys):
+        # The enumeration builds its tables through `_RankTables.tables`; the fits never do, at any n
+        class Enumerated(Exception):
+            pass
+
+        def tables(self, *sides, at=None):
+            raise Enumerated
+
+        monkeypatch.setattr(_RankTables, "tables", tables)
+        for n in (8, 64):
+            data = write(tmp_path / "y.txt", "\n".join(str(k % 5) for k in range(n)) + "\n")
+            argv = ["envelope", "--input", data, "--tau", "1/3", "--lambda", "1/2"]
+            assert run(argv) == 0
+            assert len(json.loads(capsys.readouterr().out)["L"]) == n
+            with pytest.raises(Enumerated):
+                run(argv + ["--allow-large-n"])
 
     def test_envelope_fits_route_at_ten_thousand(self, tmp_path, capsys):
         # No oracle reaches n = 10^4: L <= U, `certify` accepts both ends, and the ends of

@@ -111,6 +111,16 @@ MUTANTS = (
            "    return last_a[last_a >= 0], np.flatnonzero(last_a >= 0)",
            "only the pairs (last u with head[u] <= tail[v], v) are candidates, missing those whose Bias is head[u]",
            tests=("tests/test_risk.py",)),
+    Mutant("lower-bound-at-tau", "risk.py",
+           "(np.minimum, -1, 1.0 - tau, lowers)", "(np.minimum, -1, tau, lowers)",
+           "the lower bound's SD term takes level tau, not 1 - tau", tests=("tests/test_risk.py",)),
+    Mutant("lower-bound-reads-maxima", "risk.py",
+           "(np.minimum, -1, 1.0 - tau, lowers)", "(np.maximum, -1, 1.0 - tau, lowers)",
+           "the lower bound's Bias reads the running maxima of theta*, not the minima", tests=("tests/test_risk.py",)),
+    Mutant("lower-bound-takes-min", "risk.py",
+           "out.append(float(bound.min() if sign > 0 else bound.max()))",
+           "out.append(float(bound.min() if sign > 0 else bound.min()))",
+           "the lower bound is the least candidate, not the greatest", tests=("tests/test_risk.py",)),
     Mutant("rank-dtype-never-widens", "envelope.py",
            "dtype = np.int16 if len(self.uniq) <= np.iinfo(np.int16).max else np.int32", "dtype = np.int16",
            "data with more than 32767 distinct values keep int16 ranks, which cannot hold the +inf rank",
@@ -159,7 +169,15 @@ MUTANTS = (
            '               "U": _fraction_strs(solver._fit_scaled(inst, "upper"), scale)}',
            'doc = {"L": _fraction_strs(solver._fit_scaled(inst, "upper"), scale),\n'
            '               "U": _fraction_strs(solver._fit_scaled(inst, "lower"), scale)}',
-           "above the enumeration cap, `qtvd envelope` writes the upper fit as L and the lower fit as U",
+           "without --allow-large-n, `qtvd envelope` writes the upper fit as L and the lower fit as U",
+           tests=("tests/test_cli.py",)),
+    Mutant("cli-route-ignores-flag", "cli.py",
+           "if 0 < tau < 1 and not args.allow_large_n:", "if 0 < tau < 1:",
+           "--allow-large-n no longer enumerates the formula at tau in (0,1)", tests=("tests/test_cli.py",)),
+    Mutant("cli-route-enumerates-by-default", "cli.py",
+           "if 0 < tau < 1 and not args.allow_large_n:",
+           "if 0 < tau < 1 and not args.allow_large_n and len(y) > 64:",
+           "without the flag, tau in (0,1) enumerates the formula at n <= 64 instead of taking the fits",
            tests=("tests/test_cli.py",)),
     Mutant("reader-keeps-blank-lines", "cli.py",
            "    if len(parsed) < len(distinct):  # a blank line\n        rows = [line for line in rows if line in parsed]\n",
