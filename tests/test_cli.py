@@ -230,14 +230,13 @@ class TestFitEnvelopeCertify:
 
     def test_envelope_fits_route_writes_the_formula_bytes(self, tmp_path):
         # Tie-heavy data and lam = 3/7 inside a cell of tau = 1/2, so the fits run on the cell's
-        # representative (D = 8, not 14); all but a few small instances have L != U somewhere.
-        # tau in {0, 1} takes the closed forms on both routes.
+        # representative (D = 8, not 14). tau in {0, 1} takes the closed forms on both routes.
         rng = random.Random(65)
         tight = []
         for n in range(1, 129):
             y = [rng.choice(("0", "1", "2", "-1", "1/3", "2/3")) for _ in range(n)]
             data = write(tmp_path / "y.txt", "\n".join(y) + "\n")
-            for tau in ("1/2", *(("0", "1") if n in (1, 8, 64, 65, 128) else ())):
+            for tau in (*(("0", "1") if n in (1, 8, 64, 65, 128) else ()), "1/2"):
                 texts = []
                 for flag in ([], ["--allow-large-n"]):
                     out = tmp_path / f"env{len(texts)}.json"
@@ -245,10 +244,10 @@ class TestFitEnvelopeCertify:
                     assert run(argv + flag) == 0
                     texts.append(out.read_bytes())
                 assert texts[0] == texts[1], (n, tau)
-            doc = json.loads(texts[0])
+            doc = json.loads(texts[0])  # at tau = 1/2, the last level
             if doc["L"] == doc["U"]:
                 tight.append(n)
-        assert len(tight) < 10, tight
+        assert max(tight) < 20, tight  # every larger instance has L != U somewhere
 
     def test_envelope_route_follows_the_flag_alone(self, tmp_path, monkeypatch, capsys):
         # The enumeration builds its tables through `_RankTables.tables`; the fits never do, at any n
