@@ -214,8 +214,10 @@ def _cmd_envelope(args) -> int:
                "U": _fraction_strs(solver._fit_scaled(inst, "upper"), scale)}
     else:
         env = _envelope(y, tau, lam, allow_large_n=True)
-        # repr of a bound is its fraction text, "-inf" or "+inf": nothing to escape
-        doc = {"L": _PlainStrs(map(repr, env.lower)), "U": _PlainStrs(map(repr, env.upper))}
+        # repr of a bound is its fraction text, "-inf" or "+inf": nothing to escape.  The ends share one object per
+        # distinct bound, so each is formatted once, keyed by id: an ExtendedValue hashes slower than it formats.
+        text = {key: repr(v) for key, v in {id(v): v for v in (*env.lower, *env.upper)}.items()}
+        doc = {k: _PlainStrs(map(text.__getitem__, map(id, ends))) for k, ends in (("L", env.lower), ("U", env.upper))}
     _emit(doc, args.output)
     return 0
 

@@ -28,27 +28,28 @@ window lengths m at once: in int64 when tau*n + 2*lam + unit, in the
 lattice's ints, fits int64, since that bounds every term, else as
 Python ints, the dtype rule of `solver._dual_system`.  Per m, one sort
 of the windows serves both sides, and one gather of the selected
-columns is written along the tables' m-th diagonal.  A
-point query fills only the windows containing its location.  Each
-sharing class of I reads the table of an interior J, with the row of J
-touching 1 and the column of J touching n patched in from the tables
-`_c2` names there.  Both sides' classes, the lower side negated, form
-one [side, class, n-a, b-1] array with reversed rows, so at location i
-the J = [i-p : i+q] are a positive-stride i x (n-i+1) block.  The inner
-maximum over a class is a running maximum along the ends I avoids, one
-step before J; U_i and -L_i are the block's minima.  The classes that
-avoid J's right end take theirs along b, and the row maximum over
-b' in [i, b] is the one over [i+1, b] with column i folded in.  So the
-envelope sweeps i = n, ..., 1 over the class table in place: step i
-folds column b = i of the class avoiding both ends into the one sharing
-only J's right end, and of the class sharing only J's left end into
-I = J, at rows a <= i and columns b > i.  The block at i then needs one
-running maximum along p, one more maximum and its minimum: about five
-numpy calls per location for both sides.  A point query folds its one
-block with a running maximum along q instead.  Each step and each
-block still touch O(n^2) entries, because the minimum over J reads every
-J containing i: work is O(n^2) per location and O(n^3) for the envelope,
-and memory is O(n^2) per side.
+columns is written along the tables' m-th diagonal.  A point query fills
+only the windows containing its location.  Each sharing class of I reads
+the table of an interior J, with the row of J touching 1 and the column
+of J touching n patched in from the tables `_c2` names there.  Both
+sides' classes, the lower side negated, form one [side, class, n-a, b-1]
+array with reversed rows, so at location i the J = [i-p : i+q] are a
+positive-stride i x (n-i+1) block.  The inner maximum over a class is a
+running maximum along the ends I avoids, and U_i and -L_i are the
+block's minima.  On the same I, a class that avoids an end of J has the
+larger c2 and never selects above its twin that shares it, so each fold
+may read J's own index.  The classes that avoid J's right end take
+theirs along b, and the row maximum over b' in [i, b] is the one over
+[i+1, b] with column i folded in.  So the envelope sweeps i = n, ..., 1
+over the class table in place: step i folds column b = i of the class
+avoiding both ends into the one sharing only J's right end, and of the
+class sharing only J's left end into I = J, over the block at i
+(a <= i <= b).  The block then needs one running maximum along p, one
+more maximum and its minimum: four numpy calls per location for both
+sides.  A point query folds its one block with a running maximum along q
+instead.  Each step and each block still touch O(n^2) entries, because
+the minimum over J reads every J containing i: work is O(n^2) per
+location and O(n^3) for the envelope, and memory is O(n^2) per side.
 
 Arithmetic is exact end to end.  Values are mapped to ranks in the
 sorted distinct-value list, the enumeration runs on the ranks, and
@@ -127,7 +128,7 @@ def _c2(shares_left: bool, shares_right: bool, at_first: bool, at_last: bool) ->
     return left + right
 
 
-# Sharing classes (shares_left, shares_right) of I in J; `ends` folds FF into FT and TF into TT as [::3] <- [1:3].
+# Sharing classes (shares_left, shares_right) of I in J; on one I, FF <= FT <= TT and FF <= TF <= TT, lower negated.
 _CLASSES = ((False, True), (False, False), (True, False), (True, True))
 
 # Per (J touches 1, J touches n): the c2 + 2 row of the rank tables that each class reads.
@@ -168,10 +169,7 @@ class _RankTables:
         """
         n = self.n
         if n > SOFT_CAP and not self.allow_large_n:
-            raise ValueError(
-                f"n={n} exceeds the envelope enumeration cap {SOFT_CAP}; "
-                "override with --allow-large-n (allow_large_n=True in Python)"
-            )
+            raise ValueError(f"n={n} exceeds the envelope enumeration cap {SOFT_CAP}; override with allow_large_n=True")
         unit, tau, lam = _lattice(self.tau, self.lam)
         # Every term below lies within tau*n + 2*lam + unit of 0; past int64 they stay Python ints
         dtype = np.int64 if tau * n + 2 * lam + unit <= np.iinfo(np.int64).max else object
@@ -221,10 +219,10 @@ class _RankTables:
 
         At tau in {0, 1} the rank is `_closed_form`'s, and no table is
         built.  Otherwise `_min_max` reads FT with FF's running maximum
-        along q folded in one step before q, and TT with TF's.  The
-        envelope sweeps i = n, ..., 1, step i folding column b = i of FF
-        into FT (of TF into TT) at rows a <= i and columns b > i; the block
-        at i is then ready.
+        along q folded in at q itself, and TT with TF's: on the same I the
+        avoiding class lies below its sharing twin.  The envelope sweeps
+        i = n, ..., 1, step i folding column b = i of FF into FT (of TF
+        into TT) over the block at i, which is then ready.
         """
         if at is not None:
             at = _as_location(at, self.n)
@@ -236,14 +234,14 @@ class _RankTables:
         ft_tt, ff_tf = table[:, ::3], table[:, 1:3]
         if at:
             np.maximum.accumulate(ff_tf, axis=3, out=ff_tf)
-            np.maximum(ft_tt[..., 1:], ff_tf[..., :-1], out=ft_tt[..., 1:])
+            np.maximum(ft_tt, ff_tf, out=ft_tt)
             ranks = [_min_max(ft_tt)]
         else:
             n, ranks = self.n, []
             for i in range(n, 0, -1):
-                fold = ft_tt[..., n - i :, i:]
-                np.maximum(fold, ff_tf[..., n - i :, i - 1 : i], out=fold)
-                ranks.append(_min_max(ft_tt[..., n - i :, i - 1 :]))
+                block = ft_tt[..., n - i :, i - 1 :]
+                np.maximum(block, ff_tf[..., n - i :, i - 1 : i], out=block)
+                ranks.append(_min_max(block))
             ranks.reverse()
         return [[values[s * r + 1] for s, r in zip(signs, rs)] for rs in ranks]
 
@@ -268,14 +266,14 @@ def _min_max(run: np.ndarray) -> list:
     i+q] at [p, q]; it is only read.  Naming a class by whether I shares
     J's left and right end (T/F), the I that avoid J's left end are FT at
     [p', q] and FF at [p', q'] with p' < p, q' < q, and the others besides
-    J are TF at [p, q'].  FT holds FF's running maximum along q one step
-    before q and TT holds TF's, so FT takes its own running maximum along
-    p, and the I = J term TT takes FT's one step before p.  A class with no
-    I in J adds nothing.
+    J are TF at [p, q'].  FT holds FF's running maximum along q and TT
+    holds TF's, so FT takes its own running maximum along p, and TT takes
+    FT's at p itself: on the same I, FT <= TT and FF <= TF, so the terms
+    at p' = p add nothing.  A class with no I in J adds nothing.
     """
-    ft, tt = np.maximum.accumulate(run[:, 0], axis=1), run[:, 1].copy()
-    np.maximum(tt[:, 1:], ft[:, :-1], out=tt[:, 1:])
-    return tt.min(axis=(1, 2)).tolist()
+    ft = np.maximum.accumulate(run[:, 0], axis=1)
+    np.maximum(ft, run[:, 1], out=ft)
+    return ft.min(axis=(1, 2)).tolist()
 
 
 def envelope(y: Sequence, tau, lam, *, allow_large_n: bool = False) -> Envelope:

@@ -136,15 +136,15 @@ class TestPointQueries:
 
     @pytest.mark.parametrize("sides", [("upper",), ("lower",), ("lower", "upper")])
     def test_classes_avoiding_the_right_end_lie_below_their_sharing_twins(self, sides):
-        # FF <= FT and TF <= TT, the lower side negated: the selected index is monotone in c2,
-        # and avoiding J's right end raises c2.  The last row (a = 1) and column (b = n) are patched.
-        # Avoiding J's left end raises c2 too, so FT <= TT and FF <= TF: `_min_max` may fold FT into
-        # TT at J's own p or one step before alike (an equivalent mutant in tools/mutants.py).
+        # On one I, FF <= FT <= TT and FF <= TF <= TT, the lower side negated: the selected index is
+        # monotone in c2, and avoiding an end of J raises c2.  The sweep, the point query's fold and
+        # `_min_max` all fold at J's own index and are exact only because of this.  The whole table is
+        # compared, so the patched row a = 1 (last) and column b = n (last) are too, at every `at`;
+        # lam = 10**30/7 puts the selection indices past int64.
         rng = random.Random(128)
         for tau in (F(0), F(1), F(1, 3), F(7, 10)):
-            for lam in (F(0), F(rng.randint(1, 12), rng.choice((1, 2, 4)))):
-                for _ in range(4):
-                    n = rng.randint(1, 12)
+            for lam in (F(0), F(rng.randint(1, 12), rng.choice((1, 2, 4))), F(10**30, 7)):
+                for n in (rng.randint(1, 12), rng.randint(13, 40)):
                     y = tuple(F(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(n))
                     ranked = _RankTables(y, tau, lam, False)
                     for at in (None, *range(1, n + 1)):
@@ -299,7 +299,9 @@ class TestReflection:
 class TestValidation:
     def test_soft_cap(self):
         y = tuple(F(i % 5) for i in range(SOFT_CAP + 1))
-        with pytest.raises(ValueError):
+        # Only library callers meet the cap: `qtvd envelope` passes allow_large_n=True where it enumerates
+        cap = f"^n={SOFT_CAP + 1} exceeds the envelope enumeration cap {SOFT_CAP}; override with allow_large_n=True$"
+        with pytest.raises(ValueError, match=cap):
             envelope(y, F(1, 2), F(1))
         env = envelope(y, F(1, 2), F(1), allow_large_n=True)
         assert len(env.lower) == len(env.upper) == SOFT_CAP + 1

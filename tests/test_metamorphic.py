@@ -1,16 +1,86 @@
 """Oracle-free relations: exact properties of the problem that need no reference solver, so they run at any n.
 
 R1, reversal: the objective is symmetric in the index order, and so are the
-interval families of the pointwise bounds.  Reversed theta* gives the same
-bounds (==) at location n + 1 - i, and a flagged location maps to a flagged one.
+interval families of the pointwise bounds.  Reversed y gives the reversed
+envelopes.  Reversed theta* gives the same bounds (==) at location n + 1 - i,
+and a flagged location maps to a flagged one.
+
+R2, strictly increasing relabelling: L_i and U_i are order statistics selected
+by ranks and interval lengths alone (the min-max formula), so for a strictly
+increasing phi both envelopes of phi(y) are phi of those of y; -inf and +inf stay.
+
+R3, comparison: y <= y' coordinatewise gives L <= L' and U <= U', the monotone
+comparative statics of a submodular objective (Topkis, Oper. Res. 1978).
 """
 
 import math
+import random
+from fractions import Fraction
+from operator import le
 
 import numpy as np
 import pytest
 
+from qtvd.envelope import envelope, lower_envelope_at, upper_envelope_at
+from qtvd.intervals import ExtendedValue
 from qtvd.risk import HolderCusp, PiecewiseConstantSignal, RiskConstants, _boundary_regime, pointwise_bounds
+
+F = Fraction
+
+
+def _envelope_cases(seed: int, count: int):
+    """(y, tau, lam, locations, rng) with n <= 40, tau in {0, 1} or not, and lam 0, small or past int64."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 40)
+        y = [F(rng.randint(-4, 4), rng.choice((1, 2, 3))) for _ in range(n)]
+        tau = rng.choice((F(0), F(1), F(1, 2), F(1, 3), F(7, 10), F(rng.randint(1, 99), 100)))
+        lam = rng.choice((F(0), F(3, 7), F(10**30, 7), F(rng.randint(1, 40), rng.choice((1, 2, 4)))))
+        yield y, tau, lam, sorted({1, n, rng.randint(1, n)}), rng
+
+
+def _ends(y, tau, lam, locations, **kw) -> tuple:
+    """(envelope, [(L_i, U_i) of the point queries at each location i])."""
+    return envelope(y, tau, lam, **kw), [
+        (lower_envelope_at(y, tau, lam, i, **kw), upper_envelope_at(y, tau, lam, i, **kw)) for i in locations]
+
+
+def _phi(value: ExtendedValue) -> ExtendedValue:
+    """v**3 + v + 1/7 of a finite value, strictly increasing and not affine; infinities stay."""
+    return ExtendedValue(0, value.value**3 + value.value + F(1, 7)) if value.tag == 0 else value
+
+
+class TestEnvelopeRelations:
+    def test_reversal(self):
+        for y, tau, lam, locations, _ in _envelope_cases(381, 100):
+            env, points = _ends(y, tau, lam, locations)
+            rev, rev_points = _ends(y[::-1], tau, lam, [len(y) + 1 - i for i in locations])
+            assert (rev.lower, rev.upper) == (env.lower[::-1], env.upper[::-1])
+            assert rev_points == points
+
+    def test_reversal_at_128(self):
+        rng = random.Random(128)
+        y = [F(rng.randint(-20, 20), rng.choice((1, 3))) for _ in range(128)]
+        env, points = _ends(y, F(1, 3), F(5, 2), [1, 64, 128], allow_large_n=True)
+        rev, rev_points = _ends(y[::-1], F(1, 3), F(5, 2), [128, 65, 1], allow_large_n=True)
+        assert (rev.lower, rev.upper) == (env.lower[::-1], env.upper[::-1])
+        assert rev_points == points
+        assert env.lower != env.upper
+
+    def test_increasing_relabelling(self):
+        for y, tau, lam, locations, _ in _envelope_cases(382, 100):
+            env, points = _ends(y, tau, lam, locations)
+            got, got_points = _ends([_phi(ExtendedValue(0, v)).value for v in y], tau, lam, locations)
+            assert (got.lower, got.upper) == (tuple(map(_phi, env.lower)), tuple(map(_phi, env.upper)))
+            assert got_points == [tuple(map(_phi, point)) for point in points]
+
+    def test_comparison(self):
+        for y, tau, lam, locations, rng in _envelope_cases(383, 100):
+            env, points = _ends(y, tau, lam, locations)
+            # About a quarter of the values stay, so both ties and strict increases occur
+            got, got_points = _ends([v + F(rng.randint(0, 3), 2) for v in y], tau, lam, locations)
+            assert all(map(le, env.lower, got.lower)) and all(map(le, env.upper, got.upper))
+            assert all(a <= b and c <= d for (a, c), (b, d) in zip(points, got_points))
 
 
 def _mirrored(i: int, n: int, C1: float) -> bool:

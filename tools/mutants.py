@@ -126,9 +126,8 @@ MUTANTS = (
            "data with more than 32767 distinct values keep int16 ranks, which cannot hold the +inf rank",
            tests=("tests/test_envelope.py",)),
     Mutant("min-max-without-running-max", "envelope.py",
-           "ft, tt = np.maximum.accumulate(run[:, 0], axis=1), run[:, 1].copy()",
-           "ft, tt = run[:, 0], run[:, 1].copy()",
-           "the max for J reads FT only at p - 1, missing the I that avoid J's left end by more than one point",
+           "ft = np.maximum.accumulate(run[:, 0], axis=1)", "ft = run[:, 0].copy()",
+           "the max for J reads FT only at J's own p, missing every I that avoids J's left end",
            tests=("tests/test_envelope.py",)),
     Mutant("c2-ignores-first-point", "envelope.py",
            "left = (int(at_first) - 1) if shares_left else 1", "left = -1 if shares_left else 1",
@@ -152,13 +151,18 @@ MUTANTS = (
            "        if self.lam == 0:\n            return self.ranks\n", "",
            "at lam = 0 the finite side is min(y) (max(y) at tau = 1), not y", tests=("tests/test_envelope.py",)),
     Mutant("sweep-without-fold", "envelope.py",
-           "                np.maximum(fold, ff_tf[..., n - i :, i - 1 : i], out=fold)\n", "",
+           "                np.maximum(block, ff_tf[..., n - i :, i - 1 : i], out=block)\n", "",
            "the envelope sweep never folds FF into FT nor TF into TT, losing the I that avoid J's right end",
            tests=("tests/test_envelope.py",)),
     Mutant("sweep-folds-next-column", "envelope.py",
-           "np.maximum(fold, ff_tf[..., n - i :, i - 1 : i], out=fold)",
-           "np.maximum(fold, ff_tf[..., n - i :, i : i + 1], out=fold)",
+           "np.maximum(block, ff_tf[..., n - i :, i - 1 : i], out=block)",
+           "np.maximum(block, ff_tf[..., n - i :, i : i + 1], out=block)",
            "step i folds column b = i + 1, so the I ending at the location itself never reach the J beyond it",
+           tests=("tests/test_envelope.py",)),
+    Mutant("sweep-folds-classes-swapped", "envelope.py",
+           "np.maximum(block, ff_tf[..., n - i :, i - 1 : i], out=block)",
+           "np.maximum(block, ff_tf[:, ::-1, n - i :, i - 1 : i], out=block)",
+           "the sweep folds TF into FT and FF into TT, against the order the folds rely on",
            tests=("tests/test_envelope.py",)),
     Mutant("point-fold-without-running-max", "envelope.py",
            "            np.maximum.accumulate(ff_tf, axis=3, out=ff_tf)\n", "",
@@ -201,20 +205,31 @@ MUTANTS = (
            "        elif lo is not None and t < lo:\n            t = lo\n",
            "the backward pass tests the upper clamp first",
            equivalent="lo_k <= hi_k where both are set, so t < lo_k and t > hi_k never hold together"),
-    Mutant("min-max-folds-at-own-p", "envelope.py",
-           "np.maximum(tt[:, 1:], ft[:, :-1], out=tt[:, 1:])", "np.maximum(tt, ft, out=tt)",
-           "the max for J also reads FT at J's own p: I = J under the constant of a class avoiding J's left end",
+    Mutant("min-max-folds-before-own-p", "envelope.py",
+           "    np.maximum(ft, run[:, 1], out=ft)\n    return ft.min(axis=(1, 2)).tolist()",
+           "    tt = run[:, 1].copy()\n    np.maximum(tt[:, 1:], ft[:, :-1], out=tt[:, 1:])\n"
+           "    return tt.min(axis=(1, 2)).tolist()",
+           "TT takes FT's running maximum one step before J's own p, on a copy of TT",
            tests=("tests/test_envelope.py",),
            equivalent="avoiding J's left end raises c2, so FT <= TT and FF <= TF entry by entry (checked in "
-                      "test_envelope.py): the extra FT entry, and the FF maximum folded into it, are at most "
+                      "test_envelope.py): the FT entry at p, and the FF maximum folded into it, are at most "
                       "the TT entry, which already holds TF's maximum"),
-    Mutant("point-fold-at-own-q", "envelope.py",
-           "np.maximum(ft_tt[..., 1:], ff_tf[..., :-1], out=ft_tt[..., 1:])", "np.maximum(ft_tt, ff_tf, out=ft_tt)",
-           "a point query's FT (TT) also takes FF's (TF's) running maximum at J's own q, which includes I = J's end",
+    Mutant("point-fold-before-own-q", "envelope.py",
+           "np.maximum(ft_tt, ff_tf, out=ft_tt)", "np.maximum(ft_tt[..., 1:], ff_tf[..., :-1], out=ft_tt[..., 1:])",
+           "a point query's FT (TT) takes FF's (TF's) running maximum one step before J's own q",
            tests=("tests/test_envelope.py",),
            equivalent="avoiding J's right end raises c2, so FF <= FT and TF <= TT entry by entry (checked in "
                       "test_envelope.py): the running maximum at q differs from the one at q - 1 only by the "
                       "entry at q, which the sharing class's own entry already bounds"),
+    Mutant("sweep-folds-after-own-column", "envelope.py",
+           "                np.maximum(block, ff_tf[..., n - i :, i - 1 : i], out=block)\n",
+           "                fold = ft_tt[..., n - i :, i:]\n"
+           "                np.maximum(fold, ff_tf[..., n - i :, i - 1 : i], out=fold)\n",
+           "step i folds column b = i of FF (TF) only into the columns b > i of FT (TT)",
+           tests=("tests/test_envelope.py",),
+           equivalent="avoiding J's right end raises c2, so FF <= FT and TF <= TT entry by entry (checked in "
+                      "test_envelope.py): column b = i of FF (TF) is at most the same I's entry in FT (TT), "
+                      "so folding it there changes nothing"),
 )
 
 
