@@ -156,8 +156,9 @@ MUTANTS = (
            tests=("tests/test_envelope.py",)),
     Mutant("sweep-folds-next-column", "envelope.py",
            "np.maximum(block, ff_tf[..., n - i :, i - 1 : i], out=block)",
-           "np.maximum(block, ff_tf[..., n - i :, i : i + 1], out=block)",
-           "step i folds column b = i + 1, so the I ending at the location itself never reach the J beyond it",
+           "np.maximum(block[..., 1:], ff_tf[..., n - i :, i : i + 1], out=block[..., 1:])",
+           "step i folds column b = i + 1 into the columns b > i, so the I ending at the location itself never "
+           "reach the J beyond it",
            tests=("tests/test_envelope.py",)),
     Mutant("sweep-folds-classes-swapped", "envelope.py",
            "np.maximum(block, ff_tf[..., n - i :, i - 1 : i], out=block)",
