@@ -61,7 +61,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from statistics import NormalDist
+from statistics import NormalDist, median
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -544,6 +544,8 @@ def simulate(
     fit, lam = 0 included, is checked exactly by `certify_float`; failures
     are counted (and should be zero).  Given `constants`, the error bounds
     at the monitored location and the errors' coverage of them are reported.
+    The median absolute error is `statistics.median` of the finite float
+    errors: the same float as numpy's median, which would import `numpy.ma`.
     """
     if replications < 1:
         raise ValueError("replications must be >= 1")
@@ -571,9 +573,7 @@ def simulate(
         bound_lower = bounds.lower[0]
         bound_upper = bounds.upper[0]
         if bound_lower is not None and bound_upper is not None:
-            inside = sum(1 for e in errors if bound_lower <= e <= bound_upper)
-            coverage = inside / replications
-    med = float(np.median(np.abs(np.asarray(errors))))
+            coverage = sum(bound_lower <= e <= bound_upper for e in errors) / replications
     return RiskReport(
         n=n,
         tau=model.tau,
@@ -583,7 +583,7 @@ def simulate(
         replications=replications,
         seed=model.seed,
         errors=tuple(errors),
-        median_abs_error=med,
+        median_abs_error=median(map(abs, errors)),
         bound_lower=bound_lower,
         bound_upper=bound_upper,
         coverage=coverage,

@@ -4,7 +4,10 @@ import dataclasses
 import io
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
@@ -810,6 +813,53 @@ class TestEveryOptionIsRead:
             if names:
                 unread[command] = sorted(names)
         assert unread == {}
+
+
+_PROBE = """
+import json, sys
+import qtvd.cli
+ran = []
+for argv in json.loads(sys.argv[1]):
+    before = set(sys.modules)
+    status = qtvd.cli.main(argv)
+    ran.append((status, sorted(m for m in set(sys.modules) - before if m.split(".")[0] == "numpy")))
+print(json.dumps(ran))
+"""
+
+
+def _numpy_modules_loaded(*argvs) -> list:
+    """[(exit status, numpy modules it loaded)] per command, run in turn in a fresh interpreter after `import qtvd.cli`."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", _PROBE, json.dumps(argvs)],
+                          env=env, capture_output=True, text=True, check=True)
+    return [tuple(entry) for entry in json.loads(proc.stdout)]
+
+
+class TestNumpySubmodules:
+    """A command loads only the numpy submodules it needs: importing one costs every fresh process."""
+
+    def test_exact_commands_load_none(self, tmp_path, y_file):
+        exact = ["--input", y_file, "--tau", "1/3", "--lambda", "1/2", "--output"]
+        theta = write(tmp_path / "theta.txt", "2\n2\n2\n")
+        ran = _numpy_modules_loaded(
+            ["fit", *exact, str(tmp_path / "fit.json")],
+            ["certify", *exact, str(tmp_path / "certify.json"), "--theta", theta],
+            ["audit", *exact, str(tmp_path / "audit.json"), "--tau2", "2/3", "--trials", "20"],
+            ["envelope", *exact, str(tmp_path / "fits.json")],
+            ["envelope", *exact, str(tmp_path / "formula.json"), "--allow-large-n"],
+        )
+        assert ran == [(0, [])] * 5
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--n", "64", "--reps", "3"],
+        ["simulate", "--n", "1024", "--reps", "2", "--lambda", "30", "--bounds"],
+        ["rate", "--n-grid", "64,128,256,512", "--reps", "2"],
+    ], ids=["simulate", "simulate-bounds", "rate"])
+    def test_model_commands_load_numpy_random_alone(self, tmp_path, argv):
+        # numpy.random draws the noise; numpy's median would also load numpy.ma
+        [(status, loaded)] = _numpy_modules_loaded([*argv, "--output", str(tmp_path / "out")])
+        assert status == 0 and "numpy.random" in loaded
+        assert {m.split(".")[1] for m in loaded} == {"random"}
 
 
 def _rate_args(grid):

@@ -3,7 +3,9 @@
 R1, reversal: the objective is symmetric in the index order, and so are the
 interval families of the pointwise bounds.  Reversed y gives the reversed
 envelopes.  Reversed theta* gives the same bounds (==) at location n + 1 - i,
-and a flagged location maps to a flagged one.
+and a flagged location maps to a flagged one.  `certify` accepts the reversed
+extremal fits of reversed y, and rejects a fit moved off the solution set
+at one coordinate both as it is and reversed.
 
 R2, strictly increasing relabelling: L_i and U_i are order statistics selected
 by ranks and interval lengths alone (the min-max formula), so for a strictly
@@ -24,6 +26,7 @@ import pytest
 from qtvd.envelope import envelope, lower_envelope_at, upper_envelope_at
 from qtvd.intervals import ExtendedValue
 from qtvd.risk import HolderCusp, PiecewiseConstantSignal, RiskConstants, _boundary_regime, pointwise_bounds
+from qtvd.solver import Instance, certify, certify_float, fit, fit_float
 
 F = Fraction
 
@@ -81,6 +84,40 @@ class TestEnvelopeRelations:
             got, got_points = _ends([v + F(rng.randint(0, 3), 2) for v in y], tau, lam, locations)
             assert all(map(le, env.lower, got.lower)) and all(map(le, env.upper, got.upper))
             assert all(a <= b and c <= d for (a, c), (b, d) in zip(points, got_points))
+
+
+def assert_certify_reverses(y, tau, lam, i: int, step) -> None:
+    """R1 for `certify` on exact y: the reversed ends of reversed y are accepted; each end moved
+    outward by `step` > 0 at index i, off the solution set, is rejected as it is and reversed."""
+    inst, rev = Instance(y, tau, lam), Instance(y[::-1], tau, lam)
+    for extremality, move in (("lower", -step), ("upper", step)):
+        assert certify(fit(rev, extremality).theta[::-1], inst) is not None
+        theta = list(fit(inst, extremality).theta)
+        theta[i] += move
+        assert certify(theta, inst) is None
+        assert certify(theta[::-1], rev) is None
+
+
+class TestCertifyReversal:
+    def test_seeded_cases(self):
+        rng = random.Random(391)
+        for _ in range(60):
+            n = rng.randint(1, 60)
+            y = [F(rng.randint(-6, 6), rng.choice((1, 2, 3))) for _ in range(n)]
+            tau = rng.choice((F(1, 2), F(1, 3), F(7, 10), F(rng.randint(1, 99), 100)))
+            lam = rng.choice((F(0), F(3, 7), F(10**30, 7), F(rng.randint(1, 40), rng.choice((1, 2, 4)))))
+            assert_certify_reverses(y, tau, lam, rng.randrange(n), F(1, rng.choice((1, 7, 10**6))))
+
+    def test_at_ten_thousand(self):
+        rng = random.Random(10**4)
+        y = [F(90 * (k // 700 % 3) + rng.randint(-50, 50), rng.choice((1, 3))) for k in range(10**4)]
+        assert_certify_reverses(y, F(1, 3), F(20), 5000, F(1, 9))
+        floats = [float(v) for v in y]
+        theta = fit_float(floats[::-1], 1 / 3, 20.0, "upper")[::-1]
+        assert certify_float(floats, theta, 1 / 3, 20.0) and len(set(theta)) > 10
+        theta[5000] += 1 / 9
+        assert not certify_float(floats, theta, 1 / 3, 20.0)
+        assert not certify_float(floats[::-1], theta[::-1], 1 / 3, 20.0)
 
 
 def _mirrored(i: int, n: int, C1: float) -> bool:

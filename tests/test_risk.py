@@ -448,6 +448,23 @@ class TestSimulate:
         assert len(calls) == 6 and rep.certificate_failures == 1
         assert rep.errors == clean.errors
 
+    def test_median_abs_error_is_numpys_median(self):
+        # statistics.median of the absolute errors: numpy's median of them, as a Python float, without numpy.ma
+        signals = (ConstantSignal(0.5), HolderCusp(0.5, 2.0), PiecewiseConstantSignal((0.3, 0.6), (1.0, -1.0, 0.5)))
+        averaged = 0  # even counts whose two middle absolute errors differ
+        for reps in range(1, 8):
+            for noise in (Cauchy(1.0), Gaussian(0.5), Laplace(1.0)):
+                for size, signal in zip((48, 64, 80), signals):
+                    for tau in (0.5, 0.3):
+                        model = ModelSpec(size, tau, signal, noise, seed=reps)
+                        for constants in (None, RiskConstants.for_noise(noise, tau)):
+                            rep = simulate(model, 25.0, reps, constants=constants)
+                            med = rep.median_abs_error
+                            assert type(med) is float and med == float(np.median(np.abs(np.asarray(rep.errors))))
+                            middle = sorted(map(abs, rep.errors))[(reps - 1) // 2 : reps // 2 + 1]
+                            averaged += len(set(middle)) == 2
+        assert averaged == 3 * 36  # every run with reps 2, 4 or 6
+
     def test_deterministic_given_seed(self):
         model = ModelSpec(128, 0.5, ConstantSignal(0.0), Cauchy(1.0), seed=9)
         r1 = simulate(model, 12.0, 10)

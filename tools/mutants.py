@@ -80,6 +80,9 @@ MUTANTS = (
            "a refill leaves one key behind, so the next refill comes one pop later; no output changes"),
     Mutant("refill-every-key", "solver.py", "half = len(keys) // 2", "half = 0",
            "a refill moves every key back and forth; no output changes, only the amortized cost"),
+    Mutant("refill-keeps-far-half", "solver.py", "heap[:] = keys[:half]", "heap[:] = keys[half:]",
+           "a refill keeps the half of the keys farthest from the heap's top, so the nearest half is lost and the "
+           "far half sits in both heaps"),
     Mutant("z-pins-swapped", "solver.py",
            "z_lo = np.append(_pick(theta[:-1] > theta[1:], lam, -lam, dtype), zero)\n"
            "    z_hi = np.append(_pick(theta[:-1] < theta[1:], -lam, lam, dtype), zero)",
@@ -121,6 +124,8 @@ MUTANTS = (
            "out.append(float(bound.min() if sign > 0 else bound.max()))",
            "out.append(float(bound.min() if sign > 0 else bound.min()))",
            "the lower bound is the least candidate, not the greatest", tests=("tests/test_risk.py",)),
+    Mutant("median-without-abs", "risk.py", "median(map(abs, errors))", "median(errors)",
+           "the reported median absolute error is the median of the signed errors", tests=("tests/test_risk.py",)),
     Mutant("rank-dtype-never-widens", "envelope.py",
            "dtype = np.int16 if len(self.uniq) <= np.iinfo(np.int16).max else np.int32", "dtype = np.int16",
            "data with more than 32767 distinct values keep int16 ranks, which cannot hold the +inf rank",
@@ -199,6 +204,16 @@ MUTANTS = (
            "the lower clip's exit where the value already equals -lam",
            equivalent="every live jump is positive, so from base == -lam the next step crosses the bound, "
                       "clamps at the same key and leaves its jump unchanged"),
+    Mutant("insert-at-pivot-below", "solver.py", "if x_new < p:", "if x_new <= p:",
+           "a new breakpoint equal to the pivot goes into L, not R",
+           equivalent="max(L) <= p <= min(R) still holds, and the breakpoints are distinct keys of `jumps`, so "
+                      "every walk and the argmin read them in the same ascending order"),
+    Mutant("argmin-exits-at-zero", "solver.py",
+           "            base += jumps[x]\n            if base > 0:\n",
+           "            if base == 0:\n                break\n            base += jumps[x]\n            if base > 0:\n",
+           "the argmin stops at the key after a stretch at 0 before adding that key's jump",
+           equivalent="the scan starts below 0 and every live jump is positive, so from base == 0 the next key "
+                      "takes the value past 0 and the scan stops at that same key"),
     Mutant("backward-clamps-swapped", "solver.py",
            "        if lo is not None and t < lo:\n            t = lo\n"
            "        elif hi is not None and t > hi:\n            t = hi\n",
