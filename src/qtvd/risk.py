@@ -42,7 +42,8 @@ for alpha-smooth signals (alpha <= 1, local Hoelder norm L0)
 yielding local error of order n^(-a/(2a+1)) up to log factors; for
 signals constant within radius r0 of the monitored point x0,
 lam* = sqrt(n * r0 * log n) and order sqrt(log n / n); each signal
-class gives its own lam* at x0 through `star_lambda(n, x0)`.  The
+class gives its own lam* at x0 through `star_lambda(n, x0)`.  A constant
+signal is the step signal with no breaks, so its r0 is min(x0, 1 - x0).  The
 Monte-Carlo harness certifies every fit, evaluates the bounds when given
 constants, and regresses the log median absolute error on log n to
 check those exponents empirically.
@@ -168,30 +169,6 @@ class Laplace(Noise):
 # ---------------------------------------------------------------------------
 
 
-def _flat_radius(x0: float, breaks: tuple = ()) -> float:
-    """Distance from x0 to the nearest break or end of [0, 1]: the r0 of a step signal's lam*."""
-    if x0 in breaks:
-        raise ValueError(f"lam* is undefined at x0 = {x0}: it lies on a break")
-    if x0 in (0.0, 1.0):
-        raise ValueError(f"lam* is undefined at x0 = {x0}: it lies at an end of [0, 1]")
-    return min(abs(x0 - e) for e in (0.0, 1.0) + breaks)
-
-
-@dataclass(frozen=True)
-class ConstantSignal:
-    level: float = 0.0
-
-    def __post_init__(self):
-        _check_finite("level", self.level)
-
-    def values(self, n: int) -> np.ndarray:
-        return np.full(n, float(self.level))
-
-    def star_lambda(self, n: int, x0: float) -> float:
-        """lam* at x0: the signal is constant within min(x0, 1 - x0) of it."""
-        return lambda_star(n, 2.0, r0=_flat_radius(x0))
-
-
 @dataclass(frozen=True)
 class HolderCusp:
     """f(x) = norm * |x - x0|**alpha, the worst alpha-smooth signal with norm
@@ -218,7 +195,8 @@ class HolderCusp:
 
 @dataclass(frozen=True)
 class PiecewiseConstantSignal:
-    """Step function: level k on (breaks[k-1], breaks[k]]; breaks inside (0,1)."""
+    """Step function: level k on (breaks[k-1], breaks[k]]; breaks inside (0,1).
+    With no breaks it is the constant signal (`ConstantSignal`)."""
 
     breaks: tuple
     levels: tuple
@@ -239,10 +217,20 @@ class PiecewiseConstantSignal:
 
     def star_lambda(self, n: int, x0: float) -> float:
         """lam* at x0: the signal is constant up to the nearest break or end of [0, 1]."""
-        return lambda_star(n, 2.0, r0=_flat_radius(x0, self.breaks))
+        if x0 in self.breaks:
+            raise ValueError(f"lam* is undefined at x0 = {x0}: it lies on a break")
+        if x0 in (0.0, 1.0):
+            raise ValueError(f"lam* is undefined at x0 = {x0}: it lies at an end of [0, 1]")
+        return lambda_star(n, 2.0, r0=min(abs(x0 - e) for e in (0.0, 1.0) + self.breaks))
 
 
-Signal = Union[ConstantSignal, HolderCusp, PiecewiseConstantSignal]
+def ConstantSignal(level: float = 0.0) -> PiecewiseConstantSignal:
+    """The constant signal `level`: the step signal with no breaks."""
+    _check_finite("level", level)
+    return PiecewiseConstantSignal((), (level,))
+
+
+Signal = Union[HolderCusp, PiecewiseConstantSignal]
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,13 @@ increasing phi both envelopes of phi(y) are phi of those of y; -inf and +inf sta
 
 R3, comparison: y <= y' coordinatewise gives L <= L' and U <= U', the monotone
 comparative statics of a submodular objective (Topkis, Oper. Res. 1978).
+
+R4, large lam: every partial sum of a dual g lies within (n - 1)*max(tau, 1 - tau)
+of 0, so lam >= n*max(tau, 1 - tau) leaves every edge slack and both ends constant.
+
+The extremal fits are L and U, so R1-R4 hold for `fit` and `fit_float` too:
+through Hypothesis at n <= 40, and on one seeded case each at n = 10^4 (exact)
+and 2^15 (float), where each end is also certified at the lam as posed.
 """
 
 import math
@@ -22,11 +29,13 @@ from operator import le
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtvd.envelope import envelope, lower_envelope_at, upper_envelope_at
 from qtvd.intervals import ExtendedValue
 from qtvd.risk import HolderCusp, PiecewiseConstantSignal, RiskConstants, _boundary_regime, pointwise_bounds
-from qtvd.solver import Instance, certify, certify_float, fit, fit_float
+from qtvd.solver import Instance, certify, certify_float, fit, fit_float, objective_value
 
 F = Fraction
 
@@ -48,9 +57,14 @@ def _ends(y, tau, lam, locations, **kw) -> tuple:
         (lower_envelope_at(y, tau, lam, i, **kw), upper_envelope_at(y, tau, lam, i, **kw)) for i in locations]
 
 
+def _cubic(v: Fraction) -> Fraction:
+    """v**3 + v + 1/7: strictly increasing and not affine."""
+    return v**3 + v + F(1, 7)
+
+
 def _phi(value: ExtendedValue) -> ExtendedValue:
-    """v**3 + v + 1/7 of a finite value, strictly increasing and not affine; infinities stay."""
-    return ExtendedValue(0, value.value**3 + value.value + F(1, 7)) if value.tag == 0 else value
+    """`_cubic` of a finite value; infinities stay."""
+    return ExtendedValue(0, _cubic(value.value)) if value.tag == 0 else value
 
 
 class TestEnvelopeRelations:
@@ -73,7 +87,7 @@ class TestEnvelopeRelations:
     def test_increasing_relabelling(self):
         for y, tau, lam, locations, _ in _envelope_cases(382, 100):
             env, points = _ends(y, tau, lam, locations)
-            got, got_points = _ends([_phi(ExtendedValue(0, v)).value for v in y], tau, lam, locations)
+            got, got_points = _ends(list(map(_cubic, y)), tau, lam, locations)
             assert (got.lower, got.upper) == (tuple(map(_phi, env.lower)), tuple(map(_phi, env.upper)))
             assert got_points == [tuple(map(_phi, point)) for point in points]
 
@@ -118,6 +132,137 @@ class TestCertifyReversal:
         theta[5000] += 1 / 9
         assert not certify_float(floats, theta, 1 / 3, 20.0)
         assert not certify_float(floats[::-1], theta[::-1], 1 / 3, 20.0)
+
+
+_ENDS = ("lower", "upper")
+
+
+def _fits(y, tau, lam) -> list:
+    """[lower, upper] extremal fits as tuples: `fit` on Fraction data, `fit_float` on float data."""
+    if isinstance(y[0], float):
+        return [tuple(fit_float(y, tau, lam, end)) for end in _ENDS]
+    inst = Instance(y, tau, lam)
+    return [fit(inst, end).theta for end in _ENDS]
+
+
+def _relabelling(y) -> dict:
+    """A strictly increasing map on y's values: `_cubic` on Fractions, 4x (exact) on floats."""
+    phi = (lambda v: 4 * v) if isinstance(y[0], float) else _cubic
+    return {v: phi(v) for v in set(y)}
+
+
+def _at_least(n: int, tau, lam):
+    """The least lam' >= lam and >= n*max(tau, 1 - tau), exactly, in lam's type."""
+    bound = n * max(F(tau), 1 - F(tau))
+    if isinstance(lam, float):
+        up = float(bound)
+        bound = up if F(up) >= bound else math.nextafter(up, math.inf)
+    return max(lam, bound)
+
+
+def assert_fit_reversal(y, tau, lam, ends) -> None:
+    assert _fits(y[::-1], tau, lam) == [theta[::-1] for theta in ends]
+
+
+def assert_fit_relabelling(y, tau, lam, ends) -> None:
+    phi = _relabelling(y)
+    assert _fits(list(map(phi.get, y)), tau, lam) == [tuple(map(phi.get, theta)) for theta in ends]
+
+
+def assert_fit_comparison(y, above, tau, lam, ends) -> None:
+    assert all(map(le, y, above))
+    assert all(all(map(le, theta, got)) for theta, got in zip(ends, _fits(above, tau, lam)))
+
+
+def assert_large_lam_constant(y, tau, lam) -> None:
+    lower, upper = _fits(y, tau, _at_least(len(y), tau, lam))
+    assert len(set(lower)) == len(set(upper)) == 1 and lower[0] <= upper[0]
+
+
+@st.composite
+def _fit_case(draw):
+    """(y, y' >= y, tau, lam) with n <= 40, y tie-heavy or nearly distinct, and lam 0, small (often on tau's
+    lattice, where a derivative can stop exactly at +-lam) or past int64; as floats half the time."""
+    n = draw(st.integers(1, 40))
+    den, span = draw(st.sampled_from((1, 2, 3, 6))), draw(st.sampled_from((12, 10**6)))
+    y = [F(k, den) for k in draw(st.lists(st.integers(-span, span), min_size=n, max_size=n))]
+    # About a quarter of the values stay, so both ties and strict increases occur
+    above = [v + F(k, 2) for v, k in zip(y, draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))]
+    tau = draw(st.sampled_from((F(1, 2), F(1, 3), F(2, 7), F(7, 10), F(5, 9), F(1, 100))))
+    lam = draw(st.sampled_from((F(0), F(10**30, 7))) | st.builds(F, st.integers(0, 8), st.just(2))
+               | st.builds(F, st.integers(0, 60), st.sampled_from((1, 2, 3, 4))))
+    if draw(st.booleans()):
+        return [float(v) for v in y], [float(v) for v in above], float(tau), float(lam)
+    return y, above, tau, lam
+
+
+class TestFitRelations:
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(_fit_case())
+    def test_r1_to_r4(self, case):
+        y, above, tau, lam = case
+        ends = _fits(y, tau, lam)
+        assert_fit_reversal(y, tau, lam, ends)
+        assert_fit_relabelling(y, tau, lam, ends)
+        assert_fit_comparison(y, above, tau, lam, ends)
+        assert_large_lam_constant(y, tau, lam)
+
+    def test_seeded_distinct_data(self):
+        # Nearly distinct data and a small lam on tau's lattice: there a derivative stretch can stop exactly at
+        # -lam or +lam, which a one-way pass with one tie rule must resolve the same way in both directions
+        rng = random.Random(401)
+        for _ in range(300):
+            n = rng.randint(1, 40)
+            y = [F(rng.randint(0, 10**6)) for _ in range(n)]
+            above = [v + rng.choice((0, 1, 10**5)) for v in y]
+            tau, lam = rng.choice((F(1, 2), F(1, 3), F(3, 5), F(3, 4), F(1, 10))), F(rng.randint(0, 8), 2)
+            ends = _fits(y, tau, lam)
+            assert_fit_reversal(y, tau, lam, ends)
+            assert_fit_comparison(y, above, tau, lam, ends)
+
+
+class TestFitRelationsAtScale:
+    """One seeded case per relation: exact at n = 10^4 with lam off tau's lattice, `fit_float` at n = 2^15."""
+
+    @pytest.fixture(scope="class", params=["exact", "float"])
+    def case(self, request):
+        """(y, y' >= y, tau, lam, [lower, upper] of y) on step data with ties and a wide solution set."""
+        n = 10**4 if request.param == "exact" else 2**15
+        rng = random.Random(n)
+        y = [F(90 * (k // 700 % 3) + rng.randint(-50, 50), rng.choice((1, 3))) for k in range(n)]
+        above = [v + rng.choice((0, 0, F(1, 3), 7)) for v in y]
+        tau, lam = F(1, 3), F(200, 7)
+        if request.param == "float":
+            y, above, tau, lam = [float(v) for v in y], [float(v) for v in above], 0.25, 20.5
+        ends = _fits(y, tau, lam)
+        assert sum(a != b for a, b in zip(*ends)) > n // 20
+        return y, above, tau, lam, ends
+
+    def test_reversal(self, case):
+        y, _, tau, lam, ends = case
+        assert_fit_reversal(y, tau, lam, ends)
+
+    def test_increasing_relabelling(self, case):
+        y, _, tau, lam, ends = case
+        assert_fit_relabelling(y, tau, lam, ends)
+
+    def test_comparison(self, case):
+        y, above, tau, lam, ends = case
+        assert_fit_comparison(y, above, tau, lam, ends)
+
+    def test_large_lam_gives_constant_ends(self, case):
+        y, _, tau, lam, _ = case
+        assert_large_lam_constant(y, tau, lam)
+
+    def test_ends_certified_with_equal_objectives(self, case):
+        y, _, tau, lam, (lower, upper) = case
+        if isinstance(y[0], float):
+            assert certify_float(y, lower, tau, lam) and certify_float(y, upper, tau, lam)
+            inst, lower, upper = Instance(list(map(F, y)), F(tau), F(lam)), list(map(F, lower)), list(map(F, upper))
+        else:
+            inst = Instance(y, tau, lam)
+            assert certify(lower, inst) is not None and certify(upper, inst) is not None
+        assert objective_value(lower, inst) == objective_value(upper, inst)
 
 
 def _mirrored(i: int, n: int, C1: float) -> bool:

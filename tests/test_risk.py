@@ -145,6 +145,18 @@ class TestSignals:
         with pytest.raises(ValueError):
             PiecewiseConstantSignal((0.0,), (1.0, 2.0))
 
+    @pytest.mark.parametrize("level", [0.0, -0.0, 2.5, 1e300, 3])
+    @pytest.mark.parametrize("n", [1, 2, 1024])
+    def test_constant_signal_is_the_step_signal_with_no_breaks(self, level, n):
+        # the formulas of the dedicated constant class, kept here as the reference
+        sig = ConstantSignal(level)
+        assert sig == PiecewiseConstantSignal((), (level,))
+        vals, ref = sig.values(n), np.full(n, float(level))
+        assert vals.dtype == ref.dtype and vals.tolist() == ref.tolist()
+        assert np.array_equal(np.signbit(vals), np.signbit(ref))
+        for x0 in [k / 64 for k in range(1, 64)] + [0.1, 0.3, 0.7, 0.9] if n > 1 else ():  # lam* needs n >= 2
+            assert sig.star_lambda(n, x0) == lambda_star(n, 2.0, r0=min(x0, 1 - x0))
+
     @pytest.mark.parametrize(
         "make, name",
         [
@@ -419,8 +431,9 @@ class TestLambdaStar:
 
     def test_star_of_constant_and_cusp_signals(self):
         constant = ModelSpec(4096, 0.5, ConstantSignal(1.0), Cauchy(0.1))
-        for x0 in (0.25, 0.75):  # radius min(x0, 1 - x0) = 0.25 on both sides
-            assert simulate(constant, "star", 1, x0=x0).lam == lambda_star(4096, 2.0, r0=0.25)
+        # radius min(x0, 1 - x0): 0.4 and 0.5 tell the ends alone from an end or a break at 1/2
+        for x0, r0 in ((0.25, 0.25), (0.75, 0.25), (0.4, 0.4), (0.5, 0.5)):
+            assert simulate(constant, "star", 1, x0=x0).lam == lambda_star(4096, 2.0, r0=r0)
         cusp = ModelSpec(4096, 0.5, HolderCusp(0.5, norm=2.0), Cauchy(0.1))
         assert simulate(cusp, "star", 1, x0=0.25).lam == lambda_star(4096, 0.5, holder_norm=2.0)
 

@@ -126,6 +126,13 @@ MUTANTS = (
            "the lower bound is the least candidate, not the greatest", tests=("tests/test_risk.py",)),
     Mutant("median-without-abs", "risk.py", "median(map(abs, errors))", "median(errors)",
            "the reported median absolute error is the median of the signed errors", tests=("tests/test_risk.py",)),
+    Mutant("constant-level-check-dropped", "risk.py", '    _check_finite("level", level)\n', "",
+           "a non-finite constant level is rejected only by the step signal's check, which names `levels`",
+           tests=("tests/test_risk.py",)),
+    Mutant("constant-signal-gets-a-break", "risk.py",
+           "return PiecewiseConstantSignal((), (level,))", "return PiecewiseConstantSignal((0.5,), (level, level))",
+           "the constant signal carries a spurious break at 1/2, so its lam* radius stops there",
+           tests=("tests/test_risk.py",)),
     Mutant("rank-dtype-never-widens", "envelope.py",
            "dtype = np.int16 if len(self.uniq) <= np.iinfo(np.int16).max else np.int32", "dtype = np.int16",
            "data with more than 32767 distinct values keep int16 ranks, which cannot hold the +inf rank",
